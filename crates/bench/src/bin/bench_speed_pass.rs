@@ -1,16 +1,18 @@
 //! Before/after throughput for the raw-speed pass, emitted as JSON
 //! (committed at the repo root as `BENCH_speed_pass.json`).
 //!
-//! "before" is the code path as it stood prior to this pass: exact libm
-//! photometric weights, scalar tap loops, and — for the Hilbert layout —
-//! the O(bits)-per-step [`RecomputeCursor`] (reconstructed here as a
-//! bench-local layout newtype, since the library's Hilbert layout now
-//! hands out the amortized-O(1) [`HilbertCursor3`]). "after" is the fast
-//! configuration: LUT (or polynomial) weights on the widest detected SIMD
-//! tier plus the O(1) Hilbert stepping. Unlike `bench_baseline`, the
-//! after-side output is *tolerance*-equal, not bitwise-equal, so every
-//! after row is diffed against the exact oracle and the binary fails if
-//! the max abs error leaves the documented budget.
+//! "before" is the exact configuration ([`TapConfig::exact`]: bit-exact
+//! `expf` weights on the widest detected SIMD tier) and — for the Hilbert
+//! layout — the O(bits)-per-step [`RecomputeCursor`] (reconstructed here
+//! as a bench-local layout newtype, since the library's Hilbert layout now
+//! hands out the amortized-O(1) [`HilbertCursor3`]). "after" is the
+//! configuration under test: `--weight` on the `--simd` tier plus the
+//! O(1) Hilbert stepping. Unlike `bench_baseline`, the after-side output
+//! is *tolerance*-equal, not bitwise-equal, so every after row is diffed
+//! against the exact oracle and the binary fails if the max abs error
+//! leaves the documented budget — which is 0 for `--weight exact`, so
+//! `--weight exact --simd scalar` checks that the scalar tier gives the
+//! detected tier's bits.
 //!
 //! `cargo run -p sfc-bench --release --bin bench_speed_pass --
 //!  [--size 32] [--reps 3] [--weight lut|fastexp|exact]
@@ -250,7 +252,8 @@ fn main() {
     s.push_str("{\n");
     s.push_str(&format!("  \"size\": {n},\n  \"reps\": {reps},\n"));
     s.push_str(&format!(
-        "  \"note\": \"before = exact libm weights + scalar taps + recompute Hilbert cursor; after = {} weights on {} tier + O(1) Hilbert stepping; after diffed vs exact oracle (budget {:.0e})\",\n",
+        "  \"note\": \"before = exact weights on {} tier + recompute Hilbert cursor; after = {} weights on {} tier + O(1) Hilbert stepping; after diffed vs exact oracle (budget {:.0e})\",\n",
+        detect_tier().name(),
         mode.name(),
         tier.name(),
         budget

@@ -9,6 +9,7 @@
 
 use sfc_core::{SfcError, SfcResult, StencilOrder, StencilSize, Volume3};
 
+use crate::fastmath::{photometric_weight, WeightMode};
 use crate::gaussian::SpatialKernel;
 
 /// Bilateral filter parameters.
@@ -77,6 +78,10 @@ impl BilateralParams {
 /// Filter a single voxel. `inv_2sr2` is
 /// [`BilateralParams::inv_two_sigma_range_sq`], hoisted by callers.
 ///
+/// This is the per-voxel form of the kernel (and the access stream the
+/// memory-counter sims trace); the parallel drivers run the pencil-gather
+/// tap loop (`crate::pencil_gather`), which produces the same bits.
+///
 /// NaN voxels (corrupt data) are excluded instead of poisoning the
 /// average: a NaN *neighbor* gets photometric weight 0, and a NaN *center*
 /// falls back to a plain geometric average of its non-NaN neighbors (the
@@ -91,41 +96,6 @@ pub fn bilateral_voxel<V: Volume3>(
     j: usize,
     k: usize,
 ) -> f32 {
-    let (value, nan_seen) = bilateral_voxel_counted(vol, kernel, inv_2sr2, i, j, k);
-    crate::counters::record_nan_events(nan_seen);
-    value
-}
-
-/// [`bilateral_voxel`] without the counter flush: returns the filtered
-/// value and the number of NaN samples excluded. The parallel drivers use
-/// this to accumulate NaN counts per pencil and touch the shared atomic
-/// once per work item instead of once per voxel.
-pub(crate) fn bilateral_voxel_counted<V: Volume3>(
-    vol: &V,
-    kernel: &SpatialKernel,
-    inv_2sr2: f32,
-    i: usize,
-    j: usize,
-    k: usize,
-) -> (f32, u64) {
-    bilateral_voxel_counted_mode(vol, kernel, inv_2sr2, i, j, k, crate::fastmath::WeightMode::Exact)
-}
-
-/// [`bilateral_voxel_counted`] with a selectable photometric
-/// [`WeightMode`](crate::fastmath::WeightMode). `Exact` performs the
-/// identical f32 operation sequence as always (bitwise-pinned); the
-/// tolerance modes substitute only the weight evaluation, never the tap
-/// order or the NaN bookkeeping. This is the boundary-pencil slow path,
-/// so it stays scalar in every mode.
-pub(crate) fn bilateral_voxel_counted_mode<V: Volume3>(
-    vol: &V,
-    kernel: &SpatialKernel,
-    inv_2sr2: f32,
-    i: usize,
-    j: usize,
-    k: usize,
-    mode: crate::fastmath::WeightMode,
-) -> (f32, u64) {
     let d = vol.dims();
     let center = vol.get(i, j, k);
     let center_nan = center.is_nan();
@@ -149,7 +119,7 @@ pub(crate) fn bilateral_voxel_counted_mode<V: Volume3>(
         let w = if center_nan {
             wg
         } else {
-            wg * crate::fastmath::photometric_weight(v - center, inv_2sr2, mode)
+            wg * photometric_weight(v - center, inv_2sr2, WeightMode::Exact)
         };
         acc += w * v;
         wsum += w;
@@ -169,10 +139,14 @@ pub(crate) fn bilateral_voxel_counted_mode<V: Volume3>(
             tap(v, wg);
         }
     }
+    crate::counters::record_nan_events(nan_seen);
     // With a non-NaN center, wsum >= the center's own weight
     // (1 * exp(0)) > 0; it can only be 0 when every sample was NaN.
-    let value = if wsum > 0.0 { acc / wsum } else { 0.0 };
-    (value, nan_seen)
+    if wsum > 0.0 {
+        acc / wsum
+    } else {
+        0.0
+    }
 }
 
 /// Single-threaded reference implementation over a row-major buffer —

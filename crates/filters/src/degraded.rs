@@ -46,17 +46,6 @@ use crate::pencil_gather::{bilateral_pencil, GatherPlan};
 struct Slots(*mut f32);
 unsafe impl Sync for Slots {}
 
-/// Position of a voxel along its pencil's axis ([`Pencil::coords`]'
-/// inverse for the `t` coordinate — pencils span the full axis extent).
-#[inline]
-fn along(axis: Axis, i: usize, j: usize, k: usize) -> usize {
-    match axis {
-        Axis::X => i,
-        Axis::Y => j,
-        Axis::Z => k,
-    }
-}
-
 /// The bilateral filter as an engine [`UnitKernel`]: one work unit is one
 /// voxel pencil, computed with the pencil-gather fast path into a dense
 /// buffer indexed by along-axis position and committed through the output
@@ -93,11 +82,12 @@ impl<V: Volume3 + Sync, LOut: Layout3> PencilKernel<'_, V, LOut> {
     ) -> bool {
         let p = pencil(self.dims, self.axis, unit);
         buf.clear();
-        buf.resize(p.len, 0.0);
-        bilateral_pencil(self.vol, kernel, self.inv, plan, &p, self.weight, |i, j, k, v| {
-            buf[along(p.axis, i, j, k)] = v;
+        buf.reserve(p.len);
+        bilateral_pencil(self.vol, kernel, self.inv, plan, &p, self.weight, |_, _, _, v| {
+            buf.push(v);
             keep_going()
         })
+        .0
     }
 }
 
@@ -109,8 +99,7 @@ impl<V: Volume3 + Sync, LOut: Layout3> UnitKernel for PencilKernel<'_, V, LOut> 
     }
 
     /// Fill `buf[t]` with the filtered value at along-axis position `t`
-    /// (the emission order of [`bilateral_pencil`] interleaves caps and
-    /// interior, so sequential pushes would scramble coordinates).
+    /// ([`bilateral_pencil`] emits in along-axis order).
     fn compute(
         &self,
         unit: usize,

@@ -8,10 +8,11 @@
 
 use sfc_core::{stencil_offsets, StencilOrder, Volume3};
 
-/// Unnormalized Gaussian weight `exp(-d² / (2σ²))` of a squared distance.
+/// Unnormalized Gaussian weight `exp(-d² / (2σ²))` of a squared distance,
+/// through the filter's bit-exact [`expf`](crate::fastmath).
 #[inline]
 pub fn gaussian_weight(d2: f32, sigma: f32) -> f32 {
-    (-d2 / (2.0 * sigma * sigma)).exp()
+    crate::fastmath::expf(-d2 / (2.0 * sigma * sigma))
 }
 
 /// Precomputed cubic stencil: offsets and their spatial Gaussian weights in

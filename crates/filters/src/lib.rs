@@ -15,9 +15,10 @@
 //!   ablation);
 //! * [`degraded`] — the graceful-degradation driver: supervised execution
 //!   with partial-result recovery, typed defect maps, and a repair pass;
-//! * [`fastmath`] — fast photometric-weight paths: exponent LUT,
-//!   polynomial exp, runtime-dispatched SIMD tap loops behind the
-//!   [`TapConfig`] knob (the exact scalar path stays the bitwise oracle);
+//! * [`fastmath`] — photometric weights behind the [`TapConfig`] knob:
+//!   the bit-exact `expf` port (the bitwise oracle), exponent LUT,
+//!   polynomial exp, and the SIMD lanes of the runtime-dispatched tap
+//!   loop, which gives the same bits on every tier;
 //! * [`counters`] — simulated cache counters replaying the exact parallel
 //!   work split.
 

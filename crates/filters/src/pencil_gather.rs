@@ -13,7 +13,7 @@
 //!
 //! ## Bitwise equivalence
 //!
-//! The fast path iterates the taps in exactly the kernel's configured
+//! The tap loop iterates the taps in exactly the kernel's configured
 //! [`sfc_core::StencilOrder`] (`tap_base` is built in `offsets()` order)
 //! and performs the identical sequence of f32 operations on the identical
 //! sample values, so its outputs are bit-for-bit equal to the per-voxel
@@ -22,18 +22,22 @@
 //! through the same `Layout3::cursor` abstraction; only the (layout-
 //! independent) redundancy of recomputing indices is removed.
 //!
-//! ## Routing
+//! ## Padded rows, one loop
 //!
-//! Every pencil long enough to contain an interior voxel (`n_a > 2r`)
-//! goes through the gather: stencil rows whose *cross* coordinates fall
-//! outside the volume are gathered from the clamped edge row (exactly the
-//! values `get_clamped` serves), so only the *along-axis* tap coordinate
-//! is left to clamp. Since each gathered row spans the whole axis, even
-//! the first/last `r` voxels of a pencil read the scratch (with a per-tap
-//! clamp mirroring `get_clamped`). Only pencils too short for any
-//! interior voxel fall back to
-//! [`crate::bilateral::bilateral_voxel_counted`]. NaN events are
-//! accumulated locally and flushed to the shared counter once per pencil.
+//! Stencil rows whose *cross* coordinates fall outside the volume are
+//! gathered from the clamped edge row, and every row carries `r` clamped
+//! copies of its first and last sample at either end. A tap of voxel `a`
+//! is then always `rows[tap_base[t] + a]`, the value `get_clamped`
+//! serves, so boundary caps and pencils shorter than the stencil run the
+//! same loop as the interior, with no per-tap clamp and no fallback.
+//!
+//! The loop vectorizes across the voxels of the pencil (see
+//! [`crate::fastmath::Lanes`]): a block of `WIDTH` voxels (8 on AVX2, 4
+//! on SSE2, 1 on the scalar tier) loads each tap with one unaligned load
+//! at `tap_base[t] + a`, and lane `i` computes voxel `a + i` exactly as
+//! the scalar loop would; the `n_a mod WIDTH` tail voxels run the scalar
+//! lane. NaN events are accumulated locally and flushed to the shared
+//! counter once per pencil.
 //!
 //! ## Brownout ladder
 //!
@@ -49,8 +53,9 @@ use std::cell::RefCell;
 
 use sfc_core::{Axis, Dims3, Pencil, Volume3};
 
-use crate::bilateral::bilateral_voxel_counted_mode;
-use crate::fastmath::{photometric_weight, TapConfig, WeightMode};
+use crate::fastmath::{
+    detect_tier, Lanes, Scalar, SimdTier, TapConfig, WeightMode, EXACT, FAST_EXP, LUT,
+};
 use crate::gaussian::SpatialKernel;
 
 thread_local! {
@@ -64,24 +69,21 @@ thread_local! {
 pub(crate) struct GatherPlan {
     /// Stencil radius.
     radius: usize,
-    /// Extent of the pencil axis (row length).
+    /// Extent of the pencil axis.
     n_a: usize,
     /// Cross-axis extents (`b` = faster-varying fixed axis of the pencil,
     /// `c` = slower, matching [`Pencil::a`]/[`Pencil::b`]).
     n_b: usize,
     n_c: usize,
+    /// Length of one padded row: `r` clamped copies of the first sample,
+    /// the `n_a` samples, `r` clamped copies of the last.
+    row_len: usize,
     /// Per-tap scratch offset, in kernel tap order:
-    /// `row_id * n_a + (d_axis + r)` — add `voxel_a - r` to index the tap
-    /// sample for the voxel at pencil position `voxel_a`.
+    /// `row_id * row_len + (d_axis + r)` — add `a` to index the tap sample
+    /// of the voxel at pencil position `a`.
     tap_base: Vec<usize>,
-    /// `tap_base` as `i32`, the form the SIMD tap loops gather with
-    /// (scratch extents always fit: `(2r+1)² · n_a` is far below `i32`).
-    tap_base_i32: Vec<i32>,
-    /// Per-tap `(row_id * n_a, d_axis)` pairs, in kernel tap order, for
-    /// the boundary caps whose along-axis taps must clamp.
-    tap_cap: Vec<(usize, isize)>,
-    /// Scratch offset of the center row (`row_id(0,0) * n_a`).
-    center_row: usize,
+    /// Scratch offset of voxel 0's center sample.
+    center: usize,
 }
 
 /// Split a stencil offset into (along-axis, faster-cross, slower-cross)
@@ -116,53 +118,44 @@ impl GatherPlan {
             Axis::Y => (dims.nx, dims.nz),
             Axis::Z => (dims.nx, dims.ny),
         };
+        let row_len = n_a + 2 * r;
         let ri = r as isize;
-        let mut tap_base = Vec::with_capacity(kernel.offsets().len());
-        let mut tap_cap = Vec::with_capacity(kernel.offsets().len());
-        for &off in kernel.offsets() {
-            let (da, db, dc) = split_offset(axis, off);
-            let row_id = ((db + ri) as usize) + w * ((dc + ri) as usize);
-            tap_base.push(row_id * n_a + (da + ri) as usize);
-            tap_cap.push((row_id * n_a, da));
-        }
-        let tap_base_i32 = tap_base.iter().map(|&b| b as i32).collect();
+        let tap_base = kernel
+            .offsets()
+            .iter()
+            .map(|&off| {
+                let (da, db, dc) = split_offset(axis, off);
+                let row_id = ((db + ri) as usize) + w * ((dc + ri) as usize);
+                row_id * row_len + (da + ri) as usize
+            })
+            .collect();
         Self {
             radius: r,
             n_a,
             n_b,
             n_c,
+            row_len,
             tap_base,
-            tap_base_i32,
-            tap_cap,
-            center_row: (r + w * r) * n_a,
+            center: (r + w * r) * row_len + r,
         }
-    }
-
-    /// Whether `p` qualifies for the gather fast path: the pencil must
-    /// contain at least one voxel whose along-axis taps are all in
-    /// bounds. Cross coordinates never disqualify a pencil — rows whose
-    /// cross coordinate falls outside the volume are gathered from the
-    /// clamped edge row, which holds exactly the values `get_clamped`
-    /// serves for those taps.
-    #[inline]
-    fn pencil_can_gather(&self) -> bool {
-        self.n_a > 2 * self.radius
     }
 }
 
-/// Filter one pencil, writing each voxel's result via `write(i, j, k, v)`.
+/// Filter one pencil, writing each voxel's result via `write(i, j, k, v)`
+/// in along-axis order.
 ///
-/// Interior spans use the gathered-scratch fast path; everything else
-/// falls back to the per-voxel clamped kernel. With
-/// [`TapConfig::exact()`] outputs are bitwise identical to calling
-/// [`crate::bilateral::bilateral_voxel`] per voxel; the `Lut`/`FastExp`
-/// modes stay within the tolerance documented in [`crate::fastmath`] and
-/// count NaN events identically.
+/// Every voxel, boundary caps and pencils shorter than the stencil
+/// included, runs the same tap loop over the padded rows. With
+/// `WeightMode::Exact` outputs are bitwise identical to calling
+/// [`crate::bilateral::bilateral_voxel`] per voxel, on every tier; the
+/// `Lut`/`FastExp` modes stay within the tolerance documented in
+/// [`crate::fastmath`], give the same bits on every tier, and count NaN
+/// events identically.
 ///
 /// `write` returns a continue flag: `false` aborts the rest of the pencil
 /// (cooperative cancellation — the degraded driver polls its cancel token
-/// there). Returns `true` when every voxel of the pencil was written; NaN
-/// events seen so far are flushed either way.
+/// there). Returns whether every voxel of the pencil was written, and the
+/// NaN events seen, which are also flushed to the shared counter.
 pub(crate) fn bilateral_pencil<V, F>(
     vol: &V,
     kernel: &SpatialKernel,
@@ -171,182 +164,227 @@ pub(crate) fn bilateral_pencil<V, F>(
     p: &Pencil,
     cfg: TapConfig,
     mut write: F,
-) -> bool
+) -> (bool, u64)
 where
     V: Volume3,
     F: FnMut(usize, usize, usize, f32) -> bool,
 {
-    let mut nan_seen = 0u64;
-    let mut completed = true;
-    if plan.pencil_can_gather() {
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            gather_rows(vol, plan, p, &mut scratch);
-            let r = plan.radius;
-            // Boundary caps: only the along-axis taps are left to clamp
-            // (cross clamping happened at gather time), and the gathered
-            // rows span the whole axis — so caps read the scratch too,
-            // with a per-tap clamp. Caps are O(r) voxels per pencil, so
-            // they use the scalar loop in every mode (mode-aware weights,
-            // no SIMD).
-            for t in (0..r).chain(p.len - r..p.len) {
-                let (v, n) =
-                    bilateral_cap_from_scratch(&scratch, plan, kernel, inv_2sr2, t, cfg.mode);
-                nan_seen += n;
-                let (i, j, k) = p.coords(t);
-                if !write(i, j, k, v) {
-                    completed = false;
-                    return;
-                }
-            }
-            // Interior span: pure scratch arithmetic. Exact mode keeps the
-            // original scalar loop (bitwise oracle); the tolerance modes
-            // dispatch through the fastmath tap loops.
-            if cfg.mode == WeightMode::Exact {
-                for a in r..p.len - r {
-                    let (v, n) = bilateral_from_scratch(&scratch, plan, kernel, inv_2sr2, a);
-                    nan_seen += n;
-                    let (i, j, k) = p.coords(a);
-                    if !write(i, j, k, v) {
-                        completed = false;
-                        return;
-                    }
-                }
-            } else {
-                for a in r..p.len - r {
-                    let center = scratch[plan.center_row + a];
-                    let (v, n) = crate::fastmath::tap_run(
-                        &scratch,
-                        &plan.tap_base_i32,
-                        kernel.weights(),
-                        (a - r) as i32,
-                        center,
-                        inv_2sr2,
-                        cfg,
-                    );
-                    nan_seen += n + u64::from(center.is_nan());
-                    let (i, j, k) = p.coords(a);
-                    if !write(i, j, k, v) {
-                        completed = false;
-                        return;
-                    }
-                }
-            }
-        });
-    } else {
-        for (i, j, k) in p.iter() {
-            let (v, n) = bilateral_voxel_counted_mode(vol, kernel, inv_2sr2, i, j, k, cfg.mode);
-            nan_seen += n;
-            if !write(i, j, k, v) {
-                completed = false;
-                break;
-            }
-        }
-    }
+    debug_assert_eq!(p.len, plan.n_a, "pencils span the whole axis");
+    let (completed, nan_seen) = SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        gather_rows(vol, plan, p, &mut scratch);
+        let taps = Taps {
+            rows: &scratch,
+            base: &plan.tap_base,
+            weights: kernel.weights(),
+            center: plan.center,
+            inv_2sr2,
+            n_a: plan.n_a,
+        };
+        run_taps(&taps, cfg, &mut |a, block| {
+            block.iter().enumerate().all(|(l, &v)| {
+                let (i, j, k) = p.coords(a + l);
+                write(i, j, k, v)
+            })
+        })
+    });
     crate::counters::record_nan_events(nan_seen);
-    completed
+    (completed, nan_seen)
 }
 
-/// Gather the pencil's `(2r+1)²` neighbor rows into `scratch`
-/// (row-major: row `(db+r) + (2r+1)(dc+r)`, each of length `n_a`).
+/// Gather the pencil's `(2r+1)²` neighbor rows into `scratch`, padded
+/// (row `(db+r) + (2r+1)(dc+r)` at offset `row_id * row_len`).
 ///
 /// Cross coordinates that fall outside the volume clamp to the nearest
-/// face — the gathered row then holds exactly the values the per-voxel
-/// path's `get_clamped` would return for those taps, so boundary pencils
-/// produce bitwise-identical output through the scratch loops. (Rows past
-/// a face duplicate the edge row; the redundant reads are the price of
-/// keeping every tap loop branch-free.)
+/// face, and each row carries `r` copies of its first and last sample at
+/// either end — so every tap of every voxel reads exactly the value the
+/// per-voxel path's `get_clamped` returns, without a branch. (Rows past a
+/// face duplicate the edge row; the redundant reads are the price of one
+/// loop for every voxel.)
 fn gather_rows<V: Volume3>(vol: &V, plan: &GatherPlan, p: &Pencil, scratch: &mut Vec<f32>) {
-    let r = plan.radius as isize;
-    let w = 2 * plan.radius + 1;
-    let n_a = plan.n_a;
-    scratch.resize(w * w * n_a, 0.0);
+    let r = plan.radius;
+    let w = 2 * r + 1;
+    let (n_a, row_len) = (plan.n_a, plan.row_len);
+    scratch.resize(w * w * row_len, 0.0);
     for dc in 0..w {
         for db in 0..w {
-            let b = (p.a as isize + db as isize - r).clamp(0, plan.n_b as isize - 1) as usize;
-            let c = (p.b as isize + dc as isize - r).clamp(0, plan.n_c as isize - 1) as usize;
+            let b = (p.a + db).saturating_sub(r).min(plan.n_b - 1);
+            let c = (p.b + dc).saturating_sub(r).min(plan.n_c - 1);
             let (i0, j0, k0) = join_coords(p.axis, 0, b, c);
-            let row = (db + w * dc) * n_a;
-            vol.gather_axis_run(i0, j0, k0, p.axis, &mut scratch[row..row + n_a]);
+            let row = &mut scratch[(db + w * dc) * row_len..][..row_len];
+            vol.gather_axis_run(i0, j0, k0, p.axis, &mut row[r..r + n_a]);
+            let (first, last) = (row[r], row[r + n_a - 1]);
+            row[..r].fill(first);
+            row[r + n_a..].fill(last);
         }
     }
 }
 
-/// The bilateral kernel's interior branch, reading taps from gathered
-/// scratch. Must mirror `bilateral_voxel_counted`'s interior loop exactly
-/// — same tap order, same f32 operations — for bitwise-equal output.
-#[inline]
-fn bilateral_from_scratch(
-    scratch: &[f32],
-    plan: &GatherPlan,
-    kernel: &SpatialKernel,
+/// One pencil's input to the tap loop: the padded rows and the plan's tap
+/// table.
+struct Taps<'a> {
+    rows: &'a [f32],
+    base: &'a [usize],
+    weights: &'a [f32],
+    center: usize,
     inv_2sr2: f32,
-    a: usize,
-) -> (f32, u64) {
-    let center = scratch[plan.center_row + a];
-    let center_nan = center.is_nan();
-    let shift = a - plan.radius;
-    let mut acc = 0.0f32;
-    let mut wsum = 0.0f32;
-    let mut nan_seen: u64 = u64::from(center_nan);
-    for (&base, &wg) in plan.tap_base.iter().zip(kernel.weights()) {
-        let v = scratch[base + shift];
-        if v.is_nan() {
-            nan_seen += 1;
-            continue;
-        }
-        let w = if center_nan {
-            wg
-        } else {
-            let diff = v - center;
-            wg * (-(diff * diff) * inv_2sr2).exp()
-        };
-        acc += w * v;
-        wsum += w;
-    }
-    let value = if wsum > 0.0 { acc / wsum } else { 0.0 };
-    (value, nan_seen)
+    n_a: usize,
 }
 
-/// The boundary-cap variant of [`bilateral_from_scratch`]: the voxel sits
-/// within `r` of a pencil end, so each tap's along-axis coordinate clamps
-/// to `[0, n_a)` — exactly what `get_clamped` does in the per-voxel slow
-/// path (the cross coordinates never clamp for a gathered pencil). Same
-/// tap order, same f32 operations: with `WeightMode::Exact` the output
-/// stays bitwise-equal ([`photometric_weight`] is the identical `exp`
-/// expression — float negation commutes with multiplication bit-for-bit).
-#[inline]
-fn bilateral_cap_from_scratch(
-    scratch: &[f32],
-    plan: &GatherPlan,
-    kernel: &SpatialKernel,
-    inv_2sr2: f32,
-    a: usize,
-    mode: WeightMode,
-) -> (f32, u64) {
-    let center = scratch[plan.center_row + a];
-    let center_nan = center.is_nan();
-    let hi = plan.n_a as isize - 1;
-    let mut acc = 0.0f32;
-    let mut wsum = 0.0f32;
-    let mut nan_seen: u64 = u64::from(center_nan);
-    for (&(row, da), &wg) in plan.tap_cap.iter().zip(kernel.weights()) {
-        let ta = (a as isize + da).clamp(0, hi) as usize;
-        let v = scratch[row + ta];
-        if v.is_nan() {
-            nan_seen += 1;
-            continue;
-        }
-        let w = if center_nan {
-            wg
-        } else {
-            wg * photometric_weight(v - center, inv_2sr2, mode)
-        };
-        acc += w * v;
-        wsum += w;
+/// Receives the results of voxels `a..a + block.len()` as
+/// `emit(a, block)` and returns whether to go on. The tap loop takes it
+/// as a trait object, so it is compiled once per tier and weight mode, not
+/// once per caller.
+type Emit<'e> = dyn FnMut(usize, &[f32]) -> bool + 'e;
+
+/// Run the tap loop over the whole pencil on `cfg`'s tier (clamped to the
+/// CPU), handing the results to `emit` block by block, in along-axis
+/// order, until it returns `false`. Returns (every voxel emitted, NaN
+/// events).
+fn run_taps(t: &Taps, cfg: TapConfig, emit: &mut Emit) -> (bool, u64) {
+    // The loop's loads read `n_a` floats from each tap base and from the
+    // center; they must all lie inside the rows.
+    assert!(
+        t.base
+            .iter()
+            .chain([&t.center])
+            .all(|&b| b + t.n_a <= t.rows.len()),
+        "tap table exceeds the gathered rows"
+    );
+    match cfg.tier.min(detect_tier()) {
+        // SAFETY: the tier is available on this CPU (clamped above) and
+        // the loads are in bounds (asserted above).
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { x86::taps_avx2(t, cfg.mode, emit) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Sse2 => unsafe { x86::taps_sse2(t, cfg.mode, emit) },
+        // SAFETY: the scalar lanes need no CPU feature; loads as above.
+        _ => unsafe { taps_by_mode::<Scalar>(t, cfg.mode, emit) },
     }
-    let value = if wsum > 0.0 { acc / wsum } else { 0.0 };
-    (value, nan_seen)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{taps_by_mode, Emit, Taps, WeightMode};
+    use crate::fastmath::x86::{Avx2, Sse2};
+
+    /// The tap loop compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `t` passed [`super::run_taps`]' bounds
+    /// check.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn taps_avx2(t: &Taps, mode: WeightMode, emit: &mut Emit) -> (bool, u64) {
+        // SAFETY: AVX2 is enabled for this function; `t` is the caller's.
+        unsafe { taps_by_mode::<Avx2>(t, mode, emit) }
+    }
+
+    /// The tap loop compiled for SSE2.
+    ///
+    /// # Safety
+    /// The CPU must support SSE2 (every x86_64 does); `t` passed
+    /// [`super::run_taps`]' bounds check.
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn taps_sse2(t: &Taps, mode: WeightMode, emit: &mut Emit) -> (bool, u64) {
+        // SAFETY: SSE2 is enabled for this function; `t` is the caller's.
+        unsafe { taps_by_mode::<Sse2>(t, mode, emit) }
+    }
+}
+
+/// [`taps`] with the weight mode as a const generic.
+///
+/// # Safety
+/// `S`'s tier must be enabled in the calling function and available, and
+/// `t` must have passed [`run_taps`]' bounds check.
+#[inline(always)]
+unsafe fn taps_by_mode<S: Lanes>(t: &Taps, mode: WeightMode, emit: &mut Emit) -> (bool, u64) {
+    // SAFETY: forwarded from the caller.
+    unsafe {
+        match mode {
+            WeightMode::Exact => taps::<S, EXACT>(t, emit),
+            WeightMode::Lut => taps::<S, LUT>(t, emit),
+            WeightMode::FastExp => taps::<S, FAST_EXP>(t, emit),
+        }
+    }
+}
+
+/// The tap loop: voxels in blocks of `S::WIDTH`, then the remainder on
+/// the scalar lane one by one, each emitted in along-axis order.
+///
+/// # Safety
+/// As [`taps_by_mode`], and `t` passed [`run_taps`]' bounds check.
+#[inline(always)]
+unsafe fn taps<S: Lanes, const MODE: u8>(t: &Taps, emit: &mut Emit) -> (bool, u64) {
+    let mut nan_seen = 0u64;
+    let mut out = [0.0f32; 8];
+    let mut a = 0;
+    while a + S::WIDTH <= t.n_a {
+        // SAFETY: `a + WIDTH <= n_a` (loop condition); `out` holds 8 ≥
+        // WIDTH floats; the tier is available (caller).
+        let n = unsafe {
+            let (v, n) = block::<S, MODE>(t, a);
+            S::store(out.as_mut_ptr(), v);
+            n
+        };
+        nan_seen += n;
+        if !emit(a, &out[..S::WIDTH]) {
+            return (false, nan_seen);
+        }
+        a += S::WIDTH;
+    }
+    while a < t.n_a {
+        // SAFETY: `a < n_a`; the scalar lanes need no CPU feature.
+        let (v, n) = unsafe { block::<Scalar, MODE>(t, a) };
+        nan_seen += n;
+        if !emit(a, &[v]) {
+            return (false, nan_seen);
+        }
+        a += 1;
+    }
+    (true, nan_seen)
+}
+
+/// Filter voxels `a..a + S::WIDTH` of the pencil, one per lane, with the
+/// per-voxel kernel's sequence of f32 operations in kernel tap order.
+/// A NaN tap leaves the lane's sums unchanged (a blend, not an added
+/// zero) and counts one event; a NaN center weights geometrically only
+/// and counts one event. Returns the lanes' results and the NaN events.
+///
+/// # Safety
+/// `a + S::WIDTH <= t.n_a`; every tap base and the center of `t` are at
+/// most `rows.len() - n_a` (checked by [`run_taps`]); `S`'s tier is
+/// available.
+#[inline(always)]
+unsafe fn block<S: Lanes, const MODE: u8>(t: &Taps, a: usize) -> (S::V, u64) {
+    debug_assert!(a + S::WIDTH <= t.n_a);
+    // SAFETY: by the contract above every load below reads `WIDTH` floats
+    // at `base + a <= base + n_a - WIDTH` inside `rows`.
+    unsafe {
+        let p = t.rows.as_ptr().add(a);
+        let center = S::load(p.add(t.center));
+        let center_nan = S::is_nan(center);
+        let inv = S::splat(t.inv_2sr2);
+        let zero = S::splat(0.0);
+        let mut acc = zero;
+        let mut wsum = zero;
+        let mut nans = S::count(S::no_events(), center_nan);
+        for (&base, &wg) in t.base.iter().zip(t.weights) {
+            let v = S::load(p.add(base));
+            let tap_nan = S::is_nan(v);
+            nans = S::count(nans, tap_nan);
+            let diff = S::sub(v, center);
+            let u = S::mul(S::mul(diff, diff), inv);
+            let wg = S::splat(wg);
+            let w = S::select(center_nan, wg, S::mul(wg, S::exp_neg::<MODE>(u)));
+            acc = S::select(tap_nan, acc, S::add(acc, S::mul(w, v)));
+            wsum = S::select(tap_nan, wsum, S::add(wsum, w));
+        }
+        // With a non-NaN center, wsum >= the center's own weight
+        // (1 * exp(0)) > 0; it can only be 0 when every sample was NaN.
+        let value = S::select(S::is_positive(wsum), S::div(acc, wsum), zero);
+        (value, S::total(nans))
+    }
 }
 
 #[cfg(test)]
@@ -370,6 +408,14 @@ mod tests {
             .collect()
     }
 
+    /// Exact mode on every tier.
+    fn exact_tiers() -> [TapConfig; 3] {
+        [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2].map(|tier| TapConfig {
+            mode: WeightMode::Exact,
+            tier,
+        })
+    }
+
     #[test]
     fn gathered_pencils_match_per_voxel_kernel_bitwise() {
         let dims = Dims3::new(11, 9, 7);
@@ -381,16 +427,19 @@ mod tests {
             let inv = p.inv_two_sigma_range_sq();
             for axis in Axis::ALL {
                 let plan = GatherPlan::new(&kernel, dims, axis);
-                for pen in pencils(dims, axis) {
-                    bilateral_pencil(&grid, &kernel, inv, &plan, &pen, TapConfig::exact(), |i, j, k, v| {
-                        let want = bilateral_voxel(&grid, &kernel, inv, i, j, k);
-                        assert_eq!(
-                            v.to_bits(),
-                            want.to_bits(),
-                            "mismatch at ({i},{j},{k}) axis {axis:?}"
-                        );
-                        true
-                    });
+                for cfg in exact_tiers() {
+                    for pen in pencils(dims, axis) {
+                        bilateral_pencil(&grid, &kernel, inv, &plan, &pen, cfg, |i, j, k, v| {
+                            let want = bilateral_voxel(&grid, &kernel, inv, i, j, k);
+                            assert_eq!(
+                                v.to_bits(),
+                                want.to_bits(),
+                                "mismatch at ({i},{j},{k}) axis {axis:?} {:?}",
+                                cfg.tier
+                            );
+                            true
+                        });
+                    }
                 }
             }
         }
@@ -406,36 +455,145 @@ mod tests {
         let kernel = p.spatial_kernel();
         let inv = p.inv_two_sigma_range_sq();
         let plan = GatherPlan::new(&kernel, dims, Axis::X);
-        let before = crate::counters::nan_events();
-        for pen in pencils(dims, Axis::X) {
-            bilateral_pencil(&grid, &kernel, inv, &plan, &pen, TapConfig::exact(), |_, _, _, _| true);
+        for cfg in exact_tiers() {
+            let mut nan_seen = 0;
+            for pen in pencils(dims, Axis::X) {
+                let (completed, n) =
+                    bilateral_pencil(&grid, &kernel, inv, &plan, &pen, cfg, |_, _, _, _| true);
+                assert!(completed);
+                nan_seen += n;
+            }
+            // The NaN voxel is seen once per covering stencil: 27
+            // neighbors' stencils include it, plus its own center
+            // pre-count.
+            assert_eq!(nan_seen, 28, "{:?}", cfg.tier);
         }
-        // The NaN voxel is seen once per covering stencil: 27 neighbors'
-        // stencils include it, plus its own center pre-count.
-        assert_eq!(crate::counters::nan_events() - before, 28);
     }
 
     #[test]
-    fn short_pencils_route_to_slow_path() {
-        // radius 2 with a 4-long axis: no interior voxels anywhere.
+    fn short_pencils_and_caps_match_per_voxel_kernel() {
+        // radius 2 with a 4-long axis: every voxel is within r of an end.
         let dims = Dims3::new(4, 9, 9);
         let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &noisy(dims));
         let p = params(2, StencilOrder::Xyz);
         let kernel = p.spatial_kernel();
         let inv = p.inv_two_sigma_range_sq();
         let plan = GatherPlan::new(&kernel, dims, Axis::X);
-        for pen in pencils(dims, Axis::X) {
-            assert!(!plan.pencil_can_gather());
-            let mut count = 0;
-            bilateral_pencil(&grid, &kernel, inv, &plan, &pen, TapConfig::exact(), |i, j, k, v| {
-                assert_eq!(
-                    v.to_bits(),
-                    bilateral_voxel(&grid, &kernel, inv, i, j, k).to_bits()
+        for cfg in exact_tiers() {
+            for pen in pencils(dims, Axis::X) {
+                let mut count = 0;
+                bilateral_pencil(&grid, &kernel, inv, &plan, &pen, cfg, |i, j, k, v| {
+                    assert_eq!(
+                        v.to_bits(),
+                        bilateral_voxel(&grid, &kernel, inv, i, j, k).to_bits()
+                    );
+                    assert_eq!(
+                        along(pen.axis, i, j, k),
+                        count,
+                        "emitted in along-axis order"
+                    );
+                    count += 1;
+                    true
+                });
+                assert_eq!(count, pen.len);
+            }
+        }
+    }
+
+    #[test]
+    fn a_false_write_stops_the_pencil() {
+        let dims = Dims3::new(20, 3, 3);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &noisy(dims));
+        let p = params(1, StencilOrder::Xyz);
+        let kernel = p.spatial_kernel();
+        let plan = GatherPlan::new(&kernel, dims, Axis::X);
+        let pen = pencils(dims, Axis::X).next().expect("a pencil");
+        for cfg in exact_tiers() {
+            for stop in [0, 5, 8, 17] {
+                let mut written = 0;
+                let (completed, _) = bilateral_pencil(
+                    &grid,
+                    &kernel,
+                    p.inv_two_sigma_range_sq(),
+                    &plan,
+                    &pen,
+                    cfg,
+                    |_, _, _, _| {
+                        written += 1;
+                        written <= stop
+                    },
                 );
-                count += 1;
-                true
-            });
-            assert_eq!(count, pen.len);
+                assert!(!completed);
+                assert_eq!(written, stop + 1, "{:?}", cfg.tier);
+            }
+        }
+    }
+
+    fn along(axis: Axis, i: usize, j: usize, k: usize) -> usize {
+        match axis {
+            Axis::X => i,
+            Axis::Y => j,
+            Axis::Z => k,
+        }
+    }
+}
+
+#[cfg(test)]
+mod perf_probe {
+    use super::*;
+    use crate::bilateral::BilateralParams;
+    use sfc_core::{pencils, Grid3, StencilOrder, ZOrder3};
+
+    /// ns per tap of the pencil loop (gather included) for every mode and
+    /// tier, on 64-voxel pencils of a 64×8×8 volume:
+    /// `cargo test --release -p sfc-filters time_tap_loop_tiers -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn time_tap_loop_tiers() {
+        let dims = Dims3::new(64, 8, 8);
+        let values: Vec<f32> = (0..dims.len()).map(|i| (i % 97) as f32 / 97.0).collect();
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &values);
+        for radius in [1, 2, 5] {
+            let params = BilateralParams {
+                radius,
+                sigma_spatial: 1.0,
+                sigma_range: 0.1,
+                order: StencilOrder::Xyz,
+            };
+            let kernel = params.spatial_kernel();
+            let inv = params.inv_two_sigma_range_sq();
+            let plan = GatherPlan::new(&kernel, dims, Axis::X);
+            let taps = (dims.len() * kernel.weights().len()) as f64;
+            for mode in [WeightMode::Exact, WeightMode::Lut, WeightMode::FastExp] {
+                for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+                    let cfg = TapConfig { mode, tier }.clamped();
+                    let rounds = 20;
+                    let start = std::time::Instant::now();
+                    let mut acc = 0.0f32;
+                    for _ in 0..rounds {
+                        for pen in pencils(dims, Axis::X) {
+                            bilateral_pencil(
+                                &grid,
+                                &kernel,
+                                inv,
+                                &plan,
+                                &pen,
+                                cfg,
+                                |_, _, _, v| {
+                                    acc += v;
+                                    true
+                                },
+                            );
+                        }
+                    }
+                    let ns = start.elapsed().as_secs_f64() * 1e9 / (rounds as f64 * taps);
+                    eprintln!(
+                        "r{radius} {}/{}: {ns:.2} ns/tap (acc {acc})",
+                        mode.name(),
+                        cfg.tier.name()
+                    );
+                }
+            }
         }
     }
 }

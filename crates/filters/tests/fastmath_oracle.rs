@@ -1,17 +1,24 @@
-//! Tolerance-oracle suite for the fast photometric-weight paths.
+//! Tolerance-oracle suite for the fast photometric-weight paths, and the
+//! bitwise tier matrix.
 //!
-//! The exact scalar configuration ([`TapConfig::exact`]) is the bitwise
-//! oracle: these tests run the full `bilateral3d` pipeline under every
-//! fast configuration (LUT / polynomial exp × scalar / detected SIMD
-//! tier) against it and assert
+//! The exact configuration ([`TapConfig::exact`]) is the bitwise oracle:
+//! these tests run the full `bilateral3d` pipeline under every fast
+//! configuration (LUT / polynomial exp × scalar / detected SIMD tier)
+//! against it and assert
 //!
 //! * the maximum absolute output error stays inside a documented bound,
 //! * NaN-substitution tallies are *identical* (fast paths may approximate
-//!   weights, never change which taps are defective), and
+//!   weights, never change which taps are defective),
+//! * every tier gives the same bits and NaN tally as the scalar tier, in
+//!   every weight mode, and
 //! * the exact configuration itself stays bit-for-bit frozen (checksum
 //!   pin), so the fast paths can never leak into the reference result.
 
-use sfc_core::{ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, SplitMix64, StencilOrder, ZOrder3};
+use std::sync::{Mutex, PoisonError};
+
+use sfc_core::{
+    ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, Layout3, SplitMix64, StencilOrder, ZOrder3,
+};
 use sfc_filters::{
     bilateral3d, fastmath, nan_events, reset_nan_events, BilateralParams, FilterRun, SimdTier,
     TapConfig, WeightMode,
@@ -50,12 +57,25 @@ fn run_for(radius: usize, weight: TapConfig) -> FilterRun {
     }
 }
 
-/// Run `bilateral3d` and return (row-major output, NaN-event tally).
-fn filter(dims: Dims3, values: &[f32], run: &FilterRun) -> (Vec<f32>, u64) {
-    let g = Grid3::<f32, ZOrder3>::from_row_major(dims, values);
+/// Held across reset, run and read of the NaN-event counter, which is
+/// process-global while this file's tests run on parallel threads.
+static NAN_COUNTER: Mutex<()> = Mutex::new(());
+
+/// Run `bilateral3d` over an `L` grid and return (row-major output,
+/// NaN-event tally).
+fn filter_in<L: Layout3>(dims: Dims3, values: &[f32], run: &FilterRun) -> (Vec<f32>, u64) {
+    let g = Grid3::<f32, L>::from_row_major(dims, values);
+    // A test that panicked while holding the lock left the counter
+    // mid-run; the reset below discards that state.
+    let _counter = NAN_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     reset_nan_events();
     let out: Grid3<f32, ArrayOrder3> = bilateral3d(&g, run);
     (out.to_row_major(), nan_events())
+}
+
+/// [`filter_in`] over a Z-order grid.
+fn filter(dims: Dims3, values: &[f32], run: &FilterRun) -> (Vec<f32>, u64) {
+    filter_in::<ZOrder3>(dims, values, run)
 }
 
 fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
@@ -162,7 +182,7 @@ fn nan_tallies_identical_across_all_configs() {
 fn exact_config_is_bitwise_frozen() {
     // Checksum pin over the exact-mode output bits for a fixed input: the
     // exact configuration is the contractual reference and must survive
-    // fast-path refactors untouched. If this fails, the scalar exact
+    // fast-path refactors untouched. If this fails, the exact
     // kernel changed behavior — that is a breaking change, not a tweak.
     let dims = Dims3::new(10, 9, 6);
     let values = values_for(dims, 0xABCD_EF01_2345_6789, None);
@@ -187,9 +207,94 @@ fn fast_path_agrees_on_hilbert_layout_too() {
     // (non-contiguous pencils) as well as Z-order.
     let dims = Dims3::new(9, 8, 10);
     let values = values_for(dims, 0x1357_9BDF, None);
-    let g = Grid3::<f32, HilbertOrder3>::from_row_major(dims, &values);
-    let exact: Grid3<f32, ArrayOrder3> = bilateral3d(&g, &run_for(3, TapConfig::exact()));
-    let fast: Grid3<f32, ArrayOrder3> = bilateral3d(&g, &run_for(3, TapConfig::fast()));
-    let err = max_abs_diff(&exact.to_row_major(), &fast.to_row_major());
+    let (exact, _) = filter_in::<HilbertOrder3>(dims, &values, &run_for(3, TapConfig::exact()));
+    let (fast, _) = filter_in::<HilbertOrder3>(dims, &values, &run_for(3, TapConfig::fast()));
+    let err = max_abs_diff(&exact, &fast);
     assert!(err <= TOL, "hilbert r3 max abs err {err}");
+}
+
+/// Unit-range values with NaN voxels (each NaN is also the center of its
+/// own output), plus `+inf` and `-inf` voxels when `infinite`.
+fn defect_values(dims: Dims3, seed: u64, infinite: bool) -> Vec<f32> {
+    let mut values = values_for(dims, seed, Some(11));
+    if infinite {
+        for (v, x) in values.iter_mut().enumerate() {
+            match v % 23 {
+                7 => *x = f32::INFINITY,
+                16 => *x = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+    }
+    values
+}
+
+/// Equal bits, or both NaN.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// Every tier (clamped to the host) against the scalar tier in `mode`:
+/// equal outputs and equal NaN tallies.
+fn assert_tiers_agree<L: Layout3>(dims: Dims3, values: &[f32], run: FilterRun, what: &str) {
+    let with_tier = |tier| FilterRun {
+        weight: TapConfig {
+            mode: run.weight.mode,
+            tier,
+        }
+        .clamped(),
+        ..run
+    };
+    let (want, want_nans) = filter_in::<L>(dims, values, &with_tier(SimdTier::Scalar));
+    for tier in [SimdTier::Sse2, SimdTier::Avx2] {
+        let (got, nans) = filter_in::<L>(dims, values, &with_tier(tier));
+        let mode = run.weight.mode;
+        assert_eq!(nans, want_nans, "{what} {mode:?}/{tier:?} NaN tally");
+        assert!(
+            same_bits(&got, &want),
+            "{what} {mode:?}/{tier:?} output bits"
+        );
+    }
+}
+
+#[test]
+fn every_tier_gives_the_scalar_bits_and_nan_tally_in_every_mode() {
+    let modes = [WeightMode::Exact, WeightMode::Lut, WeightMode::FastExp];
+    let mut rng = SplitMix64::new(0x5EED_0003);
+    for radius in [1, 3, 5] {
+        for n in [1, 2, 2 * radius, 2 * radius + 1, 7, 8, 9, 17] {
+            for (axis, dims) in [
+                (Axis::X, Dims3::new(n, 3, 2)),
+                (Axis::Y, Dims3::new(3, n, 2)),
+                (Axis::Z, Dims3::new(3, 2, n)),
+            ] {
+                for infinite in [false, true] {
+                    let values = defect_values(dims, rng.next_u64(), infinite);
+                    for mode in modes {
+                        let run = FilterRun {
+                            pencil_axis: axis,
+                            ..run_for(radius, TapConfig::with_mode(mode))
+                        };
+                        let what = format!("r{radius} n{n} {axis:?} inf={infinite}");
+                        assert_tiers_agree::<ZOrder3>(dims, &values, run, &what);
+                    }
+                }
+            }
+        }
+    }
+    // The gather walks Hilbert pencils through their own cursor.
+    let dims = Dims3::new(9, 8, 10);
+    let values = defect_values(dims, rng.next_u64(), true);
+    for mode in modes {
+        for axis in Axis::ALL {
+            let run = FilterRun {
+                pencil_axis: axis,
+                ..run_for(3, TapConfig::with_mode(mode))
+            };
+            assert_tiers_agree::<HilbertOrder3>(dims, &values, run, &format!("hilbert {axis:?}"));
+        }
+    }
 }

@@ -13,22 +13,60 @@
 //! hostile client minting fresh `req_id`s cannot balloon server memory.
 //! Keys are scoped by tenant — one tenant can never replay another's
 //! result, even with a colliding `req_id`.
+//!
+//! Each entry also stores the [`Fingerprint`] of the request that
+//! produced it. A `req_id` reused for a *different* request (another
+//! size, layout, seed, …) is not a retry: it is refused with a typed
+//! non-transient `invalid-parameter` error instead of being answered with
+//! the earlier request's body, nothing executes, and the event is counted
+//! as `server.dedup.conflicts`.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use sfc_harness::LazyCounter;
+use sfc_core::SfcError;
+use sfc_harness::{FaultRates, LazyCounter};
 
-use crate::protocol::{OkHeader, RespHeader};
+use crate::protocol::{error_kind, LayoutChoice, OkHeader, OpKind, Request, RespHeader};
 use crate::scheduler::Response;
 
 static DEDUP_HITS: LazyCounter = LazyCounter::new("server.dedup.hits");
 static DEDUP_INSERTS: LazyCounter = LazyCounter::new("server.dedup.inserts");
 static DEDUP_EVICTIONS: LazyCounter = LazyCounter::new("server.dedup.evictions");
+static DEDUP_CONFLICTS: LazyCounter = LazyCounter::new("server.dedup.conflicts");
+
+/// The fields of a request that decide its result and its side effects.
+/// Every attempt of one logical request repeats them exactly; a retry
+/// changes only `deadline_ms` (the remaining budget) and `attempt`, which
+/// are left out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fingerprint {
+    op: OpKind,
+    size: usize,
+    layout: LayoutChoice,
+    seed: u64,
+    faults: Option<(u64, FaultRates)>,
+    save: bool,
+}
+
+impl Fingerprint {
+    /// The fingerprint of `req`.
+    pub fn of(req: &Request) -> Self {
+        Fingerprint {
+            op: req.op,
+            size: req.size,
+            layout: req.layout,
+            seed: req.seed,
+            faults: req.faults,
+            save: req.save,
+        }
+    }
+}
 
 struct Entry {
+    fingerprint: Fingerprint,
     header: OkHeader,
     body: std::sync::Arc<[u8]>,
     inserted: Instant,
@@ -56,6 +94,9 @@ pub struct DedupStats {
     pub inserts: u64,
     /// Entries evicted by TTL or capacity.
     pub evictions: u64,
+    /// Arrivals refused because their `req_id` was already used for a
+    /// different request.
+    pub conflicts: u64,
     /// Entries currently resident.
     pub resident: usize,
 }
@@ -78,13 +119,26 @@ impl DedupCache {
         }
     }
 
-    /// Look up a completed result. On a hit the cached header is
-    /// returned with `dedup=1` set — the caller delivers it without
-    /// executing anything.
-    pub fn get(&self, tenant: &str, req_id: &str) -> Option<Response> {
+    /// Look up a completed result for a request with `fingerprint`. On a
+    /// hit the cached header is returned with `dedup=1` set; when the
+    /// entry came from a request with another fingerprint, a typed
+    /// `invalid-parameter` refusal is returned instead. Either way the
+    /// caller delivers the response without executing anything.
+    pub fn get(&self, tenant: &str, req_id: &str, fingerprint: &Fingerprint) -> Option<Response> {
         let mut g = lock(&self.inner);
         Self::prune(&mut g, self.ttl);
         let entry = g.map.get(&(tenant.to_string(), req_id.to_string()))?;
+        if entry.fingerprint != *fingerprint {
+            DEDUP_CONFLICTS.add(1);
+            let err = SfcError::InvalidParameter {
+                name: "req_id",
+                reason: format!("{req_id:?} was already used for a different request"),
+            };
+            return Some(Response::header_only(RespHeader::Err {
+                kind: error_kind(&err).to_string(),
+                message: err.to_string(),
+            }));
+        }
         let mut header = entry.header;
         header.dedup = true;
         DEDUP_HITS.add(1);
@@ -94,8 +148,16 @@ impl DedupCache {
         })
     }
 
-    /// Remember a completed `ok` result for `(tenant, req_id)`.
-    pub fn insert(&self, tenant: &str, req_id: &str, header: OkHeader, body: std::sync::Arc<[u8]>) {
+    /// Remember a completed `ok` result of the request with `fingerprint`
+    /// for `(tenant, req_id)`.
+    pub fn insert(
+        &self,
+        tenant: &str,
+        req_id: &str,
+        fingerprint: Fingerprint,
+        header: OkHeader,
+        body: std::sync::Arc<[u8]>,
+    ) {
         let key = (tenant.to_string(), req_id.to_string());
         let mut g = lock(&self.inner);
         Self::prune(&mut g, self.ttl);
@@ -110,6 +172,7 @@ impl DedupCache {
             .insert(
                 key.clone(),
                 Entry {
+                    fingerprint,
                     header,
                     body,
                     inserted: Instant::now(),
@@ -146,6 +209,7 @@ impl DedupCache {
             hits: DEDUP_HITS.value(),
             inserts: DEDUP_INSERTS.value(),
             evictions: DEDUP_EVICTIONS.value(),
+            conflicts: DEDUP_CONFLICTS.value(),
             resident: lock(&self.inner).map.len(),
         }
     }
@@ -165,6 +229,13 @@ mod tests {
         Arc::from(bytes)
     }
 
+    fn fp(size: usize) -> Fingerprint {
+        Fingerprint::of(
+            &Request::parse(&format!("filter tenant=t size={size} seed=1 radius=1"))
+                .expect("valid request"),
+        )
+    }
+
     fn header(bytes: usize) -> OkHeader {
         OkHeader {
             bytes,
@@ -176,9 +247,9 @@ mod tests {
     #[test]
     fn hit_returns_the_cached_body_with_dedup_set() {
         let c = DedupCache::new(Duration::from_secs(60), 8);
-        assert!(c.get("t", "r1").is_none());
-        c.insert("t", "r1", header(3), body(&[1, 2, 3]));
-        let resp = c.get("t", "r1").expect("hit");
+        assert!(c.get("t", "r1", &fp(8)).is_none());
+        c.insert("t", "r1", fp(8), header(3), body(&[1, 2, 3]));
+        let resp = c.get("t", "r1", &fp(8)).expect("hit");
         match resp.header {
             RespHeader::Ok(h) => {
                 assert!(h.dedup, "replayed header must carry dedup=1");
@@ -192,43 +263,85 @@ mod tests {
     #[test]
     fn keys_are_tenant_scoped() {
         let c = DedupCache::new(Duration::from_secs(60), 8);
-        c.insert("alice", "r1", header(1), body(&[9]));
-        assert!(c.get("bob", "r1").is_none(), "bob cannot replay alice's result");
-        assert!(c.get("alice", "r1").is_some());
+        c.insert("alice", "r1", fp(8), header(1), body(&[9]));
+        assert!(
+            c.get("bob", "r1", &fp(8)).is_none(),
+            "bob cannot replay alice's result"
+        );
+        assert!(c.get("alice", "r1", &fp(8)).is_some());
     }
 
     #[test]
     fn entries_expire_after_the_ttl() {
         let c = DedupCache::new(Duration::from_millis(30), 8);
-        c.insert("t", "r1", header(1), body(&[1]));
-        assert!(c.get("t", "r1").is_some());
+        c.insert("t", "r1", fp(8), header(1), body(&[1]));
+        assert!(c.get("t", "r1", &fp(8)).is_some());
         std::thread::sleep(Duration::from_millis(60));
-        assert!(c.get("t", "r1").is_none(), "TTL-expired entry must not replay");
+        assert!(
+            c.get("t", "r1", &fp(8)).is_none(),
+            "TTL-expired entry must not replay"
+        );
         assert_eq!(c.resident(), 0, "prune removed it");
     }
 
     #[test]
     fn capacity_evicts_oldest_first() {
         let c = DedupCache::new(Duration::from_secs(60), 2);
-        c.insert("t", "r1", header(1), body(&[1]));
-        c.insert("t", "r2", header(1), body(&[2]));
-        c.insert("t", "r3", header(1), body(&[3]));
-        assert!(c.get("t", "r1").is_none(), "oldest evicted at cap");
-        assert!(c.get("t", "r2").is_some());
-        assert!(c.get("t", "r3").is_some());
+        c.insert("t", "r1", fp(8), header(1), body(&[1]));
+        c.insert("t", "r2", fp(8), header(1), body(&[2]));
+        c.insert("t", "r3", fp(8), header(1), body(&[3]));
+        assert!(c.get("t", "r1", &fp(8)).is_none(), "oldest evicted at cap");
+        assert!(c.get("t", "r2", &fp(8)).is_some());
+        assert!(c.get("t", "r3", &fp(8)).is_some());
         assert_eq!(c.resident(), 2);
     }
 
     #[test]
     fn reinsert_refreshes_without_duplicating_order_entries() {
         let c = DedupCache::new(Duration::from_secs(60), 4);
-        c.insert("t", "r1", header(1), body(&[1]));
-        c.insert("t", "r1", header(2), body(&[1, 2]));
+        c.insert("t", "r1", fp(8), header(1), body(&[1]));
+        c.insert("t", "r1", fp(8), header(2), body(&[1, 2]));
         assert_eq!(c.resident(), 1);
-        let resp = c.get("t", "r1").expect("hit");
+        let resp = c.get("t", "r1", &fp(8)).expect("hit");
         match resp.header {
             RespHeader::Ok(h) => assert_eq!(h.bytes, 2, "latest result wins"),
             other => panic!("expected ok, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_reused_req_id_with_another_fingerprint_is_refused() {
+        let c = DedupCache::new(Duration::from_secs(60), 8);
+        c.insert("t", "r1", fp(8), header(3), body(&[1, 2, 3]));
+        let before = c.stats().conflicts;
+        let resp = c
+            .get("t", "r1", &fp(16))
+            .expect("a typed refusal, not a miss");
+        match &resp.header {
+            RespHeader::Err { kind, message } => {
+                assert_eq!(kind, "invalid-parameter");
+                assert!(!crate::protocol::error_kind_is_transient(kind));
+                assert!(message.contains("req_id"), "{message}");
+            }
+            other => panic!("expected err, got {other:?}"),
+        }
+        assert!(resp.body.is_empty(), "no body of the earlier request leaks");
+        assert!(c.stats().conflicts > before);
+        // The entry is untouched: the original request still replays.
+        assert!(matches!(
+            c.get("t", "r1", &fp(8)).map(|r| r.header),
+            Some(RespHeader::Ok(_))
+        ));
+    }
+
+    #[test]
+    fn retry_fields_are_not_part_of_the_fingerprint() {
+        let line = "filter tenant=t size=8 seed=1 radius=1 req_id=r1";
+        let first = Request::parse(&format!("{line} deadline_ms=900")).expect("valid");
+        let retry = Request::parse(&format!("{line} deadline_ms=450 attempt=2")).expect("valid");
+        assert_eq!(Fingerprint::of(&first), Fingerprint::of(&retry));
+        let other =
+            Request::parse("filter tenant=t size=8 seed=2 radius=1 req_id=r1").expect("valid");
+        assert_ne!(Fingerprint::of(&first), Fingerprint::of(&other));
     }
 }

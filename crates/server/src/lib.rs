@@ -25,7 +25,7 @@ pub mod service;
 
 pub use cache::{CacheStats, CachedVolume, VolumeCache, VolumeKey};
 pub use client::{CancelHandle, Client};
-pub use dedup::{DedupCache, DedupStats};
+pub use dedup::{DedupCache, DedupStats, Fingerprint};
 pub use net::{handle_conn, Server, ServerConfig};
 pub use protocol::{
     error_kind, error_kind_is_transient, f32_bytes, bytes_f32, LayoutChoice, OkHeader, OpKind,

@@ -43,7 +43,7 @@ use sfc_volrend::{
 };
 
 use crate::cache::{VolumeCache, VolumeKey};
-use crate::dedup::DedupCache;
+use crate::dedup::{DedupCache, Fingerprint};
 use crate::protocol::{error_kind, f32_bytes, OkHeader, OpKind, Request, RespHeader};
 use crate::scheduler::{FairScheduler, Job, Overloaded, Response, SchedConfig, Ticket};
 
@@ -105,8 +105,9 @@ pub enum Admission {
     /// The request was queued; the reply arrives through the ticket.
     Ticket(Ticket),
     /// A completed result for this `(tenant, req_id)` was already
-    /// cached — the response is ready now, nothing was queued, and the
-    /// header carries `dedup=1`.
+    /// cached — the response is ready now and nothing was queued. It is
+    /// the cached reply with `dedup=1`, or a typed `invalid-parameter`
+    /// refusal when the `req_id` was used for a different request.
     Cached(Response),
 }
 
@@ -254,6 +255,7 @@ impl Service {
             "server.dedup.hits",
             "server.dedup.inserts",
             "server.dedup.evictions",
+            "server.dedup.conflicts",
             "client.retries",
             "client.hedges",
             "client.hedge_wins",
@@ -339,10 +341,12 @@ impl Service {
     /// Admit a request (the net layer's entry point): consult the
     /// idempotency dedup cache first — a retried `req_id` whose
     /// execution already completed is answered from the cache with
-    /// `dedup=1`, queueing nothing — then fall through to the scheduler.
+    /// `dedup=1`, and a `req_id` reused for a different request is
+    /// refused, both queueing nothing — then fall through to the
+    /// scheduler.
     pub fn admit(&self, req: Request) -> Result<Admission, Overloaded> {
         if let Some(id) = &req.req_id {
-            if let Some(resp) = self.dedup.get(&req.tenant, id) {
+            if let Some(resp) = self.dedup.get(&req.tenant, id, &Fingerprint::of(&req)) {
                 return Ok(Admission::Cached(resp));
             }
         }
@@ -430,7 +434,8 @@ impl Service {
             // a lost connection at any moment, and the cache must already
             // be able to answer.
             if let (Some(rid), RespHeader::Ok(h)) = (&job.req.req_id, &resp.header) {
-                self.dedup.insert(&job.req.tenant, rid, *h, resp.body.clone());
+                let fingerprint = Fingerprint::of(&job.req);
+                self.dedup.insert(&job.req.tenant, rid, fingerprint, *h, resp.body.clone());
             }
             job.deliver_all(&resp);
             self.deregister(id);
