@@ -6,7 +6,7 @@
 
 use sfc_core::{Grid3, Layout3, Volume3};
 
-use crate::parallel::FilterRun;
+use crate::parallel::{drive, FilterRun};
 
 /// Gradient magnitude at one voxel via central differences (clamped
 /// boundary, unit voxel spacing).
@@ -18,33 +18,16 @@ pub fn gradient_voxel<V: Volume3>(vol: &V, i: usize, j: usize, k: usize) -> f32 
     (gx * gx + gy * gy + gz * gz).sqrt()
 }
 
-/// Pencil-parallel gradient-magnitude field (same driver as the bilateral
-/// filter; `run.params` is ignored except for its role in carrying the
-/// pencil axis and thread count via `FilterRun`).
+/// Pencil-parallel gradient-magnitude field (same driver as the plain
+/// convolution; only `run.pencil_axis` and `run.nthreads` are used).
 pub fn gradient3d<V, LOut>(vol: &V, run: &FilterRun) -> Grid3<f32, LOut>
 where
     V: Volume3 + Sync,
     LOut: Layout3,
 {
-    use sfc_core::{pencil, pencil_count};
-    use sfc_harness::{run_items, Schedule};
-
-    let dims = vol.dims();
-    let mut out = Grid3::<f32, LOut>::new(dims);
-    let out_layout = out.layout().clone();
-
-    struct Slots(*mut f32);
-    unsafe impl Sync for Slots {}
-    let slots = Slots(out.storage_mut().as_mut_ptr());
-    let slots = &slots;
-    let n = pencil_count(dims, run.pencil_axis);
-    run_items(run.nthreads, n, Schedule::StaticRoundRobin, |_tid, pid| {
-        let p = pencil(dims, run.pencil_axis, pid);
-        for (i, j, k) in p.iter() {
-            let g = gradient_voxel(vol, i, j, k);
-            // SAFETY: layout injective + pencils partition the domain.
-            unsafe { *slots.0.add(out_layout.index(i, j, k)) = g };
-        }
+    let mut out = Grid3::<f32, LOut>::new(vol.dims());
+    drive(&mut out, run.pencil_axis, run.nthreads, |i, j, k| {
+        gradient_voxel(vol, i, j, k)
     });
     out
 }

@@ -5,13 +5,46 @@
 //! pencil axis matters (`px` vs `pz` rows in Fig. 2/3); combined with the
 //! stencil iteration order it spans the friendly-to-hostile spectrum of
 //! access patterns.
+//!
+//! The bilateral filter has one driver: `PencilKernel`, the filter as an
+//! engine [`UnitKernel`] ([`sfc_harness::engine`]) — one work unit is one
+//! pencil, computed with the pencil-gather tap loop into a dense
+//! along-axis buffer, committed through the output layout, and read back
+//! for validation. [`try_bilateral3d_with_policy`] runs it under any
+//! [`ExecPolicy`]:
+//!
+//! * [`ExecPolicy::Plain`] — `run.nthreads` threads, static round-robin
+//!   pencils, panics propagate; [`bilateral3d`], [`try_bilateral3d`] and
+//!   the `_into` variants are thin wrappers over this, and
+//!   [`bilateral3d_dynamic`] hands the pencils out from a dynamic queue
+//!   instead;
+//! * [`ExecPolicy::Supervised`] — panic isolation, watchdog deadlines with
+//!   cooperative cancellation, bounded retries, buffered per-pencil commit
+//!   (an abandoned attempt never leaves a half-written pencil);
+//! * [`ExecPolicy::Degraded`] — supervision plus the engine's three-phase
+//!   pipeline: post-run validation scan (non-finite + optional plausible
+//!   output range) and a single-threaded faults-off repair pass;
+//! * [`ExecPolicy::Brownout`] — the degraded pipeline under a wall-clock
+//!   deadline, with a quality ladder: under pressure a pencil is
+//!   recomputed with a reduced stencil radius (`r → r−1 → … → 1`, see
+//!   [`FilterRun::brownout_params`]), and every such downgrade is
+//!   recorded in the outcome's
+//!   [`QualityMap`](sfc_harness::QualityMap).
+//!
+//! The kernel is deterministic, so a repaired pencil is bitwise identical
+//! to what a fault-free run would have produced: a run whose map ends
+//! [`DefectMap::is_whole`](sfc_harness::DefectMap::is_whole) has *exactly*
+//! the fault-free output. The per-voxel kernels (plain convolution,
+//! gradient magnitude, separable passes) share the simpler `drive` loop.
 
-use sfc_core::{pencil, pencil_count, Axis, Grid3, Layout3, SfcError, SfcResult, Volume3};
-use sfc_harness::{Executor, Schedule, WorkPlan};
+use sfc_core::{pencil, pencil_count, Axis, Dims3, Grid3, Layout3, SfcError, SfcResult, Volume3};
+use sfc_harness::{
+    DegradedOutcome, DisjointSlots, ExecPolicy, Executor, FaultPlan, Schedule, UnitKernel, WorkPlan,
+};
 
 use crate::bilateral::BilateralParams;
 use crate::fastmath::TapConfig;
-use crate::gaussian::convolve_voxel;
+use crate::gaussian::{convolve_voxel, SpatialKernel};
 use crate::pencil_gather::{bilateral_pencil, GatherPlan};
 
 /// Configuration of one parallel filter execution.
@@ -56,6 +89,9 @@ impl FilterRun {
     /// Gaussian re-normalized over its truncated support. Level 0 returns
     /// the configured parameters unchanged.
     pub fn brownout_params(&self, level: u8) -> BilateralParams {
+        if level == 0 {
+            return self.params;
+        }
         BilateralParams {
             radius: self.params.radius.saturating_sub(level as usize).max(1),
             ..self.params
@@ -63,74 +99,201 @@ impl FilterRun {
     }
 }
 
-/// Wrapper making disjoint raw writes shareable across worker threads.
-struct Slots(*mut f32);
-unsafe impl Sync for Slots {}
-
-fn drive<V, LOut, F>(vol: &V, out: &mut Grid3<f32, LOut>, run: &FilterRun, per_voxel: F)
+/// Run `per_voxel(i, j, k)` for every voxel of `out`, pencil-parallel
+/// along `axis` on `nthreads` threads (static round-robin), writing
+/// through the output layout: the driver of the per-voxel kernels.
+pub(crate) fn drive<LOut, F>(out: &mut Grid3<f32, LOut>, axis: Axis, nthreads: usize, per_voxel: F)
 where
-    V: Volume3 + Sync,
     LOut: Layout3,
     F: Fn(usize, usize, usize) -> f32 + Sync,
 {
-    let dims = vol.dims();
-    assert_eq!(dims, out.dims(), "output grid must match input dimensions");
-    let axis = run.pencil_axis;
-    let n_pencils = pencil_count(dims, axis);
+    let dims = out.dims();
     let out_layout = out.layout().clone();
-    let slots = Slots(out.storage_mut().as_mut_ptr());
-    let slots = &slots;
-    Executor::new(run.nthreads).run(&WorkPlan::static_round_robin(n_pencils), |_tid, pid| {
-        let p = pencil(dims, axis, pid);
-        for (i, j, k) in p.iter() {
-            let value = per_voxel(i, j, k);
-            let idx = out_layout.index(i, j, k);
-            // SAFETY: the layout is injective over the logical domain
-            // and pencils partition it, so each slot is written by
-            // exactly one thread; `idx < storage_len` by the layout
-            // contract.
-            unsafe { *slots.0.add(idx) = value };
+    let slots = DisjointSlots::new(out.storage_mut());
+    let plan = WorkPlan::static_round_robin(pencil_count(dims, axis));
+    Executor::new(nthreads).run(&plan, |_tid, pid| {
+        for (i, j, k) in pencil(dims, axis, pid).iter() {
+            // SAFETY: the layout is injective over the logical domain and
+            // pencils partition it, so each slot is written by exactly one
+            // thread.
+            unsafe { slots.write(out_layout.index(i, j, k), per_voxel(i, j, k)) };
         }
     });
 }
 
-/// The bilateral driver shared by the static and dynamic schedules:
-/// pencil-gather fast path (see [`crate::pencil_gather`]) over any pencil
-/// decomposition, writing through the output layout.
-fn drive_bilateral<V, LOut>(
+/// The bilateral filter as an engine [`UnitKernel`]: one work unit is one
+/// voxel pencil, computed with the pencil-gather tap loop into a dense
+/// buffer indexed by along-axis position and committed through the output
+/// layout.
+struct PencilKernel<'a, V, LOut> {
+    vol: &'a V,
+    inv: f32,
+    dims: Dims3,
+    axis: Axis,
+    out_layout: LOut,
+    out: DisjointSlots<'a, f32>,
+    /// Photometric weight configuration (tier pre-clamped), applied at
+    /// every ladder rung.
+    weight: TapConfig,
+    /// Spatial kernel and gather plan per quality-ladder level:
+    /// `rungs[0]` is the configured radius, `rungs[L]` the radius reduced
+    /// by `L` (built only under the brownout policy — no other policy
+    /// computes below full quality).
+    rungs: Vec<(SpatialKernel, GatherPlan)>,
+}
+
+impl<V: Volume3 + Sync, LOut: Layout3> UnitKernel for PencilKernel<'_, V, LOut> {
+    type Value = f32;
+
+    fn unit_kind(&self) -> &'static str {
+        "pencil"
+    }
+
+    fn max_level(&self) -> u8 {
+        (self.rungs.len() - 1) as u8
+    }
+
+    /// Fill `buf[t]` with the filtered value at along-axis position `t`
+    /// ([`bilateral_pencil`] emits in along-axis order).
+    fn compute(
+        &self,
+        unit: usize,
+        level: u8,
+        buf: &mut Vec<f32>,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> bool {
+        let (kernel, plan) = &self.rungs[usize::from(level)];
+        let p = pencil(self.dims, self.axis, unit);
+        buf.clear();
+        buf.reserve(p.len);
+        bilateral_pencil(
+            self.vol,
+            kernel,
+            self.inv,
+            plan,
+            &p,
+            self.weight,
+            |_, _, _, v| {
+                buf.push(v);
+                keep_going()
+            },
+        )
+        .0
+    }
+
+    fn commit(&self, unit: usize, buf: &[f32]) {
+        let p = pencil(self.dims, self.axis, unit);
+        for (t, &v) in buf.iter().enumerate() {
+            let (i, j, k) = p.coords(t);
+            // SAFETY: the layout is injective over the logical domain and
+            // pencils partition it; concurrent attempts at the *same*
+            // pencil write identical bytes (deterministic kernel), so the
+            // race between an abandoned straggler and its retry is benign.
+            unsafe { self.out.write(self.out_layout.index(i, j, k), v) };
+        }
+    }
+
+    fn read_back(&self, unit: usize, buf: &mut Vec<f32>) {
+        for (i, j, k) in pencil(self.dims, self.axis, unit).iter() {
+            // SAFETY: single-threaded phase, after every commit finished.
+            buf.push(unsafe { self.out.read(self.out_layout.index(i, j, k)) });
+        }
+    }
+
+    fn components(value: f32, sink: &mut dyn FnMut(f32)) {
+        sink(value);
+    }
+
+    fn poison(buf: &mut [f32]) {
+        for (t, v) in buf.iter_mut().enumerate() {
+            *v = if t % 2 == 0 { f32::NAN } else { 1e30 };
+        }
+    }
+}
+
+/// Bilateral-filter `vol` into `out` under an engine [`ExecPolicy`].
+///
+/// `Plain` runs on `run.nthreads` threads with static round-robin pencils
+/// (panics propagate, `faults` ignored); the other policies take their
+/// thread count and schedule from their supervisor configuration. Errors
+/// are returned only for invalid *configuration* — execution failures
+/// land in the outcome, never abort the run.
+pub fn try_bilateral3d_with_policy<V, LOut>(
     vol: &V,
     out: &mut Grid3<f32, LOut>,
-    params: &BilateralParams,
-    pencil_axis: Axis,
-    nthreads: usize,
-    schedule: Schedule,
-    weight: TapConfig,
-) where
+    run: &FilterRun,
+    policy: &ExecPolicy,
+    faults: &FaultPlan,
+) -> SfcResult<DegradedOutcome>
+where
     V: Volume3 + Sync,
     LOut: Layout3,
 {
-    let dims = vol.dims();
-    assert_eq!(dims, out.dims(), "output grid must match input dimensions");
-    let kernel = params.spatial_kernel();
-    let inv = params.inv_two_sigma_range_sq();
-    let plan = GatherPlan::new(&kernel, dims, pencil_axis);
-    let weight = weight.clamped();
-    let out_layout = out.layout().clone();
-    let slots = Slots(out.storage_mut().as_mut_ptr());
-    let slots = &slots;
-    let work = WorkPlan::from_schedule(pencil_count(dims, pencil_axis), schedule);
-    Executor::new(nthreads).run(&work, |_tid, pid| {
-        let p = pencil(dims, pencil_axis, pid);
-        bilateral_pencil(vol, &kernel, inv, &plan, &p, weight, |i, j, k, value| {
-            let idx = out_layout.index(i, j, k);
-            // SAFETY: the layout is injective over the logical domain
-            // and pencils partition it, so each slot is written by
-            // exactly one thread; `idx < storage_len` by the layout
-            // contract.
-            unsafe { *slots.0.add(idx) = value };
-            true
+    filter_with_policy(vol, out, run, policy, faults, Schedule::StaticRoundRobin)
+}
+
+/// [`try_bilateral3d_with_policy`] with the schedule `Plain` hands the
+/// pencils out by.
+fn filter_with_policy<V, LOut>(
+    vol: &V,
+    out: &mut Grid3<f32, LOut>,
+    run: &FilterRun,
+    policy: &ExecPolicy,
+    faults: &FaultPlan,
+    plain_schedule: Schedule,
+) -> SfcResult<DegradedOutcome>
+where
+    V: Volume3 + Sync,
+    LOut: Layout3,
+{
+    run.validate()?;
+    let (nthreads, schedule) = match policy {
+        ExecPolicy::Plain => (run.nthreads, plain_schedule),
+        ExecPolicy::Supervised(cfg) => (cfg.nthreads, cfg.schedule),
+        ExecPolicy::Degraded(p) => (p.supervisor.nthreads, p.supervisor.schedule),
+        ExecPolicy::Brownout(p) => (p.supervisor.nthreads, p.supervisor.schedule),
+    };
+    if nthreads == 0 {
+        return Err(SfcError::InvalidParameter {
+            name: "nthreads",
+            reason: format!("the {} policy needs at least one thread", policy.label()),
         });
-    });
+    }
+    if vol.dims() != out.dims() {
+        return Err(SfcError::ShapeMismatch {
+            what: "bilateral3d",
+            expected: format!("output dims {:?}", vol.dims()),
+            actual: format!("{:?}", out.dims()),
+        });
+    }
+    let dims = vol.dims();
+    let axis = run.pencil_axis;
+    // The ladder's coarser rungs exist only under the brownout policy;
+    // other stacks never consult them, so their construction cost is not
+    // paid on their path.
+    let depth = match policy {
+        ExecPolicy::Brownout(_) => run.brownout_depth(),
+        _ => 0,
+    };
+    let rungs = (0..=depth)
+        .map(|level| {
+            let spatial = run.brownout_params(level).spatial_kernel();
+            let plan = GatherPlan::new(&spatial, dims, axis);
+            (spatial, plan)
+        })
+        .collect();
+    let kernel = PencilKernel {
+        vol,
+        inv: run.params.inv_two_sigma_range_sq(),
+        dims,
+        axis,
+        out_layout: out.layout().clone(),
+        out: DisjointSlots::new(out.storage_mut()),
+        weight: run.weight.clamped(),
+        rungs,
+    };
+    let plan = WorkPlan::new(pencil_count(dims, axis), schedule);
+    Ok(Executor::new(nthreads).execute(&plan, policy, &kernel, faults))
 }
 
 /// Bilateral-filter `vol` into `out` (same dimensions, any layouts),
@@ -144,24 +307,7 @@ where
     V: Volume3 + Sync,
     LOut: Layout3,
 {
-    run.validate()?;
-    if vol.dims() != out.dims() {
-        return Err(SfcError::ShapeMismatch {
-            what: "bilateral3d_into",
-            expected: format!("output dims {:?}", vol.dims()),
-            actual: format!("{:?}", out.dims()),
-        });
-    }
-    drive_bilateral(
-        vol,
-        out,
-        &run.params,
-        run.pencil_axis,
-        run.nthreads,
-        Schedule::StaticRoundRobin,
-        run.weight,
-    );
-    Ok(())
+    try_bilateral3d_with_policy(vol, out, run, &ExecPolicy::Plain, &FaultPlan::none()).map(drop)
 }
 
 /// Bilateral-filter `vol` into `out` (same dimensions, any layouts).
@@ -216,16 +362,20 @@ where
 {
     let kernel = run.params.spatial_kernel();
     let mut out = Grid3::<f32, LOut>::new(vol.dims());
-    drive(vol, &mut out, run, |i, j, k| {
+    drive(&mut out, run.pencil_axis, run.nthreads, |i, j, k| {
         convolve_voxel(vol, &kernel, i, j, k)
     });
     out
 }
 
-/// Work-stealing-style bilateral filter over the same pencil decomposition,
-/// scheduled dynamically (shared atomic cursor) instead of static
-/// round-robin — an alternative used by the scheduling ablation bench.
-/// Results are identical; only work assignment differs.
+/// The bilateral filter over the same pencil decomposition, scheduled
+/// dynamically (shared atomic cursor) instead of static round-robin — an
+/// alternative used by the scheduling ablation bench. Results are
+/// identical; only work assignment differs.
+///
+/// # Panics
+/// Panics on invalid configuration (a zero thread count, non-positive
+/// sigmas).
 pub fn bilateral3d_dynamic<V, LOut>(
     vol: &V,
     params: &BilateralParams,
@@ -236,16 +386,18 @@ where
     V: Volume3 + Sync,
     LOut: Layout3,
 {
-    let mut out = Grid3::<f32, LOut>::new(vol.dims());
-    drive_bilateral(
-        vol,
-        &mut out,
-        params,
+    let run = FilterRun {
+        params: *params,
         pencil_axis,
         nthreads,
-        Schedule::Dynamic,
-        TapConfig::exact(),
-    );
+        weight: TapConfig::exact(),
+    };
+    let mut out = Grid3::<f32, LOut>::new(vol.dims());
+    let faults = FaultPlan::none();
+    let dynamic = Schedule::Dynamic;
+    if let Err(e) = filter_with_policy(vol, &mut out, &run, &ExecPolicy::Plain, &faults, dynamic) {
+        panic!("{e}");
+    }
     out
 }
 
@@ -257,8 +409,10 @@ pub fn config_label(size: sfc_core::StencilSize, axis: Axis, order: sfc_core::St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bilateral::bilateral_reference;
+    use crate::bilateral::{bilateral_reference, bilateral_voxel};
     use sfc_core::{ArrayOrder3, Dims3, StencilOrder, Tiled3, ZOrder3};
+    use sfc_harness::{DeadlineBudget, FaultKind, SupervisorConfig};
+    use std::time::Duration;
 
     fn test_volume(dims: Dims3) -> Vec<f32> {
         (0..dims.len())
@@ -277,6 +431,17 @@ mod tests {
             pencil_axis: axis,
             nthreads,
             weight: TapConfig::exact(),
+        }
+    }
+
+    fn cfg(nthreads: usize) -> SupervisorConfig {
+        SupervisorConfig {
+            nthreads,
+            max_retries: 1,
+            backoff_base: Duration::from_millis(1),
+            timeout: Some(Duration::from_millis(500)),
+            watchdog_poll: Duration::from_millis(2),
+            ..Default::default()
         }
     }
 
@@ -355,5 +520,180 @@ mod tests {
             config_label(sfc_core::StencilSize::R3, Axis::Z, StencilOrder::Zyx),
             "r3 pz zyx"
         );
+    }
+
+    #[test]
+    fn fault_free_degraded_run_matches_plain_driver_bitwise() {
+        let dims = Dims3::new(10, 8, 6);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
+        let r = run(1, 4, Axis::X);
+        let reference: Grid3<f32, ArrayOrder3> = bilateral3d(&grid, &r);
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let policy = ExecPolicy::degraded(cfg(4), Some((0.0, 1.0)));
+        let outcome =
+            try_bilateral3d_with_policy(&grid, &mut out, &r, &policy, &FaultPlan::none()).unwrap();
+        assert!(outcome.defects.is_clean());
+        assert!(outcome.output_is_whole());
+        assert_eq!(out.to_row_major(), reference.to_row_major());
+    }
+
+    #[test]
+    fn injected_faults_are_repaired_to_bitwise_identical_output() {
+        let dims = Dims3::new(9, 7, 5);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
+        let r = run(1, 3, Axis::X);
+        let reference: Grid3<f32, ArrayOrder3> = bilateral3d(&grid, &r);
+        let n = pencil_count(dims, Axis::X);
+        assert!(n > 6);
+        let faults = FaultPlan::none()
+            .with(0, FaultKind::Panic)
+            .with(2, FaultKind::CorruptOutput)
+            .with(4, FaultKind::FailFirst(5)) // exceeds max_retries=1
+            .with(5, FaultKind::Stall(Duration::from_secs(10)));
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let policy = ExecPolicy::degraded(cfg(3), Some((0.0, 1.0)));
+        let outcome = try_bilateral3d_with_policy(&grid, &mut out, &r, &policy, &faults).unwrap();
+        assert_eq!(outcome.defects.units(), vec![0, 2, 4, 5]);
+        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert_eq!(out.to_row_major(), reference.to_row_major());
+    }
+
+    #[test]
+    fn validation_scan_flags_corrupt_output_without_range() {
+        // Even with no plausibility range, the NaN half of the poison
+        // pattern is caught.
+        let dims = Dims3::new(8, 6, 4);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
+        let r = run(1, 2, Axis::X);
+        let faults = FaultPlan::none().with(1, FaultKind::CorruptOutput);
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let policy = ExecPolicy::degraded(cfg(2), None);
+        let outcome = try_bilateral3d_with_policy(&grid, &mut out, &r, &policy, &faults).unwrap();
+        assert_eq!(outcome.defects.units(), vec![1]);
+        assert!(outcome.output_is_whole());
+    }
+
+    #[test]
+    fn config_errors_still_abort() {
+        let dims = Dims3::cube(4);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
+        let degraded = ExecPolicy::degraded(cfg(2), None);
+        let filter = |out: &mut Grid3<f32, ArrayOrder3>, r: &FilterRun, policy: &ExecPolicy| {
+            try_bilateral3d_with_policy(&grid, out, r, policy, &FaultPlan::none()).unwrap_err()
+        };
+        let mut wrong_shape = Grid3::<f32, ArrayOrder3>::new(Dims3::cube(5));
+        let err = filter(&mut wrong_shape, &run(1, 2, Axis::X), &degraded);
+        assert!(matches!(err, SfcError::ShapeMismatch { .. }), "{err:?}");
+        // A zero thread count is a typed error wherever the policy takes
+        // its threads from — the run for Plain, the supervisor otherwise —
+        // not a panic in the executor.
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let err = filter(&mut out, &run(1, 0, Axis::X), &ExecPolicy::Plain);
+        assert!(
+            matches!(
+                err,
+                SfcError::InvalidParameter {
+                    name: "nthreads",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        for policy in [
+            ExecPolicy::Supervised(cfg(0)),
+            ExecPolicy::degraded(cfg(0), None),
+            ExecPolicy::brownout(cfg(0), DeadlineBudget::none(), None),
+        ] {
+            let err = filter(&mut out, &run(1, 2, Axis::X), &policy);
+            assert!(
+                matches!(
+                    err,
+                    SfcError::InvalidParameter {
+                        name: "nthreads",
+                        ..
+                    }
+                ),
+                "{}: {err:?}",
+                policy.label()
+            );
+        }
+    }
+
+    #[test]
+    fn plain_policy_runs_the_pencil_kernel_with_a_clean_outcome() {
+        // Oracle outside the engine: the per-voxel kernel, serially.
+        let dims = Dims3::new(7, 6, 5);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
+        let r = run(1, 2, Axis::X);
+        let kernel = r.params.spatial_kernel();
+        let inv = r.params.inv_two_sigma_range_sq();
+        let oracle = Grid3::<f32, ArrayOrder3>::from_fn(dims, |i, j, k| {
+            bilateral_voxel(&grid, &kernel, inv, i, j, k)
+        });
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let outcome = try_bilateral3d_with_policy(
+            &grid,
+            &mut out,
+            &r,
+            &ExecPolicy::Plain,
+            &FaultPlan::none(),
+        )
+        .unwrap();
+        assert!(outcome.defects.is_clean());
+        assert_eq!(outcome.report.completed, pencil_count(dims, Axis::X));
+        assert_eq!(out.to_row_major(), oracle.to_row_major());
+    }
+
+    #[test]
+    fn brownout_zero_budget_repairs_at_reduced_radius() {
+        let dims = Dims3::new(8, 6, 5);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
+        let r2 = run(2, 2, Axis::X);
+        assert_eq!(r2.brownout_depth(), 1);
+        // A zero budget sheds every pencil to the repair pass, which runs
+        // the deepest ladder rung — here radius 1, so the output must be
+        // bitwise-identical to a plain radius-1 run.
+        let r1 = FilterRun {
+            params: r2.brownout_params(1),
+            ..r2
+        };
+        let reference: Grid3<f32, ArrayOrder3> = bilateral3d(&grid, &r1);
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let policy = ExecPolicy::brownout(
+            cfg(2),
+            DeadlineBudget::with_budget(Duration::ZERO),
+            Some((0.0, 1.0)),
+        );
+        let outcome =
+            try_bilateral3d_with_policy(&grid, &mut out, &r2, &policy, &FaultPlan::none()).unwrap();
+        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert_eq!(outcome.quality.len(), pencil_count(dims, Axis::X));
+        assert_eq!(outcome.quality.max_level(), 1);
+        assert_eq!(out.to_row_major(), reference.to_row_major());
+    }
+
+    #[test]
+    fn supervised_policy_isolates_panics_without_repair() {
+        let dims = Dims3::new(8, 5, 4);
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &test_volume(dims));
+        let r = run(1, 2, Axis::X);
+        let faults = FaultPlan::none().with(3, FaultKind::Panic);
+        let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
+        let supervisor = SupervisorConfig {
+            max_retries: 0,
+            ..cfg(2)
+        };
+        let outcome = try_bilateral3d_with_policy(
+            &grid,
+            &mut out,
+            &r,
+            &ExecPolicy::Supervised(supervisor),
+            &faults,
+        )
+        .unwrap();
+        // Supervised-only: the failed pencil is in the map but nothing is
+        // repaired, so the output is not whole.
+        assert_eq!(outcome.defects.units(), vec![3]);
+        assert!(!outcome.output_is_whole());
     }
 }

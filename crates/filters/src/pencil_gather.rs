@@ -153,8 +153,8 @@ impl GatherPlan {
 /// events identically.
 ///
 /// `write` returns a continue flag: `false` aborts the rest of the pencil
-/// (cooperative cancellation — the degraded driver polls its cancel token
-/// there). Returns whether every voxel of the pencil was written, and the
+/// (cooperative cancellation — the supervised policies poll their cancel
+/// token there). Returns whether every voxel of the pencil was written, and the
 /// NaN events seen, which are also flushed to the shared counter.
 pub(crate) fn bilateral_pencil<V, F>(
     vol: &V,

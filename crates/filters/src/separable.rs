@@ -7,8 +7,9 @@
 //! under Z-order all three passes behave alike. (This is the multi-sweep
 //! pattern that forces transposes in FFT-style pipelines.)
 
-use sfc_core::{pencil, pencil_count, Axis, Dims3, Grid3, Layout3};
-use sfc_harness::{run_items, Schedule};
+use sfc_core::{Axis, Grid3, Layout3};
+
+use crate::parallel::drive;
 
 /// Precomputed 1-D Gaussian taps (unnormalized; normalization divides by
 /// the sum so clamped edges stay mean-preserving).
@@ -49,32 +50,21 @@ fn pass<L: Layout3>(
     axis: Axis,
     nthreads: usize,
 ) -> Grid3<f32, L> {
-    let dims: Dims3 = src.dims();
-    let mut out = Grid3::<f32, L>::new(dims);
-    let out_layout = out.layout().clone();
-    struct Slots(*mut f32);
-    unsafe impl Sync for Slots {}
-    let slots = Slots(out.storage_mut().as_mut_ptr());
-    let slots = &slots;
+    let mut out = Grid3::<f32, L>::new(src.dims());
     let r = kernel.radius as isize;
-    let n = pencil_count(dims, axis);
-    run_items(nthreads, n, Schedule::StaticRoundRobin, |_tid, pid| {
-        let p = pencil(dims, axis, pid);
-        for (i, j, k) in p.iter() {
-            let (ii, jj, kk) = (i as isize, j as isize, k as isize);
-            let mut acc = 0.0f32;
-            for (t, &w) in kernel.taps.iter().enumerate() {
-                let d = t as isize - r;
-                let v = match axis {
-                    Axis::X => src.get_clamped(ii + d, jj, kk),
-                    Axis::Y => src.get_clamped(ii, jj + d, kk),
-                    Axis::Z => src.get_clamped(ii, jj, kk + d),
-                };
-                acc += w * v;
-            }
-            // SAFETY: layout injective + pencils partition the domain.
-            unsafe { *slots.0.add(out_layout.index(i, j, k)) = acc / kernel.sum };
+    drive(&mut out, axis, nthreads, |i, j, k| {
+        let (ii, jj, kk) = (i as isize, j as isize, k as isize);
+        let mut acc = 0.0f32;
+        for (t, &w) in kernel.taps.iter().enumerate() {
+            let d = t as isize - r;
+            let v = match axis {
+                Axis::X => src.get_clamped(ii + d, jj, kk),
+                Axis::Y => src.get_clamped(ii, jj + d, kk),
+                Axis::Z => src.get_clamped(ii, jj, kk + d),
+            };
+            acc += w * v;
         }
+        acc / kernel.sum
     });
     out
 }
@@ -96,7 +86,7 @@ pub fn gaussian_separable3d<L: Layout3>(
 mod tests {
     use super::*;
     use crate::gaussian::{convolve_voxel, SpatialKernel};
-    use sfc_core::{ArrayOrder3, StencilOrder, Tiled3, ZOrder3};
+    use sfc_core::{ArrayOrder3, Dims3, StencilOrder, Tiled3, ZOrder3};
 
     fn noise(dims: Dims3) -> Vec<f32> {
         (0..dims.len())

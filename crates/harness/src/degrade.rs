@@ -1,8 +1,9 @@
 //! Degraded-mode completion: typed defect maps for partial results.
 //!
-//! The supervised pool ([`crate::run_items_supervised`]) keeps a sweep
-//! alive through worker failures, but a driver still needs to say *which
-//! units of output* are untrustworthy — failed pencils of a filtered
+//! The supervised pool
+//! ([`Executor::run_supervised`](crate::Executor::run_supervised)) keeps
+//! a sweep alive through worker failures, but a driver still needs to say
+//! *which units of output* are untrustworthy — failed pencils of a filtered
 //! volume, failed tiles of a rendered image, regions that a post-run scan
 //! found non-finite. A [`DefectMap`] is that record: a sorted set of
 //! per-unit [`Defect`]s that drivers return alongside their (partially
@@ -262,11 +263,11 @@ impl fmt::Display for DefectMap {
     }
 }
 
-/// What a degraded driver produced alongside its partial output: the
-/// supervised execution report plus the (post-repair) defect map, and —
-/// for brownout runs — the quality map of units committed below full
-/// quality. Shared by the filter and renderer drivers so callers handle
-/// both uniformly.
+/// What an engine run ([`Executor::execute`](crate::Executor::execute))
+/// produced alongside its (possibly partial) output: the execution report
+/// plus the (post-repair) defect map, and — for brownout runs — the
+/// quality map of units committed below full quality. Shared by the
+/// filter and renderer kernels so callers handle both uniformly.
 #[derive(Debug)]
 pub struct DegradedOutcome {
     /// The supervised pool's execution report (retries, replacements,

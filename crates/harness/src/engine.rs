@@ -6,13 +6,12 @@
 //! threads either statically round-robin or through a dynamic queue. This
 //! module implements that story **once**, as three composable pieces:
 //!
-//! * a [`WorkPlan`] — how many units there are and how they are
-//!   partitioned across threads ([`Partition::StaticRoundRobin`] or
-//!   [`Partition::DynamicQueue`] with a configurable claim chunk);
+//! * a [`WorkPlan`] — how many units there are and which [`Schedule`]
+//!   hands them to threads;
 //! * an [`Executor`] — owns the **single** `std::thread::scope` worker
-//!   loop in the workspace. Every parallel kernel path (plain pools,
-//!   supervised pools, degraded pipelines, the cache-simulator core sweep)
-//!   funnels through [`scoped_workers`];
+//!   loop in the workspace. Every parallel kernel path (the bilateral and
+//!   raycast kernels under every policy, the per-voxel filter drivers, the
+//!   cache-simulator core sweep) funnels through [`scoped_workers`];
 //! * a stack of [`ExecPolicy`] layers — [`ExecPolicy::Plain`] (run to
 //!   completion, panics propagate), [`ExecPolicy::Supervised`] (panic
 //!   isolation, watchdog timeouts with cooperative cancellation, bounded
@@ -23,19 +22,19 @@
 //!   (the degraded pipeline under deadline-aware admission control: an
 //!   EWMA/AIMD [`DeadlineController`](crate::deadline) adapts effective
 //!   concurrency, a per-unit circuit breaker stops retrying chronically
-//!   failing units at full quality, and kernels with a [`BrownoutKernel`]
-//!   quality ladder are asked for coarser — but valid — output under
-//!   pressure, every downgrade recorded in a [`QualityMap`]).
+//!   failing units at full quality, and kernels with a quality ladder
+//!   ([`UnitKernel::max_level`] above 0) are asked for coarser — but
+//!   valid — output under pressure, every downgrade recorded in a
+//!   [`QualityMap`]).
 //!
-//! Kernels plug in through the [`UnitKernel`] trait (compute a unit into a
-//! buffer, commit it, read it back for validation) and batch their NaN
+//! Kernels plug in through the [`UnitKernel`] trait (compute a unit at a
+//! quality level into a buffer, commit it, read it back for validation),
+//! write their output through [`DisjointSlots`], and batch their NaN
 //! tallies through the [`UnitCounters`] sink trait (one shared-atomic
-//! update per unit, not per voxel). The legacy entry points —
-//! [`run_items`](crate::run_items),
-//! [`run_items_supervised`](crate::run_items_supervised) and friends — are
-//! thin wrappers over [`Executor`] and keep their exact semantics.
+//! update per unit, not per voxel).
 
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,64 +46,53 @@ use crate::deadline::{Admission, DeadlineBudget, DeadlineController, DowngradeRe
 use crate::degrade::{scan_unit, DefectMap, DegradedOutcome};
 use crate::faults::FaultPlan;
 use crate::metrics::{self, LazyCounter, Log2Histogram};
-use crate::pool::{items_for_thread, Schedule};
 use crate::supervise::{CancelToken, ItemFailure, RunReport, SupervisorConfig};
 
 // ---------------------------------------------------------------------------
 // Work plans
 // ---------------------------------------------------------------------------
 
-/// How a plan's units are split across worker threads.
+/// Work-assignment strategy (paper §III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partition {
-    /// Unit `i` is processed by thread `i % nthreads` (the paper's pencil
+pub enum Schedule {
+    /// Unit `i` is processed by thread `i % nthreads` (paper's pencil
     /// assignment).
     StaticRoundRobin,
-    /// Threads repeatedly claim the next `chunk` unprocessed units from a
-    /// shared cursor (the paper's tile worker pool; `chunk = 1` is the
-    /// classic one-item-at-a-time queue).
-    DynamicQueue {
-        /// Units claimed per queue operation (normalized to at least 1).
-        chunk: usize,
-    },
+    /// Threads repeatedly claim the next unprocessed unit from a shared
+    /// cursor (paper's tile worker pool).
+    Dynamic,
 }
 
-/// An ordered set of work units plus its partitioning strategy.
+/// The items thread `tid` of `nthreads` processes under static round-robin
+/// assignment. Exposed so counter simulations can replicate the native
+/// work split exactly.
+pub fn items_for_thread(nitems: usize, nthreads: usize, tid: usize) -> impl Iterator<Item = usize> {
+    debug_assert!(tid < nthreads);
+    (tid..nitems).step_by(nthreads.max(1))
+}
+
+/// An ordered set of work units plus the schedule that hands them to
+/// threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkPlan {
     nunits: usize,
-    partition: Partition,
+    schedule: Schedule,
 }
 
 impl WorkPlan {
-    /// A plan over `0..nunits` with an explicit partition. A
-    /// `DynamicQueue` chunk of 0 is normalized to 1.
-    pub fn new(nunits: usize, partition: Partition) -> Self {
-        let partition = match partition {
-            Partition::DynamicQueue { chunk } => Partition::DynamicQueue {
-                chunk: chunk.max(1),
-            },
-            p => p,
-        };
-        Self { nunits, partition }
+    /// A plan over `0..nunits` under `schedule`.
+    pub fn new(nunits: usize, schedule: Schedule) -> Self {
+        Self { nunits, schedule }
     }
 
     /// Static round-robin plan (pencil assignment).
     pub fn static_round_robin(nunits: usize) -> Self {
-        Self::new(nunits, Partition::StaticRoundRobin)
+        Self::new(nunits, Schedule::StaticRoundRobin)
     }
 
-    /// Dynamic-queue plan with single-unit claims (tile worker pool).
+    /// Dynamic-queue plan (tile worker pool).
     pub fn dynamic(nunits: usize) -> Self {
-        Self::new(nunits, Partition::DynamicQueue { chunk: 1 })
-    }
-
-    /// The plan matching a legacy [`Schedule`] value.
-    pub fn from_schedule(nunits: usize, schedule: Schedule) -> Self {
-        match schedule {
-            Schedule::StaticRoundRobin => Self::static_round_robin(nunits),
-            Schedule::Dynamic => Self::dynamic(nunits),
-        }
+        Self::new(nunits, Schedule::Dynamic)
     }
 
     /// Number of work units.
@@ -112,19 +100,14 @@ impl WorkPlan {
         self.nunits
     }
 
-    /// Partitioning strategy.
-    pub fn partition(&self) -> Partition {
-        self.partition
-    }
-
     /// Initial claim order for a supervised queue. A dynamic plan offers
     /// `0..nunits`; a static plan offers the concatenated per-thread
-    /// round-robin batches of the unsupervised pool, so the first claims
+    /// round-robin batches of [`Executor::run`], so the first claims
     /// reproduce the static split while retries can still rebalance.
     pub fn initial_order(&self, nthreads: usize) -> Vec<usize> {
-        match self.partition {
-            Partition::DynamicQueue { .. } => (0..self.nunits).collect(),
-            Partition::StaticRoundRobin => {
+        match self.schedule {
+            Schedule::Dynamic => (0..self.nunits).collect(),
+            Schedule::StaticRoundRobin => {
                 let nthreads = nthreads.max(1);
                 let mut order = Vec::with_capacity(self.nunits);
                 for tid in 0..nthreads {
@@ -133,6 +116,82 @@ impl WorkPlan {
                 order
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Disjoint output slots
+// ---------------------------------------------------------------------------
+
+/// Shared write access to the elements of one exclusively borrowed slice,
+/// for workers that each own a disjoint set of indices (the pencils of a
+/// volume, the tiles of an image, the cores of a simulation).
+///
+/// Its `Sync` implementation is the workspace's one audited unsafe one.
+/// Every access is bounds-checked, in release builds too; what the type
+/// cannot check is disjointness, so [`DisjointSlots::write`] and
+/// [`DisjointSlots::read`] are `unsafe fn`s with one contract: no other
+/// thread touches that index at the same time.
+pub struct DisjointSlots<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _borrow: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: `ptr` and `len` describe a slice exclusively borrowed for `'a`
+// (`_borrow` holds that borrow), so nothing outside the slots can reach
+// it, and neither field changes after construction. The slots hand out no
+// references, only element writes and copies, each under its caller's
+// promise that no other thread touches that index at the same time.
+// Values move between threads through them, hence `T: Send`.
+unsafe impl<T: Send> Sync for DisjointSlots<'_, T> {}
+
+impl<'a, T> DisjointSlots<'a, T> {
+    /// Slots over `slice` for as long as it is borrowed.
+    pub fn new(slice: &'a mut [T]) -> Self {
+        Self {
+            ptr: slice.as_mut_ptr(),
+            len: slice.len(),
+            _borrow: PhantomData,
+        }
+    }
+
+    /// Store `value` at `index`, dropping the previous value.
+    ///
+    /// # Safety
+    /// No other thread may read or write `index` at the same time.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range of the slice.
+    pub unsafe fn write(&self, index: usize, value: T) {
+        assert!(
+            index < self.len,
+            "slot {index} out of range ({} slots)",
+            self.len
+        );
+        // SAFETY: in bounds (checked above) of a live exclusive borrow;
+        // the caller guarantees no concurrent access to this index.
+        unsafe { *self.ptr.add(index) = value };
+    }
+
+    /// Copy the value at `index`.
+    ///
+    /// # Safety
+    /// No other thread may write `index` at the same time.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range of the slice.
+    pub unsafe fn read(&self, index: usize) -> T
+    where
+        T: Copy,
+    {
+        assert!(
+            index < self.len,
+            "slot {index} out of range ({} slots)",
+            self.len
+        );
+        // SAFETY: as in `write`.
+        unsafe { *self.ptr.add(index) }
     }
 }
 
@@ -228,38 +287,34 @@ impl Executor {
         F: Fn(usize, usize) + Sync,
     {
         let n = plan.nunits;
-        if self.nthreads == 1 {
+        let nthreads = self.nthreads;
+        if nthreads == 1 {
             for unit in 0..n {
                 worker(0, unit);
             }
             return;
         }
-        match plan.partition {
-            Partition::StaticRoundRobin => {
-                let nthreads = self.nthreads;
-                scoped_workers(
-                    nthreads,
-                    &|tid| {
-                        for unit in items_for_thread(n, nthreads, tid) {
-                            worker(tid, unit);
-                        }
-                    },
-                    None::<NoMonitor>,
-                );
-            }
-            Partition::DynamicQueue { chunk } => {
+        match plan.schedule {
+            Schedule::StaticRoundRobin => scoped_workers(
+                nthreads,
+                &|tid| {
+                    for unit in items_for_thread(n, nthreads, tid) {
+                        worker(tid, unit);
+                    }
+                },
+                None::<NoMonitor>,
+            ),
+            Schedule::Dynamic => {
                 let next = AtomicUsize::new(0);
                 let next = &next;
                 scoped_workers(
-                    self.nthreads,
+                    nthreads,
                     &|tid| loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
+                        let unit = next.fetch_add(1, Ordering::Relaxed);
+                        if unit >= n {
                             break;
                         }
-                        for unit in start..n.min(start + chunk) {
-                            worker(tid, unit);
-                        }
+                        worker(tid, unit);
                     },
                     None::<NoMonitor>,
                 );
@@ -299,11 +354,17 @@ impl Executor {
     /// fires their cancel token, and respawns replacement workers. Returns
     /// a [`RunReport`]; never panics because of worker behaviour.
     ///
-    /// The executor's thread count and the plan's partition supersede the
-    /// `nthreads`/`schedule` fields of `cfg` (the legacy wrappers pass
-    /// consistent values). Each *attempt's* outcome is accounted exactly
-    /// once (per-unit epoch CAS), and each unit contributes exactly one
-    /// unit to `completed + failed.len()`.
+    /// The executor's thread count and the plan's schedule supersede the
+    /// `nthreads`/`schedule` fields of `cfg`. A unit may be attempted more
+    /// than once (on retry), but each *attempt's* outcome is accounted
+    /// exactly once (per-unit epoch CAS), and each unit contributes exactly
+    /// one unit to `completed + failed.len()`.
+    ///
+    /// A cooperative worker polls its per-attempt token
+    /// (`token.bail(unit)?`) and abandons a wedged unit once the watchdog
+    /// fires it, releasing its thread back to the pool; its `Cancelled`
+    /// return is discarded because the watchdog already claimed the
+    /// attempt's outcome as a [`SfcError::Timeout`].
     pub fn run_supervised<F>(&self, plan: &WorkPlan, cfg: &SupervisorConfig, worker: F) -> RunReport
     where
         F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + Sync,
@@ -361,12 +422,12 @@ impl Executor {
         }
     }
 
-    /// Execute a [`UnitKernel`] under a policy stack. All three policies
-    /// use the kernel's buffered compute/commit cycle:
+    /// Execute a [`UnitKernel`] under a policy stack. Every policy uses the
+    /// kernel's buffered compute/commit cycle:
     ///
-    /// * [`ExecPolicy::Plain`] — every unit computed and committed, panics
-    ///   propagate, `faults` is ignored (fault injection requires
-    ///   supervision); the outcome is a clean [`DefectMap`].
+    /// * [`ExecPolicy::Plain`] — every unit computed at full quality and
+    ///   committed, panics propagate, `faults` is ignored (fault injection
+    ///   requires supervision); the outcome is a clean [`DefectMap`].
     /// * [`ExecPolicy::Supervised`] — supervised execution with buffered
     ///   commit; failed units become [`DefectMap`] entries, no validation
     ///   scan or repair.
@@ -376,10 +437,9 @@ impl Executor {
     ///   single-threaded faults-off repair pass that re-computes each
     ///   defective unit and marks it repaired when its rescan is clean.
     /// * [`ExecPolicy::Brownout`] — the degraded pipeline under deadline
-    ///   admission control. For a plain [`UnitKernel`] (no quality
-    ///   ladder) the deadline can only shed past-budget units to the
-    ///   repair pass; kernels with a real ladder should be driven through
-    ///   [`Executor::execute_brownout`] instead.
+    ///   admission control; a kernel without a quality ladder
+    ///   ([`UnitKernel::max_level`] 0) can only be shed past the budget to
+    ///   the repair pass, never coarsened.
     pub fn execute<K: UnitKernel>(
         &self,
         plan: &WorkPlan,
@@ -388,57 +448,39 @@ impl Executor {
         faults: &FaultPlan,
     ) -> DegradedOutcome {
         let nunits = plan.nunits;
-        match policy {
+        let outcome = match policy {
             ExecPolicy::Plain => {
                 let start = Instant::now();
                 let latency = unit_latency(kernel.unit_kind());
                 self.run(plan, |_tid, unit| {
                     let t0 = Instant::now();
                     let mut buf = Vec::new();
-                    kernel.compute(unit, &mut buf, &mut || true);
+                    kernel.compute(unit, 0, &mut buf, &mut || true);
                     kernel.commit(unit, &buf);
                     latency.record_duration_us(t0.elapsed());
                 });
-                let outcome = DegradedOutcome::full_quality(
-                    RunReport {
-                        completed: nunits,
-                        wall_time: start.elapsed(),
-                        ..RunReport::default()
-                    },
-                    DefectMap::new(kernel.unit_kind(), nunits),
-                );
-                record_outcome_metrics(&outcome);
-                outcome
+                let report = RunReport {
+                    completed: nunits,
+                    wall_time: start.elapsed(),
+                    ..RunReport::default()
+                };
+                DegradedOutcome::full_quality(report, DefectMap::new(kernel.unit_kind(), nunits))
             }
             ExecPolicy::Supervised(cfg) => {
                 let report = self.supervised_commit_phase(plan, cfg, kernel, faults);
                 let defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, &report);
-                let outcome = DegradedOutcome::full_quality(report, defects);
-                record_outcome_metrics(&outcome);
-                outcome
+                DegradedOutcome::full_quality(report, defects)
             }
-            ExecPolicy::Degraded(policy) => self.run_degraded(plan, policy, kernel, faults),
-            ExecPolicy::Brownout(policy) => {
-                self.run_brownout(plan, policy, &NoLadder(kernel), faults)
+            ExecPolicy::Degraded(policy) => {
+                let report = self.supervised_commit_phase(plan, &policy.supervisor, kernel, faults);
+                let (defects, _) =
+                    validate_and_repair(kernel, nunits, &report, policy.output_range, || 0);
+                DegradedOutcome::full_quality(report, defects)
             }
-        }
-    }
-
-    /// [`Executor::execute`] for kernels with a brownout quality ladder.
-    /// Under [`ExecPolicy::Brownout`] the deadline controller may admit
-    /// units at a coarser ladder level; every other policy behaves exactly
-    /// as in [`Executor::execute`] (the ladder is never consulted).
-    pub fn execute_brownout<K: BrownoutKernel>(
-        &self,
-        plan: &WorkPlan,
-        policy: &ExecPolicy,
-        kernel: &K,
-        faults: &FaultPlan,
-    ) -> DegradedOutcome {
-        match policy {
             ExecPolicy::Brownout(policy) => self.run_brownout(plan, policy, kernel, faults),
-            other => self.execute(plan, other, kernel, faults),
-        }
+        };
+        record_outcome_metrics(&outcome);
+        outcome
     }
 
     /// Phase 1 of the supervised/degraded pipelines: compute each unit
@@ -456,7 +498,7 @@ impl Executor {
             faults.fire_cancellable(unit, token)?;
             let t0 = Instant::now();
             let mut buf = Vec::new();
-            let done = kernel.compute(unit, &mut buf, &mut || !token.is_cancelled());
+            let done = kernel.compute(unit, 0, &mut buf, &mut || !token.is_cancelled());
             if !done {
                 return Err(SfcError::Cancelled { item: unit });
             }
@@ -468,63 +510,6 @@ impl Executor {
             latency.record_duration_us(t0.elapsed());
             Ok(())
         })
-    }
-
-    /// The generic graceful-degradation pipeline (execute → validate →
-    /// repair) shared by the bilateral and raycasting degraded drivers.
-    fn run_degraded<K: UnitKernel>(
-        &self,
-        plan: &WorkPlan,
-        policy: &DegradedPolicy,
-        kernel: &K,
-        faults: &FaultPlan,
-    ) -> DegradedOutcome {
-        let nunits = plan.nunits;
-        let report = self.supervised_commit_phase(plan, &policy.supervisor, kernel, faults);
-
-        // Phase 2: typed defects from execution failures + validation scan
-        // of every successfully committed unit (failed units hold
-        // placeholder data and are already in the map).
-        let mut defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, &report);
-        let failed: Vec<usize> = defects.units();
-        let mut values = Vec::new();
-        let mut comps = Vec::new();
-        for unit in 0..nunits {
-            if failed.binary_search(&unit).is_ok() {
-                continue;
-            }
-            values.clear();
-            kernel.read_back(unit, &mut values);
-            comps.clear();
-            for &v in &values {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            scan_unit(&mut defects, unit, comps.iter().copied(), policy.output_range);
-        }
-
-        // Phase 3: single-threaded repair with faults disabled, then a
-        // rescan of the freshly computed buffer (not a read-back — the
-        // rescan judges the recomputation itself).
-        for unit in defects.units() {
-            let mut buf = Vec::new();
-            kernel.compute(unit, &mut buf, &mut || true);
-            kernel.commit(unit, &buf);
-            comps.clear();
-            for &v in &buf {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            let mut rescan = DefectMap::new(kernel.unit_kind(), nunits);
-            let dirty = scan_unit(&mut rescan, unit, comps.iter().copied(), policy.output_range);
-            if dirty {
-                defects.merge(rescan); // genuinely bad data (e.g. NaN input)
-            } else {
-                defects.mark_repaired(unit);
-            }
-        }
-
-        let outcome = DegradedOutcome::full_quality(report, defects);
-        record_outcome_metrics(&outcome);
-        outcome
     }
 
     /// The brownout pipeline: the degraded execute/validate/repair cycle
@@ -540,11 +525,10 @@ impl Executor {
     /// at most one attempt's bytes land per unit in practice; the
     /// [`QualityMap`] records levels in commit order (last write wins).
     ///
-    /// With no budget and no failures every unit is admitted at level 0,
-    /// which the [`BrownoutKernel`] contract makes bitwise-identical to
-    /// [`UnitKernel::compute`] — so a pressure-free brownout run equals a
-    /// plain run byte for byte.
-    fn run_brownout<K: BrownoutKernel>(
+    /// With no budget and no failures every unit is admitted at level 0 —
+    /// full quality, the level every other policy computes at — so a
+    /// pressure-free brownout run equals a plain run byte for byte.
+    fn run_brownout<K: UnitKernel>(
         &self,
         plan: &WorkPlan,
         policy: &BrownoutPolicy,
@@ -572,7 +556,7 @@ impl Executor {
                 let _slot = ctl.acquire(unit, token)?;
                 faults.fire_cancellable(unit, token)?;
                 let mut buf = Vec::new();
-                let done = kernel.compute_at(unit, level, &mut buf, &mut || !token.is_cancelled());
+                let done = kernel.compute(unit, level, &mut buf, &mut || !token.is_cancelled());
                 if !done {
                     return Err(SfcError::Cancelled { item: unit });
                 }
@@ -607,65 +591,78 @@ impl Executor {
             }
         });
 
-        // Phase 2: defects from execution failures + validation scan of
-        // committed units, exactly as in the degraded pipeline.
-        let mut defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, &report);
-        let failed: Vec<usize> = defects.units();
-        let mut values = Vec::new();
-        let mut comps = Vec::new();
-        for unit in 0..nunits {
-            if failed.binary_search(&unit).is_ok() {
-                continue;
-            }
-            values.clear();
-            kernel.read_back(unit, &mut values);
-            comps.clear();
-            for &v in &values {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            scan_unit(&mut defects, unit, comps.iter().copied(), policy.output_range);
-        }
-
         let mut quality = QualityMap::new(kernel.unit_kind(), nunits);
         for (unit, level, reason) in unwrap_lock(downgrades) {
             quality.record(unit, level, reason);
         }
-
-        // Phase 3: single-threaded faults-off repair. Inside the budget
-        // the repair runs at full quality; once the budget is exhausted it
-        // runs at the deepest ladder rung — recomputing shed units at full
-        // quality would blow the very deadline that shed them.
-        let repair_level = ctl.repair_level();
+        let (defects, repair_level) =
+            validate_and_repair(kernel, nunits, &report, policy.output_range, || {
+                ctl.repair_level()
+            });
         for unit in defects.units() {
-            let mut buf = Vec::new();
-            kernel.compute_at(unit, repair_level, &mut buf, &mut || true);
-            kernel.commit(unit, &buf);
-            comps.clear();
-            for &v in &buf {
-                K::components(v, &mut |c| comps.push(c));
-            }
-            let mut rescan = DefectMap::new(kernel.unit_kind(), nunits);
-            let dirty = scan_unit(&mut rescan, unit, comps.iter().copied(), policy.output_range);
-            if dirty {
-                defects.merge(rescan);
-            } else {
-                defects.mark_repaired(unit);
-            }
-            if repair_level > 0 {
-                quality.record(unit, repair_level, DowngradeReason::Shed);
-            } else {
-                quality.clear(unit); // repaired at full quality
-            }
+            quality.record(unit, repair_level, DowngradeReason::Shed); // level 0 clears
         }
-
-        let outcome = DegradedOutcome {
+        DegradedOutcome {
             report,
             defects,
             quality,
-        };
-        record_outcome_metrics(&outcome);
-        outcome
+        }
     }
+}
+
+/// Phases 2 and 3 of the degraded and brownout pipelines.
+///
+/// Phase 2 turns the run's failures into typed defects and scans every
+/// unit that committed (non-finite values, plus `output_range` when set);
+/// failed units hold placeholder data and are already in the map.
+///
+/// Phase 3 recomputes each defective unit single-threaded with faults off
+/// at the ladder level `repair_level` names — asked once, after the scan:
+/// the brownout pipeline repairs at full quality while its budget holds
+/// and at the deepest rung once it is exhausted, since recomputing shed
+/// units at full quality would blow the very deadline that shed them. The
+/// fresh buffer is committed and rescanned (not read back: the rescan
+/// judges the recomputation itself). Returns the map and the repair level.
+fn validate_and_repair<K: UnitKernel>(
+    kernel: &K,
+    nunits: usize,
+    report: &RunReport,
+    output_range: Option<(f32, f32)>,
+    repair_level: impl FnOnce() -> u8,
+) -> (DefectMap, u8) {
+    let components = |values: &[K::Value], comps: &mut Vec<f32>| {
+        comps.clear();
+        for &v in values {
+            K::components(v, &mut |c| comps.push(c));
+        }
+    };
+    let mut defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, report);
+    let failed = defects.units();
+    let mut values = Vec::new();
+    let mut comps = Vec::new();
+    for unit in 0..nunits {
+        if failed.binary_search(&unit).is_ok() {
+            continue;
+        }
+        values.clear();
+        kernel.read_back(unit, &mut values);
+        components(&values, &mut comps);
+        scan_unit(&mut defects, unit, comps.iter().copied(), output_range);
+    }
+
+    let level = repair_level();
+    for unit in defects.units() {
+        kernel.compute(unit, level, &mut values, &mut || true);
+        kernel.commit(unit, &values);
+        components(&values, &mut comps);
+        let mut rescan = DefectMap::new(kernel.unit_kind(), nunits);
+        if scan_unit(&mut rescan, unit, comps.iter().copied(), output_range) {
+            defects.merge(rescan); // genuinely bad data (e.g. NaN input)
+        } else {
+            defects.mark_repaired(unit);
+        }
+    }
+    (defects, level)
 }
 
 // ---------------------------------------------------------------------------
@@ -684,9 +681,9 @@ pub enum ExecPolicy {
     Degraded(DegradedPolicy),
     /// The degraded pipeline under deadline-aware admission control: a
     /// wall-clock [`DeadlineBudget`], AIMD concurrency adaptation, a
-    /// per-unit circuit breaker, and the [`BrownoutKernel`] quality
-    /// ladder. With no budget and no failures this is bitwise-identical
-    /// to [`ExecPolicy::Plain`].
+    /// per-unit circuit breaker, and the kernel's quality ladder
+    /// ([`UnitKernel::max_level`]). With no budget and no failures this is
+    /// bitwise-identical to [`ExecPolicy::Plain`].
     Brownout(BrownoutPolicy),
 }
 
@@ -752,8 +749,18 @@ pub struct BrownoutPolicy {
 
 /// A kernel the engine can drive: computes one work unit at a time into a
 /// dense buffer, commits the buffer to the output, and can read a
-/// committed unit back for validation. Implementations wrap the output in
-/// a raw-pointer slot structure so disjoint units commit concurrently.
+/// committed unit back for validation. Implementations write the output
+/// through [`DisjointSlots`] so disjoint units commit concurrently.
+///
+/// A kernel may offer a *quality ladder*: the same unit computed at
+/// progressively coarser — but still valid — levels (bilateral pencils
+/// with a reduced stencil radius, raycast tiles with a larger step and a
+/// lower early-termination threshold). Level 0 is full quality and the
+/// only level every policy but [`ExecPolicy::Brownout`] asks for; the
+/// brownout policy climbs down the ladder under deadline pressure instead
+/// of blowing the budget. Every level must fill the buffer with the same
+/// shape (same length, same element order) so commit, read-back and
+/// validation are level-agnostic.
 pub trait UnitKernel: Sync {
     /// Element type of a unit's buffer (a voxel value, a pixel, …).
     type Value: Copy + Send;
@@ -761,11 +768,24 @@ pub trait UnitKernel: Sync {
     /// The unit noun used in defect maps ("pencil", "tile", …).
     fn unit_kind(&self) -> &'static str;
 
-    /// Compute `unit` into `buf` (cleared/sized by the implementation),
-    /// polling `keep_going` at a convenient granularity. Returns `false`
-    /// when aborted by `keep_going`; partial buffers are never committed.
-    fn compute(&self, unit: usize, buf: &mut Vec<Self::Value>, keep_going: &mut dyn FnMut() -> bool)
-        -> bool;
+    /// Deepest quality-ladder level; the default 0 means no ladder (the
+    /// kernel computes at full quality only).
+    fn max_level(&self) -> u8 {
+        0
+    }
+
+    /// Compute `unit` at ladder `level` (at most
+    /// [`UnitKernel::max_level`]) into `buf` (cleared/sized by the
+    /// implementation), polling `keep_going` at a convenient granularity.
+    /// Returns `false` when aborted by `keep_going`; partial buffers are
+    /// never committed.
+    fn compute(
+        &self,
+        unit: usize,
+        level: u8,
+        buf: &mut Vec<Self::Value>,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> bool;
 
     /// Commit a fully computed buffer to the output. May be called
     /// concurrently for distinct units; concurrent commits of the *same*
@@ -786,86 +806,6 @@ pub trait UnitKernel: Sync {
     /// prescribes (alternating non-finite and absurd-but-finite values),
     /// so both arms of the validation scan are exercised.
     fn poison(buf: &mut [Self::Value]);
-}
-
-/// A [`UnitKernel`] with a *quality ladder*: the same unit can be
-/// computed at progressively coarser — but still valid — quality levels
-/// (bilateral pencils with a reduced stencil radius, raycast tiles with a
-/// larger step and a lower early-termination threshold). The brownout
-/// policy climbs down the ladder under deadline pressure instead of
-/// blowing the budget.
-///
-/// Contract: `compute_at(unit, 0, …)` must be **bitwise-identical** to
-/// [`UnitKernel::compute`] — level 0 *is* full quality — and every level
-/// up to [`BrownoutKernel::max_level`] must fill the buffer with the same
-/// shape (same length, same element order) so commit/read-back/validation
-/// are level-agnostic.
-pub trait BrownoutKernel: UnitKernel {
-    /// Deepest available ladder level (0 = no ladder: the kernel can only
-    /// be computed at full quality).
-    fn max_level(&self) -> u8;
-
-    /// Compute `unit` at ladder `level` (clamped to
-    /// [`BrownoutKernel::max_level`] by the engine) into `buf`, polling
-    /// `keep_going` like [`UnitKernel::compute`].
-    fn compute_at(
-        &self,
-        unit: usize,
-        level: u8,
-        buf: &mut Vec<Self::Value>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool;
-}
-
-/// Adapter giving any [`UnitKernel`] an empty quality ladder, so
-/// [`Executor::execute`] can run ladder-less kernels under
-/// [`ExecPolicy::Brownout`] (the deadline can then only shed, not
-/// coarsen).
-struct NoLadder<'a, K: UnitKernel>(&'a K);
-
-impl<K: UnitKernel> UnitKernel for NoLadder<'_, K> {
-    type Value = K::Value;
-
-    fn unit_kind(&self) -> &'static str {
-        self.0.unit_kind()
-    }
-
-    fn compute(&self, unit: usize, buf: &mut Vec<K::Value>, keep_going: &mut dyn FnMut() -> bool)
-        -> bool {
-        self.0.compute(unit, buf, keep_going)
-    }
-
-    fn commit(&self, unit: usize, buf: &[K::Value]) {
-        self.0.commit(unit, buf)
-    }
-
-    fn read_back(&self, unit: usize, buf: &mut Vec<K::Value>) {
-        self.0.read_back(unit, buf)
-    }
-
-    fn components(value: K::Value, sink: &mut dyn FnMut(f32)) {
-        K::components(value, sink)
-    }
-
-    fn poison(buf: &mut [K::Value]) {
-        K::poison(buf)
-    }
-}
-
-impl<K: UnitKernel> BrownoutKernel for NoLadder<'_, K> {
-    fn max_level(&self) -> u8 {
-        0
-    }
-
-    fn compute_at(
-        &self,
-        unit: usize,
-        _level: u8,
-        buf: &mut Vec<K::Value>,
-        keep_going: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        self.0.compute(unit, buf, keep_going)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1185,6 +1125,20 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
+    fn round_robin_split_covers_all_items_once() {
+        let nitems = 103;
+        let nthreads = 7;
+        let mut seen = vec![0u32; nitems];
+        for tid in 0..nthreads {
+            for item in items_for_thread(nitems, nthreads, tid) {
+                seen[item] += 1;
+                assert_eq!(item % nthreads, tid);
+            }
+        }
+        assert!(seen.iter().all(|&c| c == 1));
+    }
+
+    #[test]
     fn static_plan_order_matches_pool_split() {
         let plan = WorkPlan::static_round_robin(10);
         let order = plan.initial_order(3);
@@ -1200,25 +1154,23 @@ mod tests {
     }
 
     #[test]
-    fn chunked_dynamic_queue_processes_each_unit_once() {
-        let n = 103;
-        let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let plan = WorkPlan::new(n, Partition::DynamicQueue { chunk: 4 });
-        Executor::new(5).run(&plan, |_tid, unit| {
-            counts[unit].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    fn each_schedule_processes_every_unit_once() {
+        for schedule in [Schedule::StaticRoundRobin, Schedule::Dynamic] {
+            let n = 1000;
+            let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+            Executor::new(8).run(&WorkPlan::new(n, schedule), |_tid, unit| {
+                counts[unit].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "{schedule:?}"
+            );
+        }
     }
 
     #[test]
-    fn zero_chunk_is_normalized() {
-        let plan = WorkPlan::new(7, Partition::DynamicQueue { chunk: 0 });
-        assert_eq!(plan.partition(), Partition::DynamicQueue { chunk: 1 });
-        let seen = AtomicU64::new(0);
-        Executor::new(3).run(&plan, |_tid, _unit| {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 7);
+    fn zero_units_is_a_no_op() {
+        Executor::new(4).run(&WorkPlan::dynamic(0), |_, _| panic!("no units to run"));
     }
 
     #[test]
@@ -1229,6 +1181,34 @@ mod tests {
             order.lock().unwrap().push(unit);
         });
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn disjoint_slots_are_written_exactly_once_on_both_schedules() {
+        for schedule in [Schedule::StaticRoundRobin, Schedule::Dynamic] {
+            let n = 257;
+            let mut out = vec![0u32; n];
+            let writes = AtomicU64::new(0);
+            let slots = DisjointSlots::new(&mut out);
+            Executor::new(4).run(&WorkPlan::new(n, schedule), |_tid, unit| {
+                // SAFETY: the executor hands each unit to exactly one
+                // thread, so no other thread touches slot `unit`.
+                unsafe { slots.write(unit, slots.read(unit) + 1) };
+                writes.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(writes.load(Ordering::Relaxed), n as u64);
+            assert!(out.iter().all(|&c| c == 1), "{schedule:?}: {out:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 3 out of range (3 slots)")]
+    fn out_of_range_slot_write_panics_in_every_build() {
+        let mut out = [0.0f32; 3];
+        let slots = DisjointSlots::new(&mut out);
+        // SAFETY: single-threaded; the bounds check fires before any
+        // access.
+        unsafe { slots.write(3, 1.0) };
     }
 
     #[test]
@@ -1283,11 +1263,15 @@ mod tests {
     }
 
     /// Toy kernel over a flat f32 output, with a scriptable set of source
-    /// units whose recomputation stays bad (NaN input analog).
+    /// units whose recomputation stays bad (NaN input analog) and an
+    /// optional quality ladder: level `L > 0` writes the full-quality
+    /// value offset by `1000·L`, so a downgraded unit is visible (and its
+    /// level recoverable) from the output bytes.
     struct ToyKernel {
         out: Mutex<Vec<f32>>,
         unit_len: usize,
         always_bad: Vec<usize>,
+        depth: u8,
     }
 
     impl ToyKernel {
@@ -1296,6 +1280,7 @@ mod tests {
                 out: Mutex::new(vec![0.0; nunits * unit_len]),
                 unit_len,
                 always_bad: Vec::new(),
+                depth: 0,
             }
         }
     }
@@ -1307,9 +1292,14 @@ mod tests {
             "toyunit"
         }
 
+        fn max_level(&self) -> u8 {
+            self.depth
+        }
+
         fn compute(
             &self,
             unit: usize,
+            level: u8,
             buf: &mut Vec<f32>,
             keep_going: &mut dyn FnMut() -> bool,
         ) -> bool {
@@ -1321,7 +1311,7 @@ mod tests {
                 let v = if self.always_bad.contains(&unit) {
                     f32::NAN
                 } else {
-                    (unit * self.unit_len + t) as f32 * 0.5
+                    (unit * self.unit_len + t) as f32 * 0.5 + 1000.0 * f32::from(level)
                 };
                 buf.push(v);
             }
@@ -1435,81 +1425,17 @@ mod tests {
         assert_eq!(ExecPolicy::Plain.label(), "plain");
     }
 
-    /// [`ToyKernel`] with a quality ladder: level `L > 0` writes the full-
-    /// quality value offset by `1000·L`, so a downgraded unit is visible
-    /// (and its level recoverable) from the output bytes.
-    struct LadderToy {
-        inner: ToyKernel,
-        depth: u8,
-    }
-
-    impl UnitKernel for LadderToy {
-        type Value = f32;
-
-        fn unit_kind(&self) -> &'static str {
-            self.inner.unit_kind()
-        }
-
-        fn compute(
-            &self,
-            unit: usize,
-            buf: &mut Vec<f32>,
-            keep_going: &mut dyn FnMut() -> bool,
-        ) -> bool {
-            self.inner.compute(unit, buf, keep_going)
-        }
-
-        fn commit(&self, unit: usize, buf: &[f32]) {
-            self.inner.commit(unit, buf)
-        }
-
-        fn read_back(&self, unit: usize, buf: &mut Vec<f32>) {
-            self.inner.read_back(unit, buf)
-        }
-
-        fn components(value: f32, sink: &mut dyn FnMut(f32)) {
-            ToyKernel::components(value, sink)
-        }
-
-        fn poison(buf: &mut [f32]) {
-            ToyKernel::poison(buf)
-        }
-    }
-
-    impl BrownoutKernel for LadderToy {
-        fn max_level(&self) -> u8 {
-            self.depth
-        }
-
-        fn compute_at(
-            &self,
-            unit: usize,
-            level: u8,
-            buf: &mut Vec<f32>,
-            keep_going: &mut dyn FnMut() -> bool,
-        ) -> bool {
-            if level == 0 {
-                return self.inner.compute(unit, buf, keep_going);
-            }
-            buf.clear();
-            for t in 0..self.inner.unit_len {
-                if !keep_going() {
-                    return false;
-                }
-                let full = (unit * self.inner.unit_len + t) as f32 * 0.5;
-                buf.push(full + 1000.0 * f32::from(level));
-            }
-            true
+    fn ladder_toy(nunits: usize, unit_len: usize, depth: u8) -> ToyKernel {
+        ToyKernel {
+            depth,
+            ..ToyKernel::new(nunits, unit_len)
         }
     }
 
     #[test]
     fn brownout_without_pressure_matches_plain_bitwise() {
-        let kernel = LadderToy {
-            inner: ToyKernel::new(10, 4),
-            depth: 3,
-        };
-        let outcome = Executor::new(3).execute_brownout(
+        let kernel = ladder_toy(10, 4, 3);
+        let outcome = Executor::new(3).execute(
             &WorkPlan::dynamic(10),
             &ExecPolicy::brownout(quick_cfg(3), DeadlineBudget::none(), None),
             &kernel,
@@ -1518,18 +1444,15 @@ mod tests {
         assert!(outcome.defects.is_clean());
         assert!(outcome.quality.is_full_quality(), "{}", outcome.quality);
         assert_eq!(outcome.report.completed, 10);
-        assert_eq!(*kernel.inner.out.lock().unwrap(), expected_output(10, 4));
+        assert_eq!(*kernel.out.lock().unwrap(), expected_output(10, 4));
     }
 
     #[test]
     fn brownout_sheds_past_budget_and_records_quality() {
-        let kernel = LadderToy {
-            inner: ToyKernel::new(6, 3),
-            depth: 2,
-        };
+        let kernel = ladder_toy(6, 3, 2);
         // A zero budget is exhausted before the first admission: every
         // unit is shed, then repaired at the deepest ladder rung.
-        let outcome = Executor::new(2).execute_brownout(
+        let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(6),
             &ExecPolicy::brownout(
                 quick_cfg(2),
@@ -1548,15 +1471,12 @@ mod tests {
             .iter()
             .all(|e| e.reason == DowngradeReason::Shed));
         let want: Vec<f32> = expected_output(6, 3).iter().map(|v| v + 2000.0).collect();
-        assert_eq!(*kernel.inner.out.lock().unwrap(), want);
+        assert_eq!(*kernel.out.lock().unwrap(), want);
     }
 
     #[test]
     fn brownout_breaker_admits_chronic_failures_degraded() {
-        let kernel = LadderToy {
-            inner: ToyKernel::new(8, 2),
-            depth: 2,
-        };
+        let kernel = ladder_toy(8, 2, 2);
         // Unit 3 fails its first two attempts; the breaker (threshold 2)
         // then admits attempt 3 straight at a degraded level instead of
         // retrying the full-quality computation.
@@ -1565,7 +1485,7 @@ mod tests {
             max_retries: 3,
             ..quick_cfg(2)
         };
-        let outcome = Executor::new(2).execute_brownout(
+        let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(8),
             &ExecPolicy::brownout(cfg, DeadlineBudget::none(), None),
             &kernel,
@@ -1581,14 +1501,14 @@ mod tests {
         for v in &mut want[6..8] {
             *v += 1000.0;
         }
-        assert_eq!(*kernel.inner.out.lock().unwrap(), want);
+        assert_eq!(*kernel.out.lock().unwrap(), want);
     }
 
     #[test]
     fn plain_kernel_under_brownout_policy_sheds_only() {
-        // execute() wraps ladder-less kernels in NoLadder: no downgraded
-        // levels exist, so even a blown budget yields full-quality
-        // repairs and an empty quality map.
+        // A kernel without a ladder (max_level 0) has no downgraded
+        // levels, so even a blown budget yields full-quality repairs and
+        // an empty quality map.
         let kernel = ToyKernel::new(5, 2);
         let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(5),

@@ -41,10 +41,10 @@ pub enum FaultKind {
     /// Return a non-retryable [`SfcError::InvalidParameter`] every attempt
     /// (tests that validation errors are not retried).
     Invalid,
-    /// Let the item complete, but have the degraded driver poison its
-    /// output with NaN and out-of-range values afterwards (tests the
-    /// post-run validation scan + repair path; [`FaultPlan::fire`] is a
-    /// no-op for this kind — drivers consult [`FaultPlan::corrupts`]).
+    /// Let the item complete, but have the engine poison its output with
+    /// NaN and out-of-range values afterwards (tests the post-run
+    /// validation scan + repair path; [`FaultPlan::fire`] is a no-op for
+    /// this kind — the engine consults [`FaultPlan::corrupts`]).
     CorruptOutput,
     /// An I/O operation fails outright with an injected [`std::io::Error`]
     /// (tests bounded retry-with-backoff on reads and temp-file cleanup on

@@ -2,15 +2,15 @@
 //!
 //! Shared machinery for the timing and counter experiments:
 //!
-//! * [`engine`] — the composable execution engine: [`WorkPlan`]
-//!   partitioning, the single [`Executor`]-owned thread scope, stackable
-//!   [`ExecPolicy`] layers (plain / supervised / degraded) over a
-//!   [`UnitKernel`], and the shared [`UnitCounters`] event sink;
-//! * [`pool`] — the paper's two work-assignment strategies (static
-//!   round-robin pencils, dynamic tile queue), a façade over the engine;
-//! * [`supervise`] — the supervised variant: panic isolation, watchdog
-//!   timeouts with cooperative cancellation, bounded retry with backoff,
-//!   structured failure reports;
+//! * [`engine`] — the composable execution engine: [`WorkPlan`]s over
+//!   the paper's two work-assignment [`Schedule`]s (static round-robin
+//!   pencils, dynamic tile queue), the single [`Executor`]-owned thread
+//!   scope, stackable [`ExecPolicy`] layers (plain / supervised / degraded
+//!   / brownout) over a [`UnitKernel`], the [`DisjointSlots`] output
+//!   writer, and the shared [`UnitCounters`] event sink;
+//! * [`supervise`] — the vocabulary of supervised execution: cancel
+//!   tokens, the supervisor configuration (watchdog timeouts, bounded
+//!   retry with backoff), and structured failure reports;
 //! * [`faults`] — deterministic fault injection (panics, stalls, flaky
 //!   items, output/NaN/file corruption) for exercising the supervisor;
 //! * [`degrade`] — the typed [`DefectMap`] of failed/invalid output units
@@ -45,7 +45,6 @@ pub mod durable;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
-pub mod pool;
 pub mod supervise;
 pub mod table;
 pub mod timing;
@@ -57,18 +56,14 @@ pub use degrade::{scan_unit, Defect, DefectKind, DefectMap, DegradedOutcome, Fai
 pub use ds::{format_ds, scaled_relative_difference};
 pub use durable::{write_atomic, write_atomic_with, Journal, JournalRecovery};
 pub use engine::{
-    BrownoutKernel, BrownoutPolicy, DegradedPolicy, EventCounter, ExecPolicy, Executor,
-    Partition, UnitCounters, UnitKernel, WorkPlan,
+    items_for_thread, BrownoutPolicy, DegradedPolicy, DisjointSlots, EventCounter, ExecPolicy,
+    Executor, Schedule, UnitCounters, UnitKernel, WorkPlan,
 };
 pub use faults::{FaultKind, FaultPlan, FaultRates, FaultyFile, IoFaultPlan, IoFaultRates};
 pub use metrics::{
     encode_prometheus, validate_prometheus_text, Counter, Gauge, HistogramSnapshot, LazyCounter,
     LazyGauge, LazyHistogram, Log2Histogram, MetricValue, Registry, Sampler, Snapshot,
 };
-pub use pool::{items_for_thread, run_items, run_items_with_output, Schedule};
-pub use supervise::{
-    run_items_supervised, run_items_supervised_cancellable, CancelToken, ItemFailure,
-    RunReport, SupervisorConfig,
-};
+pub use supervise::{CancelToken, ItemFailure, RunReport, SupervisorConfig};
 pub use table::PaperTable;
 pub use timing::{measure, time_once, TimingStats};

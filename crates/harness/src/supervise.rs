@@ -1,43 +1,38 @@
-//! Supervised worker pool: panic isolation, watchdog timeouts, bounded
-//! retry with exponential backoff.
+//! The supervised-execution vocabulary: [`CancelToken`],
+//! [`SupervisorConfig`], [`ItemFailure`], and [`RunReport`].
 //!
-//! [`run_items`](crate::run_items) assumes every item completes; one panic
-//! tears down the whole experiment and one wedged item hangs it. Long
-//! unattended bench sweeps need the opposite: a worker failure should cost
-//! *one item*, be retried if transient, and be reported in a structured way
-//! at the end. [`run_items_supervised`] provides that:
+//! [`Executor::run`](crate::Executor::run) assumes every unit completes;
+//! one panic tears down the whole experiment and one wedged unit hangs
+//! it. Long unattended sweeps and a long-running service need the
+//! opposite: a worker failure should cost *one unit*, be retried if
+//! transient, and be reported in a structured way at the end.
+//! [`Executor::run_supervised`](crate::Executor::run_supervised) provides
+//! that, configured by the types in this module:
 //!
-//! * each item runs under [`std::panic::catch_unwind`], so a panicking
+//! * each unit runs under [`std::panic::catch_unwind`], so a panicking
 //!   worker closure is converted into a typed
 //!   [`SfcError::WorkerPanic`] carrying the panic payload;
 //! * a watchdog thread (armed by [`SupervisorConfig::timeout`]) detects
-//!   items that exceed their per-item wall-clock budget, accounts them as
+//!   units that exceed their per-unit wall-clock budget, accounts them as
 //!   [`SfcError::Timeout`], and spawns a replacement worker so throughput
 //!   recovers while the wedged thread is written off;
-//! * failed items are retried up to [`SupervisorConfig::max_retries`]
+//! * failed units are retried up to [`SupervisorConfig::max_retries`]
 //!   times with exponential backoff, then recorded in
 //!   [`RunReport::failed`].
-//!
-//! This module holds the supervised *vocabulary* — [`CancelToken`],
-//! [`SupervisorConfig`], [`ItemFailure`], [`RunReport`] — and the legacy
-//! entry points; the queue/epoch/watchdog machinery itself lives in the
-//! execution engine ([`crate::engine`]), whose single thread scope also
-//! hosts the watchdog's replacement workers
-//! ([`Executor::run_supervised`](crate::engine::Executor::run_supervised)).
 //!
 //! ## Timeout semantics
 //!
 //! Threads cannot be killed, so a timed-out worker closure keeps running
 //! until it returns on its own; its late result is discarded (an attempt's
-//! outcome is claimed exactly once through a per-item epoch CAS). The run
-//! itself completes as soon as every item is accounted — but process exit
+//! outcome is claimed exactly once through a per-unit epoch CAS). The run
+//! itself completes as soon as every unit is accounted — but process exit
 //! still waits on the scoped thread, so worker closures must terminate
 //! *eventually*. The supervisor turns "slow" into a reported failure; it
 //! cannot turn "infinite loop" into one — unless the worker cooperates:
-//! [`run_items_supervised_cancellable`] hands each attempt a
-//! [`CancelToken`] that the watchdog fires together with the timeout, so a
-//! cooperative worker notices (`token.is_cancelled()` / `token.bail(item)?`)
-//! and abandons the wedged unit instead of wedging its thread.
+//! each attempt gets a [`CancelToken`] that the watchdog fires together
+//! with the timeout, so a cooperative worker notices
+//! (`token.is_cancelled()` / `token.bail(item)?`) and abandons the wedged
+//! unit instead of wedging its thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,8 +40,7 @@ use std::time::{Duration, Instant};
 
 use sfc_core::{SfcError, SfcResult};
 
-use crate::engine::{Executor, WorkPlan};
-use crate::pool::Schedule;
+use crate::engine::Schedule;
 
 /// Cooperative cancellation flag for one supervised attempt.
 ///
@@ -206,56 +200,22 @@ impl RunReport {
     }
 }
 
-/// Run `worker(tid, item)` over `0..nitems` under supervision: panics are
-/// isolated per item, failures are retried with exponential backoff, and —
-/// when [`SupervisorConfig::timeout`] is set — a watchdog times out stuck
-/// items and spawns replacement workers. Returns a [`RunReport`]; it never
-/// panics because of worker behaviour.
-///
-/// The worker may be called concurrently from different threads; a given
-/// item may be attempted more than once (on retry), but each *attempt's*
-/// outcome is accounted exactly once and each item contributes exactly one
-/// unit to `completed + failed.len()`.
-///
-/// # Panics
-/// Panics if `cfg.nthreads == 0` (misconfiguration, not worker failure).
-pub fn run_items_supervised<F>(cfg: &SupervisorConfig, nitems: usize, worker: F) -> RunReport
-where
-    F: Fn(usize, usize) -> SfcResult<()> + Sync,
-{
-    run_items_supervised_cancellable(cfg, nitems, |tid, item, _token| worker(tid, item))
-}
-
-/// [`run_items_supervised`] with cooperative cancellation: the worker
-/// receives a per-attempt [`CancelToken`] that the watchdog fires when it
-/// expires the attempt's deadline. A cooperative worker polls the token
-/// (`token.bail(item)?`) and abandons the wedged unit, releasing its
-/// thread back to the pool instead of running the doomed attempt to
-/// completion; its `Cancelled` return is discarded because the watchdog
-/// already claimed the attempt's outcome as a [`SfcError::Timeout`].
-///
-/// # Panics
-/// Panics if `cfg.nthreads == 0` (misconfiguration, not worker failure).
-pub fn run_items_supervised_cancellable<F>(
-    cfg: &SupervisorConfig,
-    nitems: usize,
-    worker: F,
-) -> RunReport
-where
-    F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + Sync,
-{
-    Executor::new(cfg.nthreads).run_supervised(
-        &WorkPlan::from_schedule(nitems, cfg.schedule),
-        cfg,
-        worker,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Executor, WorkPlan};
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
+
+    /// Run `worker` over `0..nitems` on the engine's supervised pool, with
+    /// the thread count and schedule `cfg` names.
+    fn supervised<F>(cfg: &SupervisorConfig, nitems: usize, worker: F) -> RunReport
+    where
+        F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + Sync,
+    {
+        let plan = WorkPlan::new(nitems, cfg.schedule);
+        Executor::new(cfg.nthreads).run_supervised(&plan, cfg, worker)
+    }
 
     fn quick(nthreads: usize) -> SupervisorConfig {
         SupervisorConfig {
@@ -269,7 +229,7 @@ mod tests {
     fn clean_run_completes_every_item_once() {
         let n = 257;
         let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let report = run_items_supervised(&quick(6), n, |_tid, item| {
+        let report = supervised(&quick(6), n, |_tid, item, _token| {
             counts[item].fetch_add(1, Ordering::Relaxed);
             Ok(())
         });
@@ -281,7 +241,7 @@ mod tests {
 
     #[test]
     fn zero_items_is_a_no_op() {
-        let report = run_items_supervised(&quick(4), 0, |_, _| panic!("no items"));
+        let report = supervised(&quick(4), 0, |_, _, _| panic!("no items"));
         assert_eq!(report.completed, 0);
         assert!(report.all_ok());
     }
@@ -292,7 +252,7 @@ mod tests {
             max_retries: 0,
             ..quick(4)
         };
-        let report = run_items_supervised(&cfg, 50, |_tid, item| {
+        let report = supervised(&cfg, 50, |_tid, item, _token| {
             if item == 17 {
                 panic!("injected panic on {item}");
             }
@@ -314,7 +274,7 @@ mod tests {
     fn transient_failure_is_retried_to_success() {
         let n = 20;
         let tries: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let report = run_items_supervised(&quick(4), n, |_tid, item| {
+        let report = supervised(&quick(4), n, |_tid, item, _token| {
             let t = tries[item].fetch_add(1, Ordering::Relaxed);
             if item % 5 == 0 && t == 0 {
                 panic!("flaky first attempt");
@@ -333,7 +293,7 @@ mod tests {
             max_retries: 3,
             ..quick(2)
         };
-        let report = run_items_supervised(&cfg, 1, |_tid, _item| {
+        let report = supervised(&cfg, 1, |_tid, _item, _token| {
             attempts.fetch_add(1, Ordering::Relaxed);
             Err(SfcError::WorkerPanic {
                 item: 0,
@@ -349,7 +309,7 @@ mod tests {
     #[test]
     fn non_retryable_error_fails_immediately() {
         let attempts = AtomicU64::new(0);
-        let report = run_items_supervised(&quick(2), 1, |_tid, item| {
+        let report = supervised(&quick(2), 1, |_tid, item, _token| {
             attempts.fetch_add(1, Ordering::Relaxed);
             Err(SfcError::InvalidParameter {
                 name: "x",
@@ -370,7 +330,7 @@ mod tests {
             watchdog_poll: Duration::from_millis(2),
             ..quick(3)
         };
-        let report = run_items_supervised(&cfg, 40, |_tid, item| {
+        let report = supervised(&cfg, 40, |_tid, item, _token| {
             if item == 7 {
                 // Finite sleep: long enough to trip the watchdog, short
                 // enough that the scope can still join the wedged thread.
@@ -386,7 +346,7 @@ mod tests {
 
     #[test]
     fn static_order_covers_all_items() {
-        let order = WorkPlan::from_schedule(10, Schedule::StaticRoundRobin).initial_order(3);
+        let order = WorkPlan::new(10, Schedule::StaticRoundRobin).initial_order(3);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..10).collect::<Vec<_>>());
@@ -395,14 +355,8 @@ mod tests {
             schedule: Schedule::StaticRoundRobin,
             ..quick(3)
         };
-        let report = run_items_supervised(&cfg, 100, |_, _| Ok(()));
+        let report = supervised(&cfg, 100, |_, _, _| Ok(()));
         assert_eq!(report.completed, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
-        run_items_supervised(&quick(0), 1, |_, _| Ok(()));
     }
 
     #[test]
@@ -413,7 +367,7 @@ mod tests {
                 max_retries,
                 ..quick(3)
             };
-            let report = run_items_supervised(&cfg, 1, |_tid, item| {
+            let report = supervised(&cfg, 1, |_tid, item, _token| {
                 attempts.fetch_add(1, Ordering::Relaxed);
                 Err(SfcError::WorkerPanic {
                     item,
@@ -443,7 +397,7 @@ mod tests {
             ..Default::default()
         };
         let stamps: Mutex<Vec<Instant>> = Mutex::new(Vec::new());
-        let report = run_items_supervised(&cfg, 1, |_tid, item| {
+        let report = supervised(&cfg, 1, |_tid, item, _token| {
             stamps.lock().unwrap().push(Instant::now());
             Err(SfcError::WorkerPanic {
                 item,
@@ -477,7 +431,7 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..Default::default()
         };
-        let report = run_items_supervised_cancellable(&cfg, 6, |_tid, item, token| {
+        let report = supervised(&cfg, 6, |_tid, item, token| {
             if item == 2 {
                 attempts.fetch_add(1, Ordering::Relaxed);
                 // Stall "forever" (bounded only by the cancel token).
@@ -510,7 +464,7 @@ mod tests {
             ..Default::default()
         };
         let start = Instant::now();
-        let report = run_items_supervised_cancellable(&cfg, 8, |_tid, item, token| {
+        let report = supervised(&cfg, 8, |_tid, item, token| {
             if item == 3 {
                 let r = token.sleep_cancellable(item, Duration::from_secs(30));
                 if r.is_err() {
@@ -539,7 +493,7 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..Default::default()
         };
-        let report = run_items_supervised_cancellable(&cfg, 4, |_tid, item, token| {
+        let report = supervised(&cfg, 4, |_tid, item, token| {
             if item == 1 {
                 token.sleep_cancellable(item, Duration::from_millis(200))?;
             }

@@ -8,7 +8,7 @@
 //! depend on it; see [`crate::hierarchy`] docs).
 
 use sfc_core::SfcResult;
-use sfc_harness::{Executor, LazyCounter, WorkPlan};
+use sfc_harness::{DisjointSlots, Executor, LazyCounter, WorkPlan};
 
 use crate::cache::Cache;
 use crate::hierarchy::{CoreCounters, CoreSim, HierarchyConfig, SimReport};
@@ -79,18 +79,15 @@ where
     // one core under the static split (the historical one-thread-per-core
     // behaviour), otherwise the single-thread serial fast path runs cores
     // in index order. Results land in disjoint slots.
-    struct ResultSlots(*mut Option<(CoreCounters, Vec<u64>)>);
-    unsafe impl Sync for ResultSlots {}
     let mut results: Vec<Option<(CoreCounters, Vec<u64>)>> = (0..ncores).map(|_| None).collect();
     {
-        let slots = ResultSlots(results.as_mut_ptr());
-        let slots = &slots;
+        let slots = DisjointSlots::new(&mut results);
         let nthreads = if parallel { ncores } else { 1 };
         Executor::new(nthreads).try_run(&WorkPlan::static_round_robin(ncores), |_tid, core| {
             let r = run_one(core);
             // SAFETY: each core index is processed exactly once (engine
             // contract), so the slots are written disjointly.
-            unsafe { *slots.0.add(core) = Some(r) };
+            unsafe { slots.write(core, Some(r)) };
         })?;
     }
     let results: Vec<(CoreCounters, Vec<u64>)> = results

@@ -14,7 +14,9 @@
 //!   orbit generator;
 //! * [`transfer`] — piecewise-linear transfer functions;
 //! * [`sampler`] — trilinear reconstruction over any `Volume3`;
-//! * [`render`] — tile-parallel front-to-back compositing renderer;
+//! * [`render`] — tile-parallel front-to-back compositing renderer: one
+//!   execution-engine kernel over image tiles under every policy (plain,
+//!   supervised, degraded with typed tile defects and repair, brownout);
 //! * [`image`] — float RGBA framebuffer;
 //! * [`counters`] — simulated cache counters for a rendered frame.
 
@@ -22,7 +24,6 @@
 
 pub mod camera;
 pub mod counters;
-pub mod degraded;
 pub mod image;
 pub mod ray;
 pub mod render;
@@ -33,10 +34,9 @@ pub mod vec3;
 
 pub use camera::{orbit_viewpoints, Camera, Projection};
 pub use counters::{nan_samples, reset_nan_samples, simulate_render_counters};
-pub use degraded::{render_degraded, render_with_policy};
 pub use image::Image;
 pub use ray::{Aabb, Ray};
-pub use render::{render, render_tile, shade_ray, RenderOpts};
+pub use render::{render, render_with_policy, shade_ray, RenderOpts};
 pub use sampler::{sample_trilinear, CellSampler};
 pub use shading::{field_gradient, phong_intensity, render_lit, shade_ray_lit, Light};
 pub use transfer::{rgba, Rgba, TransferFunction};

@@ -5,9 +5,36 @@
 //! a dynamic queue; each pixel's ray is marched front-to-back through the
 //! volume with trilinear sampling, a transfer-function lookup per sample,
 //! and early ray termination.
+//!
+//! The renderer has one driver: `TileKernel`, the raycaster as an engine
+//! [`UnitKernel`] ([`sfc_harness::engine`]) — one work unit is one image
+//! tile, shaded into a local pixel buffer, committed to the framebuffer,
+//! and read back for validation. [`render_with_policy`] runs it under any
+//! [`ExecPolicy`]:
+//!
+//! * [`ExecPolicy::Plain`] — `opts.nthreads` threads scheduled by
+//!   `opts.schedule`, panics propagate; [`render`] is a thin wrapper over
+//!   this;
+//! * [`ExecPolicy::Supervised`] — panic isolation, watchdog deadlines with
+//!   cooperative cancellation, bounded retries, buffered per-tile commit
+//!   (an abandoned attempt never leaves a half-written tile);
+//! * [`ExecPolicy::Degraded`] — supervision plus the engine's validation
+//!   scan (non-finite pixel components, optional plausibility range) and
+//!   single-threaded faults-off repair pass;
+//! * [`ExecPolicy::Brownout`] — the degraded pipeline under a wall-clock
+//!   deadline, with a quality ladder: under pressure a tile is rendered
+//!   with a doubled ray step and a lower early-termination threshold per
+//!   rung ([`RenderOpts::brownout`]), every downgrade recorded in the
+//!   outcome's [`QualityMap`](sfc_harness::QualityMap).
+//!
+//! Raycasting is deterministic, so a run whose map ends
+//! [`is_whole`](sfc_harness::DefectMap::is_whole) is pixel-for-pixel
+//! identical to a fault-free render.
 
-use sfc_core::{image_tiles, TileRect, Volume3};
-use sfc_harness::{Executor, Schedule, WorkPlan};
+use sfc_core::{image_tiles, SfcError, SfcResult, TileRect, Volume3};
+use sfc_harness::{
+    DegradedOutcome, DisjointSlots, ExecPolicy, Executor, FaultPlan, Schedule, UnitKernel, WorkPlan,
+};
 
 use crate::camera::Camera;
 use crate::image::Image;
@@ -43,6 +70,31 @@ impl Default for RenderOpts {
 }
 
 impl RenderOpts {
+    /// Validate the options with typed errors: a finite ray step above 0
+    /// (a zero step would never leave the volume), a tile edge and a
+    /// thread count of at least 1.
+    pub fn validate(&self) -> SfcResult<()> {
+        if !(self.step > 0.0 && self.step.is_finite()) {
+            return Err(SfcError::InvalidParameter {
+                name: "step",
+                reason: format!("ray step must be positive and finite, got {}", self.step),
+            });
+        }
+        if self.tile == 0 {
+            return Err(SfcError::InvalidParameter {
+                name: "tile",
+                reason: "tile edge must be at least one pixel".to_string(),
+            });
+        }
+        if self.nthreads == 0 {
+            return Err(SfcError::InvalidParameter {
+                name: "nthreads",
+                reason: "need at least one thread".to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// Deepest brownout ladder rung the renderer exposes (see
     /// [`RenderOpts::brownout`]); at level 3 a tile marches 8× fewer
     /// samples per ray.
@@ -160,54 +212,182 @@ fn march_ray<V: Volume3>(
     color
 }
 
-/// Render every pixel of `tile`, delivering results through `put(x, y, c)`.
-/// This is the unit of work both the native parallel driver and the
-/// counter simulation share. The bounding box is computed once per tile
-/// and NaN counts are flushed once per tile.
-pub fn render_tile<V: Volume3>(
+/// The raycaster as an engine [`UnitKernel`]: one work unit is one image
+/// tile, shaded into a local pixel buffer (in [`TileRect::pixels`] order)
+/// and committed to the framebuffer.
+struct TileKernel<'a, V> {
+    vol: &'a V,
+    cam: &'a Camera,
+    tf: &'a TransferFunction,
+    bbox: Aabb,
+    tiles: &'a [TileRect],
+    width: usize,
+    out: DisjointSlots<'a, Rgba>,
+    /// Render options per quality-ladder level: `rungs[0]` is the
+    /// configured options, `rungs[L]` the coarsened ones of level `L`
+    /// (built only under the brownout policy).
+    rungs: Vec<RenderOpts>,
+}
+
+impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
+    type Value = Rgba;
+
+    fn unit_kind(&self) -> &'static str {
+        "tile"
+    }
+
+    fn max_level(&self) -> u8 {
+        (self.rungs.len() - 1) as u8
+    }
+
+    /// Shade one tile, polling `keep_going` once per pixel. NaN-sample
+    /// counts seen so far are flushed once per tile, even when aborted.
+    fn compute(
+        &self,
+        unit: usize,
+        level: u8,
+        buf: &mut Vec<Rgba>,
+        keep_going: &mut dyn FnMut() -> bool,
+    ) -> bool {
+        let opts = &self.rungs[usize::from(level)];
+        let tile = self.tiles[unit];
+        buf.clear();
+        buf.reserve(tile.area());
+        let mut nan_seen = 0u64;
+        let mut completed = true;
+        for (x, y) in tile.pixels() {
+            if !keep_going() {
+                completed = false;
+                break;
+            }
+            let ray = self.cam.ray_for_pixel(x, y);
+            let (c, n) = shade_ray_counted(self.vol, self.tf, opts, &ray, &self.bbox);
+            nan_seen += n;
+            buf.push(c);
+        }
+        crate::counters::record_nan_samples(nan_seen);
+        completed
+    }
+
+    fn commit(&self, unit: usize, buf: &[Rgba]) {
+        for ((x, y), &c) in self.tiles[unit].pixels().zip(buf) {
+            // SAFETY: tiles partition the image, so each (x, y) is written
+            // by exactly one unit; concurrent attempts at the *same* tile
+            // write identical bytes (deterministic raycaster).
+            unsafe { self.out.write(y * self.width + x, c) };
+        }
+    }
+
+    fn read_back(&self, unit: usize, buf: &mut Vec<Rgba>) {
+        for (x, y) in self.tiles[unit].pixels() {
+            // SAFETY: single-threaded phase, after every commit finished.
+            buf.push(unsafe { self.out.read(y * self.width + x) });
+        }
+    }
+
+    fn components(value: Rgba, sink: &mut dyn FnMut(f32)) {
+        sink(value.r);
+        sink(value.g);
+        sink(value.b);
+        sink(value.a);
+    }
+
+    fn poison(buf: &mut [Rgba]) {
+        for (t, p) in buf.iter_mut().enumerate() {
+            let v = if t % 2 == 0 { f32::NAN } else { 1e30 };
+            *p = Rgba {
+                r: v,
+                g: v,
+                b: v,
+                a: v,
+            };
+        }
+    }
+}
+
+/// Render a full image under an engine [`ExecPolicy`], returning the
+/// (possibly partial) framebuffer plus a typed outcome.
+///
+/// `Plain` runs on `opts.nthreads` threads scheduled by `opts.schedule`
+/// (panics propagate, `faults` ignored); the other policies take their
+/// thread count and schedule from their supervisor configuration. Errors
+/// are returned only for invalid configuration ([`RenderOpts::validate`],
+/// plus the policy's thread count) — execution failures land in the
+/// outcome.
+pub fn render_with_policy<V: Volume3 + Sync>(
     vol: &V,
     cam: &Camera,
     tf: &TransferFunction,
     opts: &RenderOpts,
-    tile: TileRect,
-    mut put: impl FnMut(usize, usize, Rgba),
-) {
-    let bbox = Aabb::of_dims(vol.dims());
-    let mut nan_seen = 0u64;
-    for (x, y) in tile.pixels() {
-        let ray = cam.ray_for_pixel(x, y);
-        let (c, n) = shade_ray_counted(vol, tf, opts, &ray, &bbox);
-        nan_seen += n;
-        put(x, y, c);
+    policy: &ExecPolicy,
+    faults: &FaultPlan,
+) -> SfcResult<(Image, DegradedOutcome)> {
+    opts.validate()?;
+    let (nthreads, schedule) = match policy {
+        ExecPolicy::Plain => (opts.nthreads, opts.schedule),
+        ExecPolicy::Supervised(cfg) => (cfg.nthreads, cfg.schedule),
+        ExecPolicy::Degraded(p) => (p.supervisor.nthreads, p.supervisor.schedule),
+        ExecPolicy::Brownout(p) => (p.supervisor.nthreads, p.supervisor.schedule),
+    };
+    if nthreads == 0 {
+        return Err(SfcError::InvalidParameter {
+            name: "nthreads",
+            reason: format!("the {} policy needs at least one thread", policy.label()),
+        });
     }
-    crate::counters::record_nan_samples(nan_seen);
+    let (w, h) = (cam.width(), cam.height());
+    let tiles = image_tiles(w, h, opts.tile, opts.tile);
+    let bbox = Aabb::of_dims(vol.dims());
+    // The ladder's coarser rungs exist only under the brownout policy. The
+    // coarsened step is clamped to the volume diagonal so even the deepest
+    // rung marches at least one sample through the box.
+    let depth = match policy {
+        ExecPolicy::Brownout(_) => RenderOpts::BROWNOUT_DEPTH,
+        _ => 0,
+    };
+    let max_step = bbox.diagonal();
+    let rungs = (0..=depth)
+        .map(|level| match level {
+            0 => *opts,
+            _ => {
+                let mut rung = opts.brownout(level);
+                rung.step = rung.step.min(max_step);
+                rung
+            }
+        })
+        .collect();
+    let mut img = Image::new(w, h);
+    let kernel = TileKernel {
+        vol,
+        cam,
+        tf,
+        bbox,
+        tiles: &tiles,
+        width: w,
+        out: DisjointSlots::new(img.pixels_mut()),
+        rungs,
+    };
+    let plan = WorkPlan::new(tiles.len(), schedule);
+    let outcome = Executor::new(nthreads).execute(&plan, policy, &kernel, faults);
+    Ok((img, outcome))
 }
 
-/// Wrapper making disjoint raw pixel writes shareable across threads.
-struct PixelSlots(*mut Rgba);
-unsafe impl Sync for PixelSlots {}
-
 /// Render a full image with the tile-parallel worker pool.
+///
+/// # Panics
+/// Panics on invalid options ([`RenderOpts::validate`]); use
+/// [`render_with_policy`] with [`ExecPolicy::Plain`] for untrusted
+/// options.
 pub fn render<V: Volume3 + Sync>(
     vol: &V,
     cam: &Camera,
     tf: &TransferFunction,
     opts: &RenderOpts,
 ) -> Image {
-    let (w, h) = (cam.width(), cam.height());
-    let tiles = image_tiles(w, h, opts.tile, opts.tile);
-    let mut img = Image::new(w, h);
-    let slots = PixelSlots(img.pixels_mut().as_mut_ptr());
-    let slots = &slots;
-    let plan = WorkPlan::from_schedule(tiles.len(), opts.schedule);
-    Executor::new(opts.nthreads).run(&plan, |_tid, t| {
-        render_tile(vol, cam, tf, opts, tiles[t], |x, y, c| {
-            // SAFETY: tiles partition the image, so each (x, y) is written
-            // exactly once; index < w*h by TileRect construction.
-            unsafe { *slots.0.add(y * w + x) = c };
-        });
-    });
-    img
+    match render_with_policy(vol, cam, tf, opts, &ExecPolicy::Plain, &FaultPlan::none()) {
+        Ok((img, _)) => img,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 #[cfg(test)]
@@ -216,6 +396,8 @@ mod tests {
     use crate::camera::{orbit_viewpoints, Projection};
     use crate::vec3::vec3;
     use sfc_core::{Dims3, FnVolume, Grid3, ArrayOrder3, ZOrder3};
+    use sfc_harness::{DeadlineBudget, FaultKind, SupervisorConfig};
+    use std::time::Duration;
 
     fn sphere_volume(n: usize) -> FnVolume<impl Fn(usize, usize, usize) -> f32> {
         let c = n as f32 / 2.0;
@@ -401,5 +583,206 @@ mod tests {
                 "viewpoint {v} must see the sphere"
             );
         }
+    }
+
+    fn cfg(nthreads: usize) -> SupervisorConfig {
+        SupervisorConfig {
+            nthreads,
+            max_retries: 1,
+            backoff_base: Duration::from_millis(1),
+            timeout: Some(Duration::from_millis(1000)),
+            watchdog_poll: Duration::from_millis(2),
+            ..Default::default()
+        }
+    }
+
+    fn opts(nthreads: usize) -> RenderOpts {
+        RenderOpts {
+            nthreads,
+            tile: 16,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn fault_free_degraded_render_matches_plain_render() {
+        let vol = sphere_volume(16);
+        let cam = camera(16, 48);
+        let tf = TransferFunction::fire();
+        let o = opts(4);
+        let reference = render(&vol, &cam, &tf, &o);
+        let policy = ExecPolicy::degraded(cfg(4), Some((0.0, 1.0)));
+        let (img, outcome) =
+            render_with_policy(&vol, &cam, &tf, &o, &policy, &FaultPlan::none()).unwrap();
+        assert!(outcome.defects.is_clean());
+        assert_eq!(img.pixels(), reference.pixels());
+    }
+
+    #[test]
+    fn injected_tile_faults_are_repaired_to_identical_pixels() {
+        let vol = sphere_volume(16);
+        let cam = camera(16, 48); // 48/16 = 3x3 = 9 tiles
+        let tf = TransferFunction::grayscale();
+        let o = opts(3);
+        let reference = render(&vol, &cam, &tf, &o);
+        let faults = FaultPlan::none()
+            .with(0, FaultKind::Panic)
+            .with(3, FaultKind::CorruptOutput)
+            .with(5, FaultKind::Stall(Duration::from_secs(10)))
+            .with(7, FaultKind::FailFirst(9));
+        let policy = ExecPolicy::degraded(cfg(3), Some((0.0, 1.0)));
+        let (img, outcome) = render_with_policy(&vol, &cam, &tf, &o, &policy, &faults).unwrap();
+        assert_eq!(outcome.defects.units(), vec![0, 3, 5, 7]);
+        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert_eq!(img.pixels(), reference.pixels());
+    }
+
+    #[test]
+    fn brownout_zero_budget_renders_at_the_deepest_rung() {
+        let vol = sphere_volume(16);
+        let cam = camera(16, 48); // 3x3 tiles
+        let tf = TransferFunction::fire();
+        let o = opts(2);
+        // A zero budget sheds every tile; the repair pass renders at the
+        // deepest ladder rung, so the image must be pixel-identical to a
+        // plain render with those coarsened options.
+        let coarse = o.brownout(RenderOpts::BROWNOUT_DEPTH);
+        let reference = render(&vol, &cam, &tf, &coarse);
+        let policy = ExecPolicy::brownout(
+            cfg(2),
+            DeadlineBudget::with_budget(Duration::ZERO),
+            Some((0.0, 1.0)),
+        );
+        let (img, outcome) =
+            render_with_policy(&vol, &cam, &tf, &o, &policy, &FaultPlan::none()).unwrap();
+        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert_eq!(outcome.quality.len(), 9);
+        assert_eq!(outcome.quality.max_level(), RenderOpts::BROWNOUT_DEPTH);
+        assert_eq!(img.pixels(), reference.pixels());
+    }
+
+    #[test]
+    fn brownout_without_pressure_is_pixel_identical_to_plain() {
+        let vol = sphere_volume(16);
+        let cam = camera(16, 48);
+        let tf = TransferFunction::grayscale();
+        let o = opts(2);
+        let reference = render(&vol, &cam, &tf, &o);
+        let policy = ExecPolicy::brownout(cfg(2), DeadlineBudget::none(), Some((0.0, 1.0)));
+        let (img, outcome) =
+            render_with_policy(&vol, &cam, &tf, &o, &policy, &FaultPlan::none()).unwrap();
+        assert!(outcome.defects.is_clean());
+        assert!(outcome.quality.is_full_quality(), "{}", outcome.quality);
+        assert_eq!(img.pixels(), reference.pixels());
+    }
+
+    #[test]
+    fn invalid_step_is_a_config_error() {
+        let vol = sphere_volume(8);
+        let cam = camera(8, 16);
+        let tf = TransferFunction::fire();
+        let degraded = ExecPolicy::degraded(cfg(1), None);
+        let err_of = |o: RenderOpts, policy: &ExecPolicy| {
+            render_with_policy(&vol, &cam, &tf, &o, policy, &FaultPlan::none()).unwrap_err()
+        };
+        for step in [0.0, -0.5, f32::NAN, f32::INFINITY] {
+            let bad = RenderOpts { step, ..opts(1) };
+            let err = err_of(bad, &degraded);
+            assert!(
+                matches!(err, SfcError::InvalidParameter { name: "step", .. }),
+                "{err:?}"
+            );
+        }
+        let err = err_of(RenderOpts { tile: 0, ..opts(1) }, &ExecPolicy::Plain);
+        assert!(
+            matches!(err, SfcError::InvalidParameter { name: "tile", .. }),
+            "{err:?}"
+        );
+        let err = err_of(opts(0), &ExecPolicy::Plain);
+        assert!(
+            matches!(
+                err,
+                SfcError::InvalidParameter {
+                    name: "nthreads",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        // The thread count the policy actually runs on is checked too.
+        for policy in [
+            ExecPolicy::Supervised(cfg(0)),
+            ExecPolicy::degraded(cfg(0), None),
+            ExecPolicy::brownout(cfg(0), DeadlineBudget::none(), None),
+        ] {
+            let err = err_of(opts(1), &policy);
+            assert!(
+                matches!(
+                    err,
+                    SfcError::InvalidParameter {
+                        name: "nthreads",
+                        ..
+                    }
+                ),
+                "{}: {err:?}",
+                policy.label()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ray step must be positive and finite")]
+    fn render_at_step_zero_panics_instead_of_hanging() {
+        let vol = sphere_volume(8);
+        let bad = RenderOpts {
+            step: 0.0,
+            ..opts(1)
+        };
+        render(&vol, &camera(8, 16), &TransferFunction::fire(), &bad);
+    }
+
+    #[test]
+    fn plain_policy_runs_the_tile_kernel_with_a_clean_outcome() {
+        // Oracle outside the engine: one serial `shade_ray` per pixel.
+        let vol = sphere_volume(16);
+        let cam = camera(16, 32);
+        let tf = TransferFunction::fire();
+        let o = opts(2);
+        let bbox = Aabb::of_dims(vol.dims());
+        let (img, outcome) =
+            render_with_policy(&vol, &cam, &tf, &o, &ExecPolicy::Plain, &FaultPlan::none())
+                .unwrap();
+        assert!(outcome.defects.is_clean());
+        assert_eq!(outcome.report.completed, 4); // 32/16 = 2x2 tiles
+        for y in 0..32 {
+            for x in 0..32 {
+                let want = shade_ray(&vol, &tf, &o, &cam.ray_for_pixel(x, y), &bbox);
+                assert_eq!(img.get(x, y), want, "pixel ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
+    fn supervised_policy_isolates_tile_panics_without_repair() {
+        let vol = sphere_volume(16);
+        let cam = camera(16, 48); // 3x3 tiles
+        let tf = TransferFunction::grayscale();
+        let o = opts(2);
+        let faults = FaultPlan::none().with(4, FaultKind::Panic);
+        let supervisor = SupervisorConfig {
+            max_retries: 0,
+            ..cfg(2)
+        };
+        let (_, outcome) = render_with_policy(
+            &vol,
+            &cam,
+            &tf,
+            &o,
+            &ExecPolicy::Supervised(supervisor),
+            &faults,
+        )
+        .unwrap();
+        assert_eq!(outcome.defects.units(), vec![4]);
+        assert!(!outcome.output_is_whole());
     }
 }

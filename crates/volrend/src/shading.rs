@@ -7,7 +7,8 @@
 //! *amplifies* the layout effects the paper measures — the shaded
 //! renderer is used by the `render_volume` example via `--shaded`.
 
-use sfc_core::Volume3;
+use sfc_core::{image_tiles, Volume3};
+use sfc_harness::{DisjointSlots, Executor, WorkPlan};
 
 use crate::ray::Aabb;
 use crate::render::RenderOpts;
@@ -109,8 +110,12 @@ pub fn shade_ray_lit<V: Volume3>(
     color
 }
 
-/// Render a full frame with gradient shading (tile-parallel, same driver
-/// contract as [`crate::render::render`]).
+/// Render a full frame with gradient shading (tile-parallel on
+/// `opts.nthreads` threads scheduled by `opts.schedule`, like
+/// [`crate::render::render`]).
+///
+/// # Panics
+/// Panics on invalid options ([`RenderOpts::validate`]).
 pub fn render_lit<V: Volume3 + Sync>(
     vol: &V,
     cam: &crate::camera::Camera,
@@ -118,23 +123,21 @@ pub fn render_lit<V: Volume3 + Sync>(
     opts: &RenderOpts,
     light: &Light,
 ) -> crate::image::Image {
-    use sfc_core::image_tiles;
-    use sfc_harness::run_items;
-
+    if let Err(e) = opts.validate() {
+        panic!("{e}");
+    }
     let (w, h) = (cam.width(), cam.height());
     let tiles = image_tiles(w, h, opts.tile, opts.tile);
     let bbox = Aabb::of_dims(vol.dims());
     let mut img = crate::image::Image::new(w, h);
-    struct PixelSlots(*mut Rgba);
-    unsafe impl Sync for PixelSlots {}
-    let slots = PixelSlots(img.pixels_mut().as_mut_ptr());
-    let slots = &slots;
-    run_items(opts.nthreads, tiles.len(), opts.schedule, |_tid, ti| {
+    let slots = DisjointSlots::new(img.pixels_mut());
+    let plan = WorkPlan::new(tiles.len(), opts.schedule);
+    Executor::new(opts.nthreads).run(&plan, |_tid, ti| {
         for (x, y) in tiles[ti].pixels() {
             let ray = cam.ray_for_pixel(x, y);
             let c = shade_ray_lit(vol, tf, opts, light, &ray, &bbox);
             // SAFETY: tiles partition the image; each pixel written once.
-            unsafe { *slots.0.add(y * w + x) = c };
+            unsafe { slots.write(y * w + x, c) };
         }
     });
     img
@@ -237,5 +240,21 @@ mod tests {
         let ia = render_lit(&a, &cam(12, 20), &tf, &opts, &Light::default());
         let iz = render_lit(&z, &cam(12, 20), &tf, &opts, &Light::default());
         assert_eq!(ia.pixels(), iz.pixels());
+    }
+
+    #[test]
+    #[should_panic(expected = "ray step must be positive and finite")]
+    fn lit_render_at_step_zero_panics_instead_of_hanging() {
+        let opts = RenderOpts {
+            step: 0.0,
+            ..Default::default()
+        };
+        render_lit(
+            &sphere(8),
+            &cam(8, 16),
+            &TransferFunction::fire(),
+            &opts,
+            &Light::default(),
+        );
     }
 }

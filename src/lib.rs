@@ -36,8 +36,8 @@ pub mod prelude {
     };
     pub use sfc_filters::{bilateral3d, try_bilateral3d, BilateralParams, FilterRun};
     pub use sfc_harness::{
-        run_items_supervised, scaled_relative_difference, DeadlineBudget, ExecPolicy, Executor,
-        QualityMap, RunReport, Schedule, SupervisorConfig, WorkPlan,
+        scaled_relative_difference, DeadlineBudget, ExecPolicy, Executor, QualityMap, RunReport,
+        Schedule, SupervisorConfig, WorkPlan,
     };
     pub use sfc_memsim::{CoreSim, Platform, TracedGrid};
     pub use sfc_volrend::{

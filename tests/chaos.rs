@@ -17,13 +17,11 @@ use std::time::Duration;
 use sfc_bench::Checkpoint;
 use sfc_repro::core::{pencil, pencil_count, ArrayOrder3, Dims3, Grid3, ZOrder3};
 use sfc_repro::datagen::{load_volume, mri_phantom, save_volume, PhantomParams};
-use sfc_repro::filters::{bilateral3d, try_bilateral3d_degraded, BilateralParams, FilterRun};
+use sfc_repro::filters::{bilateral3d, try_bilateral3d_with_policy, BilateralParams, FilterRun};
 use sfc_repro::harness::durable::tmp_sibling;
 use sfc_repro::harness::{DeadlineBudget, ExecPolicy, FaultPlan, FaultRates, SupervisorConfig};
 use sfc_repro::prelude::{Axis, StencilOrder};
-use sfc_repro::volrend::{
-    render, render_degraded, render_with_policy, Camera, RenderOpts, TransferFunction,
-};
+use sfc_repro::volrend::{render, render_with_policy, Camera, RenderOpts, TransferFunction};
 use sfc_repro::volrend::{vec3, Projection};
 
 fn chaos_seeds() -> Vec<u64> {
@@ -112,8 +110,8 @@ fn degraded_bilateral_ends_whole_or_typed_across_seeds() {
         let plan = FaultPlan::random_rates(seed, n_pencils, &rates());
 
         let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
-        let outcome =
-            try_bilateral3d_degraded(&grid, &mut out, &run, &cfg(), &plan, None).unwrap();
+        let policy = ExecPolicy::degraded(cfg(), None);
+        let outcome = try_bilateral3d_with_policy(&grid, &mut out, &run, &policy, &plan).unwrap();
 
         // Contract: the run terminated with a full accounting...
         assert_eq!(
@@ -172,8 +170,8 @@ fn degraded_render_ends_whole_or_typed_across_seeds() {
         let ntiles = 16;
         let plan = FaultPlan::random_rates(seed, ntiles, &rates());
 
-        let (img, outcome) =
-            render_degraded(&grid, &cam, &tf, &opts, &cfg(), &plan, Some((0.0, 1.0))).unwrap();
+        let policy = ExecPolicy::degraded(cfg(), Some((0.0, 1.0)));
+        let (img, outcome) = render_with_policy(&grid, &cam, &tf, &opts, &policy, &plan).unwrap();
 
         assert_eq!(
             outcome.report.completed + outcome.report.failed.len(),
@@ -359,15 +357,9 @@ fn nan_input_degrades_with_unrepaired_typed_defects_not_a_crash() {
     let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
     // The plausibility range flags the NaN-substituted output region even
     // though the kernel itself never emits NaN.
-    let outcome = try_bilateral3d_degraded(
-        &grid,
-        &mut out,
-        &run,
-        &cfg(),
-        &FaultPlan::none(),
-        Some((0.0, 1.0)),
-    )
-    .unwrap();
+    let policy = ExecPolicy::degraded(cfg(), Some((0.0, 1.0)));
+    let outcome =
+        try_bilateral3d_with_policy(&grid, &mut out, &run, &policy, &FaultPlan::none()).unwrap();
     // The filter substitutes NaN neighborhoods, so output may be finite;
     // whichever way the scan lands it must be internally consistent.
     if !outcome.output_is_whole() {

@@ -196,17 +196,17 @@ fn engine_bilateral_is_bitwise_pinned_across_layouts_threads_and_schedules() {
     let params = filters::BilateralParams::for_size(StencilSize::R1, StencilOrder::Xyz);
 
     let a: Grid3<f32, ArrayOrder3> = Grid3::from_row_major(dims, &noisy);
-    // The pinned oracle is the production kernel on the engine's serial
-    // fast path (one thread, array order); the independent per-voxel
-    // reference agrees to float tolerance (its summation order differs by
-    // design, so it cannot be the *bitwise* baseline).
-    let serial = filters::FilterRun {
-        params,
-        pencil_axis: Axis::X,
-        weight: Default::default(),
-        nthreads: 1,
-    };
-    let oracle = filters::bilateral3d::<_, ArrayOrder3>(&a, &serial).to_row_major();
+    // The pinned oracle sits outside the engine: the per-voxel kernel run
+    // serially over the array-order grid, which gives the pencil kernel's
+    // bits on every exact tier. The independent reference agrees to float
+    // tolerance (its summation order differs by design, so it cannot be
+    // the *bitwise* baseline).
+    let kernel = params.spatial_kernel();
+    let inv = params.inv_two_sigma_range_sq();
+    let oracle: Vec<f32> = dims
+        .iter()
+        .map(|(i, j, k)| filters::bilateral_voxel(&a, &kernel, inv, i, j, k))
+        .collect();
     let reference = filters::bilateral_reference(&noisy, dims, &params);
     for (g, r) in oracle.iter().zip(&reference) {
         assert!((g - r).abs() <= 1e-5, "oracle sanity: {g} vs reference {r}");

@@ -12,9 +12,7 @@ use sfc_repro::core::{ArrayOrder3, Dims3, Grid3, SfcError, StencilOrder, ZOrder3
 use sfc_repro::datagen::{load_volume, mri_phantom, save_volume, PhantomParams};
 use sfc_repro::filters::{bilateral3d, BilateralParams, FilterRun};
 use sfc_repro::harness::faults::{contaminate_nan, flip_bit, truncate_file};
-use sfc_repro::harness::{
-    run_items_supervised, FaultPlan, Schedule, SupervisorConfig,
-};
+use sfc_repro::harness::{Executor, FaultPlan, Schedule, SupervisorConfig, WorkPlan};
 use sfc_repro::prelude::Axis;
 
 fn tmp_file(tag: &str) -> PathBuf {
@@ -35,7 +33,8 @@ fn cfg(timeout_ms: Option<u64>) -> SupervisorConfig {
 
 #[test]
 fn injected_panic_surfaces_as_worker_panic_in_the_report() {
-    let report = run_items_supervised(&cfg(None), 16, |_tid, item| {
+    let plan = WorkPlan::dynamic(16);
+    let report = Executor::new(4).run_supervised(&plan, &cfg(None), |_tid, item, _token| {
         if item == 5 {
             panic!("injected fault: boom on item {item}");
         }
@@ -55,7 +54,8 @@ fn injected_panic_surfaces_as_worker_panic_in_the_report() {
 
 #[test]
 fn hung_item_times_out_without_deadlocking_the_run() {
-    let report = run_items_supervised(&cfg(Some(25)), 12, |_tid, item| {
+    let plan = WorkPlan::dynamic(12);
+    let report = Executor::new(4).run_supervised(&plan, &cfg(Some(25)), |_tid, item, _token| {
         if item == 7 {
             // Wedged (but finite, so the test process can join it).
             std::thread::sleep(Duration::from_millis(250));
@@ -172,7 +172,8 @@ fn randomized_fault_plans_preserve_exactly_once_completion() {
         let doomed = plan.doomed_items();
         let completions: Vec<AtomicU32> = (0..nitems).map(|_| AtomicU32::new(0)).collect();
 
-        let report = run_items_supervised(&cfg(None), nitems, |_tid, item| {
+        let work = WorkPlan::dynamic(nitems);
+        let report = Executor::new(4).run_supervised(&work, &cfg(None), |_tid, item, _token| {
             plan.fire(item)?;
             completions[item].fetch_add(1, Ordering::SeqCst);
             Ok(())
