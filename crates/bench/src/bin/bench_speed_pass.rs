@@ -5,7 +5,7 @@
 //! `expf` weights on the widest detected SIMD tier) and — for the Hilbert
 //! layout — the O(bits)-per-step [`RecomputeCursor`] (reconstructed here
 //! as a bench-local layout newtype, since the library's Hilbert layout now
-//! hands out the amortized-O(1) [`HilbertCursor3`]). "after" is the
+//! hands out the amortized-O(1) [`HilbertCursor3`](sfc_core::HilbertCursor3)). "after" is the
 //! configuration under test: `--weight` on the `--simd` tier plus the
 //! O(1) Hilbert stepping. Unlike `bench_baseline`, the after-side output
 //! is *tolerance*-equal, not bitwise-equal, so every after row is diffed

@@ -8,7 +8,7 @@
 //! taps differ by a single unit step.
 //!
 //! A [`Cursor3`] removes the redundancy: positioned once with
-//! [`Layout3::cursor`], it moves to an axis neighbor in O(1) arithmetic
+//! [`Layout3::cursor`](crate::Layout3::cursor), it moves to an axis neighbor in O(1) arithmetic
 //! with **no table accesses**:
 //!
 //! * array order — strided add/subtract (`±1`, `±nx`, `±nx·ny`);

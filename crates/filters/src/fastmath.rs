@@ -5,7 +5,7 @@
 //! most of its time on. This module owns that weight, behind an explicit
 //! [`WeightMode`] knob:
 //!
-//! * [`WeightMode::Exact`] — [`expf`], an in-repo port of glibc's `expf`
+//! * [`WeightMode::Exact`] — `expf`, an in-repo port of glibc's `expf`
 //!   that matches the host libm bit for bit (see below), so the exact mode
 //!   is **bitwise-pinned**: the reference the layout-invariance and
 //!   service tests assert against. It vectorizes like the other modes.
@@ -29,14 +29,14 @@
 //! vectorizes *across the voxels of a pencil*: lane `i` computes voxel
 //! `a + i` with the scalar loop's exact sequence of f32 operations in
 //! kernel tap order, so every tier gives the same bits in every mode.
-//! [`Lanes`] is the per-tier primitive set that makes that true: each
+//! `Lanes` is the per-tier primitive set that makes that true: each
 //! method performs, per lane, exactly the scalar operation it is named
-//! after, and the weight methods repeat [`expf`], [`exp_neg_lut`] and
+//! after, and the weight methods repeat `expf`, [`exp_neg_lut`] and
 //! [`exp_neg_poly`] op for op.
 //!
 //! ## The `expf` port
 //!
-//! [`expf`] is glibc's `expf` (ARM optimized-routines): a 32-entry table
+//! `expf` is glibc's `expf` (ARM optimized-routines): a 32-entry table
 //! of `2^(i/32)` and a degree-3 polynomial, evaluated in `f64`. glibc ≥
 //! 2.28 on an x86_64 host with FMA runs its FMA build, in which
 //! `r = InvLn2N·x − kd` rounds once. Rust never contracts `a*b + c`, so
@@ -54,7 +54,7 @@ use std::sync::OnceLock;
 /// How the photometric (range) weight `exp(-diff²/2σ_r²)` is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightMode {
-    /// [`expf`], bit for bit the host libm — the bitwise-pinned reference.
+    /// `expf`, bit for bit the host libm — the bitwise-pinned reference.
     Exact,
     /// Interpolated lookup table over the quantized exponent.
     Lut,

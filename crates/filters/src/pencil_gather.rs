@@ -42,7 +42,7 @@
 //! ## Brownout ladder
 //!
 //! The gather geometry depends only on `(kernel, dims, axis)`, so the
-//! brownout quality ladder ([`crate::degraded`]) precomputes one
+//! brownout quality ladder (`FilterRun::brownout_params`) precomputes one
 //! [`GatherPlan`] per reduced-radius rung up front and picks the rung's
 //! plan per attempt — a downgraded pencil gathers `(2(r−L)+1)²` rows
 //! instead of `(2r+1)²`, shrinking both the memory traffic and the tap

@@ -10,7 +10,7 @@
 //! * a [`DeadlineBudget`] — an optional wall-clock budget for the whole
 //!   run plus the knobs of the per-unit control loop (EWMA smoothing,
 //!   soft-deadline headroom, circuit-breaker threshold, AIMD floor);
-//! * a [`DeadlineController`] — the runtime state: an online EWMA of unit
+//! * a `DeadlineController` — the runtime state: an online EWMA of unit
 //!   latency (observed over successes *and* failed attempts, so a stall
 //!   storm raises it), an AIMD limit on effective concurrency (additive
 //!   +1 per on-time unit, halved when a unit overruns its soft deadline

@@ -11,7 +11,7 @@
 //! * an [`Executor`] — owns the **single** `std::thread::scope` worker
 //!   loop in the workspace. Every parallel kernel path (the bilateral and
 //!   raycast kernels under every policy, the per-voxel filter drivers, the
-//!   cache-simulator core sweep) funnels through [`scoped_workers`];
+//!   cache-simulator core sweep) funnels through `scoped_workers`;
 //! * a stack of [`ExecPolicy`] layers — [`ExecPolicy::Plain`] (run to
 //!   completion, panics propagate), [`ExecPolicy::Supervised`] (panic
 //!   isolation, watchdog timeouts with cooperative cancellation, bounded

@@ -1,7 +1,7 @@
 //! End-to-end request resilience over a replicated `sfc_serve` group:
 //! idempotent retries, hedged failover, and deadline propagation.
 //!
-//! The plain [`Client`](crate::Client) is one socket to one server; this
+//! The plain [`Client`] is one socket to one server; this
 //! layer wraps it into a [`ResilientClient`] over a [`ReplicaSet`] of N
 //! endpoints and closes the three failure windows a single connection
 //! leaves open:
@@ -61,7 +61,7 @@ const LATENCY_WINDOW: usize = 128;
 
 /// The remaining deadline budget after `elapsed`, or `None` once the
 /// request is exhausted. Saturating: a late clock read can never
-/// underflow into a huge bogus budget, and a sub-[`MIN_REMAINING`]
+/// underflow into a huge bogus budget, and a sub-`MIN_REMAINING`
 /// remainder is exhaustion (the wire rejects `deadline_ms=0`, and a
 /// 1 ms budget spent on serialization helps nobody).
 pub fn remaining_deadline(total: Duration, elapsed: Duration) -> Option<Duration> {

@@ -7,7 +7,7 @@
 //! intermediate viewpoints are increasingly misaligned. Orthographic
 //! projection is provided for completeness (all rays share one slope).
 
-use crate::ray::Ray;
+use crate::ray::{Aabb, Ray};
 use crate::vec3::{vec3, Vec3};
 
 /// Projection model.
@@ -83,6 +83,27 @@ impl Camera {
     /// Output image height in pixels.
     pub fn height(&self) -> usize {
         self.height
+    }
+
+    /// An upper bound on the ray parameter at which any of this camera's
+    /// rays leaves `bbox`. Rays have unit direction, so a perspective ray
+    /// travels at most the eye's distance to the farthest box corner; an
+    /// orthographic ray starts up to the image plane's half-diagonal from
+    /// the eye, which is added. A relative margin of 2^-16 covers the
+    /// rounding of the slab test and of the ray directions.
+    pub(crate) fn max_exit_param(&self, bbox: &Aabb) -> f32 {
+        let far = |lo: f32, hi: f32, e: f32| (e - lo).abs().max((hi - e).abs());
+        let corner = vec3(
+            far(bbox.min.x, bbox.max.x, self.eye.x),
+            far(bbox.min.y, bbox.max.y, self.eye.y),
+            far(bbox.min.z, bbox.max.z, self.eye.z),
+        );
+        let mut t = corner.length();
+        if let Projection::Orthographic { height } = self.projection {
+            let aspect = self.width as f32 / self.height as f32;
+            t += 0.5 * height.abs() * (aspect * aspect + 1.0).sqrt();
+        }
+        t * (1.0 + 1.0 / 65536.0)
     }
 
     /// The primary ray through pixel `(px, py)` (pixel centers; `py` grows

@@ -8,7 +8,7 @@
 //! core have their tile streams interleaved round-robin, as on the MIC's
 //! hardware threads.
 //!
-//! The simulation shades through [`crate::render::shade_ray_replay`], an
+//! The simulation shades through `render::shade_ray_replay`, an
 //! *uncached* sampler path: every sample issues its 8 corner `get`s
 //! through the default per-`get` [`sfc_core::Volume3::cell_corners`], so
 //! the traced address stream is exactly the per-sample stream the paper's
@@ -23,7 +23,7 @@ use sfc_memsim::{
 };
 
 use crate::camera::Camera;
-use crate::render::RenderOpts;
+use crate::render::{MarchOpts, RenderOpts};
 use crate::transfer::TransferFunction;
 
 /// Process-wide count of NaN voxel taps the trilinear sampler has
@@ -59,6 +59,7 @@ pub fn simulate_render_counters<L: Layout3>(
 ) -> SimReport {
     let tiles = image_tiles(cam.width(), cam.height(), opts.tile, opts.tile);
     let cores = assign_threads_to_cores(nthreads, platform.cores);
+    let march = MarchOpts::new(tf, opts);
 
     run_multicore(
         &platform.hierarchy,
@@ -80,13 +81,15 @@ pub fn simulate_render_counters<L: Layout3>(
             let work = interleave_round_robin(&streams);
             let traced = TracedGrid::at_zero(grid, sim);
             let bbox = crate::ray::Aabb::of_dims(grid.dims());
+            let mut nan_seen = 0u64;
             for (x, y) in work {
                 let ray = cam.ray_for_pixel(x, y);
                 // Replay path: per-sample access stream, no cell cache.
-                std::hint::black_box(crate::render::shade_ray_replay(
-                    &traced, tf, opts, &ray, &bbox,
-                ));
+                let (color, n) = crate::render::shade_ray_replay(&traced, tf, &march, &ray, &bbox);
+                std::hint::black_box(color);
+                nan_seen += n;
             }
+            record_nan_samples(nan_seen);
         },
     )
 }
@@ -194,10 +197,11 @@ mod tests {
             sfc_core::Volume3::get(&g, i, j, k)
         });
         let bbox = crate::ray::Aabb::of_dims(dims);
+        let march = MarchOpts::new(&tf, &opts());
         for y in 0..cam.height() {
             for x in 0..cam.width() {
                 let ray = cam.ray_for_pixel(x, y);
-                crate::render::shade_ray_replay(&counting, &tf, &opts(), &ray, &bbox);
+                crate::render::shade_ray_replay(&counting, &tf, &march, &ray, &bbox);
             }
         }
         assert_eq!(report.total().reads, gets.get());

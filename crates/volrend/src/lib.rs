@@ -8,15 +8,16 @@
 //! Figs. 4–6 measure: array order is fast only when rays align with the
 //! fastest-varying axis; Z-order is viewpoint-insensitive.
 //!
-//! * [`vec3`] / [`ray`] — minimal geometry (vectors, rays, slab-method
-//!   ray–box intersection);
+//! * [`vec3`](mod@vec3) / [`ray`] — minimal geometry (vectors, rays,
+//!   slab-method ray–box intersection);
 //! * [`camera`] — perspective/orthographic cameras and the 8-viewpoint
 //!   orbit generator;
 //! * [`transfer`] — piecewise-linear transfer functions;
 //! * [`sampler`] — trilinear reconstruction over any `Volume3`;
-//! * [`render`] — tile-parallel front-to-back compositing renderer: one
-//!   execution-engine kernel over image tiles under every policy (plain,
-//!   supervised, degraded with typed tile defects and repair, brownout);
+//! * [`render`](mod@render) — tile-parallel front-to-back compositing
+//!   renderer: one execution-engine kernel over image tiles under every
+//!   policy (plain, supervised, degraded with typed tile defects and
+//!   repair, brownout);
 //! * [`image`] — float RGBA framebuffer;
 //! * [`counters`] — simulated cache counters for a rendered frame.
 
@@ -26,6 +27,8 @@ pub mod camera;
 pub mod counters;
 pub mod image;
 pub mod ray;
+#[cfg(test)]
+mod reference;
 pub mod render;
 pub mod sampler;
 pub mod shading;

@@ -121,6 +121,11 @@ impl RenderOpts {
 /// March one ray and return the composited color. `bbox` is the volume's
 /// bounding box (`Aabb::of_dims(vol.dims())`), hoisted to the caller so
 /// per-tile/per-frame loops build it once instead of once per ray.
+///
+/// # Panics
+/// Panics if the ray hits the box and `opts.step` does not advance its
+/// ray parameter up to the box exit (a step of 0 or below, or one below
+/// the float spacing there): the march would never end.
 pub fn shade_ray<V: Volume3>(
     vol: &V,
     tf: &TransferFunction,
@@ -128,76 +133,108 @@ pub fn shade_ray<V: Volume3>(
     ray: &crate::ray::Ray,
     bbox: &Aabb,
 ) -> Rgba {
-    let (color, nan_seen) = shade_ray_counted(vol, tf, opts, ray, bbox);
+    if let Some((_, t1)) = bbox.intersect(ray) {
+        assert_step_advances(opts.step, t1);
+    }
+    let (color, nan_seen) = shade_ray_counted(vol, tf, &MarchOpts::new(tf, opts), ray, bbox);
     crate::counters::record_nan_samples(nan_seen);
     color
 }
 
-/// [`shade_ray`] without the counter flush: returns the composited color
-/// and the ray's NaN-substitution count, letting tile loops batch the
-/// shared-atomic update once per tile.
+/// [`shade_ray`] without the step check and the counter flush: returns
+/// the composited color and the ray's NaN-substitution count, letting
+/// tile loops batch the shared-atomic update once per tile.
 pub(crate) fn shade_ray_counted<V: Volume3>(
     vol: &V,
     tf: &TransferFunction,
-    opts: &RenderOpts,
+    march: &MarchOpts,
+    ray: &crate::ray::Ray,
+    bbox: &Aabb,
+) -> (Rgba, u64) {
+    // One cached-cell sampler per ray: at sub-voxel steps consecutive
+    // samples often stay in the same trilinear cell and skip all reads.
+    shade_through(CellSampler::new(vol), tf, march, ray, bbox)
+}
+
+/// [`shade_ray_counted`] through an *uncached* [`CellSampler`]: every
+/// sample re-fetches its cell's 8 corners, so on a volume using the
+/// default per-`get` [`Volume3::cell_corners`] (the counter simulation's
+/// `TracedGrid`) the access stream is the original 8 `get`s per sample —
+/// same taps, same order, clamped duplicates included. The composited
+/// color and the NaN count are bit-identical to [`shade_ray_counted`];
+/// only the read stream differs. Used by
+/// `counters::simulate_render_counters` so simulated address streams stay
+/// comparable across versions and with the paper's per-sample methodology.
+pub(crate) fn shade_ray_replay<V: Volume3>(
+    vol: &V,
+    tf: &TransferFunction,
+    march: &MarchOpts,
+    ray: &crate::ray::Ray,
+    bbox: &Aabb,
+) -> (Rgba, u64) {
+    shade_through(CellSampler::uncached(vol), tf, march, ray, bbox)
+}
+
+/// Intersect `ray` with `bbox` and march it through `sampler`: the color
+/// and the ray's NaN-substitution count.
+fn shade_through<V: Volume3>(
+    mut sampler: CellSampler<'_, V>,
+    tf: &TransferFunction,
+    march: &MarchOpts,
     ray: &crate::ray::Ray,
     bbox: &Aabb,
 ) -> (Rgba, u64) {
     let Some((t0, t1)) = bbox.intersect(ray) else {
         return (Rgba::default(), 0);
     };
-    // One cached-cell sampler per ray: at sub-voxel steps consecutive
-    // samples usually stay in the same trilinear cell and skip all reads.
-    let mut sampler = CellSampler::new(vol);
-    let color = march_ray(&mut sampler, tf, opts, ray, t0, t1);
+    let color = march_ray(&mut sampler, tf, march, ray, t0, t1);
     (color, sampler.take_nan_count())
 }
 
-/// [`shade_ray`] through an *uncached* [`CellSampler`]: every sample
-/// re-fetches its cell's 8 corners, so on a volume using the default
-/// per-`get` [`Volume3::cell_corners`] (the counter simulation's
-/// `TracedGrid`) the access stream is the original 8 `get`s per sample —
-/// same taps, same order, clamped duplicates included. The composited
-/// color is bit-identical to [`shade_ray`]; only the read stream differs.
-/// Used by `counters::simulate_render_counters` so simulated address
-/// streams stay comparable across PRs and with the paper's per-sample
-/// methodology.
-pub(crate) fn shade_ray_replay<V: Volume3>(
-    vol: &V,
-    tf: &TransferFunction,
-    opts: &RenderOpts,
-    ray: &crate::ray::Ray,
-    bbox: &Aabb,
-) -> Rgba {
-    let Some((t0, t1)) = bbox.intersect(ray) else {
-        return Rgba::default();
-    };
-    let mut sampler = CellSampler::uncached(vol);
-    let color = march_ray(&mut sampler, tf, opts, ray, t0, t1);
-    crate::counters::record_nan_samples(sampler.take_nan_count());
-    color
+/// The options one ray march runs with: the render options plus the
+/// transfer function's opacities corrected for their step, built once
+/// per frame and ladder rung so the per-sample loop looks the correction
+/// up instead of calling `powf`.
+pub(crate) struct MarchOpts {
+    pub(crate) opts: RenderOpts,
+    /// `tf.corrected_alphas(opts.step)`, indexed by `tf.index(v)`.
+    pub(crate) alphas: [f32; TransferFunction::RESOLUTION],
+}
+
+impl MarchOpts {
+    pub(crate) fn new(tf: &TransferFunction, opts: &RenderOpts) -> Self {
+        Self {
+            opts: *opts,
+            alphas: tf.corrected_alphas(opts.step),
+        }
+    }
 }
 
 /// Front-to-back integration loop shared by the native and
 /// simulation-replay shading paths: marches `ray` over `[t0, t1)`,
-/// reading the field through `sampler`.
+/// reading the field through `sampler`. Per sample: one trilinear sample,
+/// one table index, and a compositing update — no math-library call.
 fn march_ray<V: Volume3>(
     sampler: &mut CellSampler<'_, V>,
     tf: &TransferFunction,
-    opts: &RenderOpts,
+    march: &MarchOpts,
     ray: &crate::ray::Ray,
     t0: f32,
     t1: f32,
 ) -> Rgba {
+    let opts = &march.opts;
     let mut color = Rgba::default();
     let mut t = t0 + opts.step * 0.5;
     while t < t1 {
         let p = ray.at(t);
-        let v = sampler.sample(p);
-        let s = tf.sample(v);
+        let idx = tf.index(sampler.sample(p));
+        let s = tf.entry(idx);
+        // Test the entry's own opacity, not the corrected one: a tiny
+        // opacity can correct to 0, and such a sample still reaches the
+        // early-termination test.
         if s.a > 0.0 {
-            // Opacity correction for the step length (reference step = 1 voxel).
-            let a = 1.0 - (1.0 - s.a).powf(opts.step);
+            // Opacity corrected for the step length (reference step = 1 voxel).
+            let a = march.alphas[idx];
             let w = (1.0 - color.a) * a;
             color.r += w * s.r;
             color.g += w * s.g;
@@ -212,6 +249,33 @@ fn march_ray<V: Volume3>(
     color
 }
 
+/// Typed error unless `t += step` moves every ray parameter `t` in
+/// `[0, t_max]` forward; where `t + step == t` a ray would sample the same
+/// point forever. Float spacing is widest in `t_max`'s binade, and a tie
+/// there rounds to even, so the test adds `step` to `t_max` with its
+/// lowest significand bit cleared: it fails for a step of 0 or below, NaN,
+/// or one at most half the spacing at `t_max`.
+pub(crate) fn check_step_advances(step: f32, t_max: f32) -> SfcResult<()> {
+    let t = f32::from_bits(t_max.to_bits() & !1);
+    if t + step > t {
+        return Ok(());
+    }
+    Err(SfcError::InvalidParameter {
+        name: "step",
+        reason: format!(
+            "ray step {step} does not advance the ray parameter at {t_max}, \
+             where rays leave the volume; the march would never end"
+        ),
+    })
+}
+
+/// [`check_step_advances`] for one ray, panicking with its message.
+pub(crate) fn assert_step_advances(step: f32, t1: f32) {
+    if let Err(e) = check_step_advances(step, t1) {
+        panic!("{e}");
+    }
+}
+
 /// The raycaster as an engine [`UnitKernel`]: one work unit is one image
 /// tile, shaded into a local pixel buffer (in [`TileRect::pixels`] order)
 /// and committed to the framebuffer.
@@ -223,10 +287,10 @@ struct TileKernel<'a, V> {
     tiles: &'a [TileRect],
     width: usize,
     out: DisjointSlots<'a, Rgba>,
-    /// Render options per quality-ladder level: `rungs[0]` is the
+    /// March options per quality-ladder level: `rungs[0]` is the
     /// configured options, `rungs[L]` the coarsened ones of level `L`
     /// (built only under the brownout policy).
-    rungs: Vec<RenderOpts>,
+    rungs: Vec<MarchOpts>,
 }
 
 impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
@@ -249,7 +313,7 @@ impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
         buf: &mut Vec<Rgba>,
         keep_going: &mut dyn FnMut() -> bool,
     ) -> bool {
-        let opts = &self.rungs[usize::from(level)];
+        let march = &self.rungs[usize::from(level)];
         let tile = self.tiles[unit];
         buf.clear();
         buf.reserve(tile.area());
@@ -261,7 +325,7 @@ impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
                 break;
             }
             let ray = self.cam.ray_for_pixel(x, y);
-            let (c, n) = shade_ray_counted(self.vol, self.tf, opts, &ray, &self.bbox);
+            let (c, n) = shade_ray_counted(self.vol, self.tf, march, &ray, &self.bbox);
             nan_seen += n;
             buf.push(c);
         }
@@ -311,9 +375,10 @@ impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
 /// `Plain` runs on `opts.nthreads` threads scheduled by `opts.schedule`
 /// (panics propagate, `faults` ignored); the other policies take their
 /// thread count and schedule from their supervisor configuration. Errors
-/// are returned only for invalid configuration ([`RenderOpts::validate`],
-/// plus the policy's thread count) — execution failures land in the
-/// outcome.
+/// are returned only for invalid configuration ([`RenderOpts::validate`];
+/// a ray step, at any ladder rung, too small to advance the ray parameter
+/// up to where `cam`'s rays leave the volume; the policy's thread count) —
+/// execution failures land in the outcome.
 pub fn render_with_policy<V: Volume3 + Sync>(
     vol: &V,
     cam: &Camera,
@@ -346,16 +411,16 @@ pub fn render_with_policy<V: Volume3 + Sync>(
         _ => 0,
     };
     let max_step = bbox.diagonal();
-    let rungs = (0..=depth)
-        .map(|level| match level {
-            0 => *opts,
-            _ => {
-                let mut rung = opts.brownout(level);
-                rung.step = rung.step.min(max_step);
-                rung
-            }
-        })
-        .collect();
+    let t_max = cam.max_exit_param(&bbox);
+    let mut rungs = Vec::with_capacity(usize::from(depth) + 1);
+    for level in 0..=depth {
+        let mut rung = opts.brownout(level);
+        if level > 0 {
+            rung.step = rung.step.min(max_step);
+        }
+        check_step_advances(rung.step, t_max)?;
+        rungs.push(MarchOpts::new(tf, &rung));
+    }
     let mut img = Image::new(w, h);
     let kernel = TileKernel {
         vol,
@@ -441,13 +506,14 @@ mod tests {
         let cam = camera(16, 24);
         let tf = TransferFunction::fire();
         let opts = RenderOpts::default();
+        let march = MarchOpts::new(&tf, &opts);
         let bbox = Aabb::of_dims(vol.dims());
         let mut replay_gets = 0u64;
         let mut cached_gets = 0u64;
         for (x, y) in [(12usize, 12usize), (8, 14), (15, 6)] {
             let ray = cam.ray_for_pixel(x, y);
             gets.set(0);
-            let a = shade_ray_replay(&counting, &tf, &opts, &ray, &bbox);
+            let (a, _) = shade_ray_replay(&counting, &tf, &march, &ray, &bbox);
             replay_gets += gets.get();
             gets.set(0);
             let b = shade_ray(&counting, &tf, &opts, &ray, &bbox);
@@ -739,6 +805,181 @@ mod tests {
             ..opts(1)
         };
         render(&vol, &camera(8, 16), &TransferFunction::fire(), &bad);
+    }
+
+    /// `sfc_bench::paper_orbit(16, 8)[0]`: viewpoint 0 of the paper's
+    /// orbit around a 16³ volume, 8×8 pixels.
+    fn paper_view0() -> Camera {
+        let c = vec3(8.0, 8.0, 8.0);
+        let persp = Projection::Perspective {
+            fov_y: 40f32.to_radians(),
+        };
+        orbit_viewpoints(8, c, 16.0 * 2.2, persp, 8, 8).remove(0)
+    }
+
+    fn is_step_error(err: &SfcError) -> bool {
+        matches!(err, SfcError::InvalidParameter { name: "step", .. })
+    }
+
+    #[test]
+    fn step_too_small_to_advance_is_a_config_error() {
+        // At the far side of the box t is about 40, where f32 values are
+        // 3.8e-6 apart: `t + 1e-6 == t`, and the march used to hang.
+        let grid = Grid3::<f32, ZOrder3>::from_row_major(Dims3::cube(16), &[0.5; 4096]);
+        let tiny = RenderOpts {
+            step: 1e-6,
+            nthreads: 1,
+            ..Default::default()
+        };
+        assert!(tiny.validate().is_ok(), "the step is positive and finite");
+        let tf = TransferFunction::fire();
+        let cam = paper_view0();
+        let err = render_with_policy(
+            &grid,
+            &cam,
+            &tf,
+            &tiny,
+            &ExecPolicy::Plain,
+            &FaultPlan::none(),
+        )
+        .unwrap_err();
+        assert!(is_step_error(&err), "{err:?}");
+        assert!(err.to_string().contains("does not advance"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not advance the ray parameter")]
+    fn render_with_a_step_too_small_to_advance_panics_instead_of_hanging() {
+        let tiny = RenderOpts {
+            step: 1e-6,
+            nthreads: 1,
+            ..Default::default()
+        };
+        render(
+            &sphere_volume(16),
+            &paper_view0(),
+            &TransferFunction::fire(),
+            &tiny,
+        );
+    }
+
+    #[test]
+    fn distant_cameras_are_rejected_at_the_default_step() {
+        // At t ≈ 1e8, `t + 0.5 == t`: the default step stalls there.
+        let vol = sphere_volume(8);
+        let tf = TransferFunction::fire();
+        let far = vec3(1e8, 4.0, 4.0);
+        let target = vec3(4.0, 4.0, 4.0);
+        let up = vec3(0.0, 1.0, 0.0);
+        let persp = Projection::Perspective { fov_y: 1e-6 };
+        let ortho = Projection::Orthographic { height: 8.0 };
+        for projection in [persp, ortho] {
+            let cam = Camera::look_at(far, target, up, projection, 4, 4);
+            let err = render_with_policy(
+                &vol,
+                &cam,
+                &tf,
+                &opts(1),
+                &ExecPolicy::Plain,
+                &FaultPlan::none(),
+            )
+            .unwrap_err();
+            assert!(is_step_error(&err), "{projection:?}: {err:?}");
+        }
+        // At 1e6 the spacing is 1/16, and the default step renders.
+        let near = Camera::look_at(vec3(1e6, 4.0, 4.0), target, up, persp, 4, 4);
+        let (img, _) = render_with_policy(
+            &vol,
+            &near,
+            &tf,
+            &opts(1),
+            &ExecPolicy::Plain,
+            &FaultPlan::none(),
+        )
+        .expect("a step of 0.5 advances at 1e6");
+        assert!(img.mean_alpha() > 0.0, "the sphere fills the narrow view");
+    }
+
+    #[test]
+    fn every_brownout_rung_step_is_checked() {
+        // A 1³ box seen from 4e7 away: f32 values there are 4 apart, so a
+        // step must exceed 2. The base step 10 does; the coarser rungs,
+        // clamped to the box diagonal (1.73), do not.
+        let vol = FnVolume::new(Dims3::cube(1), |_, _, _| 1.0);
+        let cam = Camera::look_at(
+            vec3(4e7, 0.5, 0.5),
+            vec3(0.5, 0.5, 0.5),
+            vec3(0.0, 1.0, 0.0),
+            Projection::Perspective { fov_y: 1e-7 },
+            2,
+            2,
+        );
+        let tf = TransferFunction::fire();
+        let coarse = RenderOpts {
+            step: 10.0,
+            ..opts(1)
+        };
+        let none = FaultPlan::none();
+        assert!(render_with_policy(&vol, &cam, &tf, &coarse, &ExecPolicy::Plain, &none).is_ok());
+        let brownout = ExecPolicy::brownout(cfg(1), DeadlineBudget::none(), None);
+        let err = render_with_policy(&vol, &cam, &tf, &coarse, &brownout, &none).unwrap_err();
+        assert!(is_step_error(&err), "{err:?}");
+    }
+
+    #[test]
+    fn shade_ray_panics_at_a_step_of_zero_or_below() {
+        let vol = sphere_volume(8);
+        let tf = TransferFunction::fire();
+        let bbox = Aabb::of_dims(vol.dims());
+        let ray = camera(8, 16).ray_for_pixel(8, 8);
+        assert!(bbox.intersect(&ray).is_some(), "the ray must hit the box");
+        for step in [0.0, -0.5] {
+            let bad = RenderOpts { step, ..opts(1) };
+            let panicked = std::panic::catch_unwind(|| shade_ray(&vol, &tf, &bad, &ray, &bbox));
+            let msg = panicked.expect_err("a non-advancing step must panic");
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("invalid parameter `step`"), "{msg}");
+        }
+        // A ray that misses the box never marches, so nothing can hang.
+        let miss = crate::ray::Ray {
+            origin: vec3(-5.0, -5.0, -5.0),
+            dir: vec3(-1.0, 0.0, 0.0),
+        };
+        let bad = RenderOpts {
+            step: 0.0,
+            ..opts(1)
+        };
+        assert_eq!(shade_ray(&vol, &tf, &bad, &miss, &bbox), Rgba::default());
+    }
+
+    #[test]
+    fn step_check_covers_the_tie_at_the_widest_spacing() {
+        let advances = |step: f32, t_max: f32| check_step_advances(step, t_max).is_ok();
+        // In [32, 64) f32 values are 2^-18 apart. A step of half that
+        // ties at every t there and rounds to even, so from an even t it
+        // never advances — also when t_max itself is odd and
+        // `t_max + step` rounds up.
+        let half = 2f32.powi(-19);
+        let odd = f32::from_bits(33f32.to_bits() | 1);
+        assert!(odd + half > odd, "the odd bound alone would pass");
+        assert!(!advances(half, odd));
+        assert!(!advances(half, 33.0));
+        let above = f32::from_bits(half.to_bits() + 1);
+        assert!(advances(above, odd));
+        for t in [
+            32.0f32,
+            33.0,
+            odd,
+            40.5,
+            f32::from_bits(64f32.to_bits() - 1),
+        ] {
+            assert!(t + above > t, "{t}");
+        }
+        for step in [0.0, -0.0, -1.0, f32::NAN] {
+            assert!(!advances(step, 10.0), "{step}");
+        }
+        assert!(!advances(0.5, f32::INFINITY));
+        assert!(advances(0.5, 40.0));
     }
 
     #[test]

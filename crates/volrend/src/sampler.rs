@@ -10,16 +10,22 @@
 //!   implement as a 7-step incremental cursor walk (one full index
 //!   computation per cell instead of eight);
 //! * [`CellSampler`] additionally caches the most recent cell's corners,
-//!   so consecutive samples landing in the same cell — common at the
-//!   paper's 0.5-voxel ray step — skip the data access entirely.
+//!   so consecutive samples landing in the same cell skip the data access
+//!   entirely. On the 64³ orbit at the paper's 0.5-voxel ray step a frame
+//!   makes 0.58 cell fetches per sample, so 42% of samples reuse the
+//!   cached cell.
 //!
 //! The cell cache's hit rate is a function of the ray step: the brownout
-//! quality ladder ([`crate::degraded`]) doubles the step per rung, so a
+//! quality ladder (`RenderOpts::brownout`) doubles the step per rung, so a
 //! downgraded tile takes half the samples *and* almost every remaining
 //! sample lands in a fresh cell (cache hits approach zero past a 1-voxel
 //! step). Both effects are already priced into the per-unit latency the
 //! deadline controller's EWMA observes — no sampler changes are needed
 //! for coarse-step marching to be profitable.
+//!
+//! The per-sample arithmetic makes no math-library call: the cell index
+//! is the clamped coordinate truncated to an integer, which equals its
+//! floor there (DESIGN.md §5.3).
 
 use sfc_core::Volume3;
 
@@ -27,10 +33,11 @@ use crate::vec3::Vec3;
 
 /// Reusable trilinear sampler with a one-cell corner cache.
 ///
-/// The raycaster creates one per ray: at a 0.5-voxel step roughly half of
-/// consecutive samples fall in the cell just sampled, and those re-use the
-/// cached corners with zero volume reads. Results are bit-identical to
-/// [`sample_trilinear`] — the cache only skips re-reading unchanged data.
+/// The raycaster creates one per ray: at a 0.5-voxel step about two in
+/// five consecutive samples fall in the cell just sampled, and those
+/// re-use the cached corners with zero volume reads. Results are
+/// bit-identical to [`sample_trilinear`] — the cache only skips
+/// re-reading unchanged data.
 ///
 /// NaN substitutions are accumulated locally; call
 /// [`take_nan_count`](Self::take_nan_count) to drain the tally into a
@@ -40,7 +47,9 @@ use crate::vec3::Vec3;
 /// fresh fetch — exactly the tally the per-access path produced.
 pub struct CellSampler<'v, V: Volume3> {
     vol: &'v V,
-    dims: sfc_core::Dims3,
+    /// Upper clamp bound per axis, `(n - 1) as f32`, converted once here
+    /// rather than on every sample.
+    hi: [f32; 3],
     /// When false, every sample re-fetches its cell (see
     /// [`uncached`](Self::uncached)).
     cache: bool,
@@ -57,9 +66,10 @@ pub struct CellSampler<'v, V: Volume3> {
 impl<'v, V: Volume3> CellSampler<'v, V> {
     /// Create a sampler over `vol` with an empty cell cache.
     pub fn new(vol: &'v V) -> Self {
+        let d = vol.dims();
         Self {
             vol,
-            dims: vol.dims(),
+            hi: [(d.nx - 1) as f32, (d.ny - 1) as f32, (d.nz - 1) as f32],
             cache: true,
             cell: (usize::MAX, usize::MAX, usize::MAX),
             corners: [0.0; 8],
@@ -88,16 +98,14 @@ impl<'v, V: Volume3> CellSampler<'v, V> {
     /// center sits at `(i+0.5, j+0.5, k+0.5)`); positions outside the
     /// volume clamp to the boundary voxels.
     pub fn sample(&mut self, p: Vec3) -> f32 {
-        let d = self.dims;
         // Shift so voxel centers are at integers, clamp into the center
         // range (boundary rule: positions outside snap to the edge
         // voxels), then split into base + frac.
-        let x = (p.x - 0.5).clamp(0.0, (d.nx - 1) as f32);
-        let y = (p.y - 0.5).clamp(0.0, (d.ny - 1) as f32);
-        let z = (p.z - 0.5).clamp(0.0, (d.nz - 1) as f32);
-        let (x0f, y0f, z0f) = (x.floor(), y.floor(), z.floor());
-        let (tx, ty, tz) = (x - x0f, y - y0f, z - z0f);
-        let cell = (x0f as usize, y0f as usize, z0f as usize);
+        let x = (p.x - 0.5).clamp(0.0, self.hi[0]);
+        let y = (p.y - 0.5).clamp(0.0, self.hi[1]);
+        let z = (p.z - 0.5).clamp(0.0, self.hi[2]);
+        let ((x0, tx), (y0, ty), (z0, tz)) = (split(x), split(y), split(z));
+        let cell = (x0, y0, z0);
 
         if cell != self.cell {
             let raw = self.vol.cell_corners(cell.0, cell.1, cell.2);
@@ -125,6 +133,23 @@ impl<'v, V: Volume3> CellSampler<'v, V> {
     pub fn take_nan_count(&mut self) -> u64 {
         std::mem::take(&mut self.nan_seen)
     }
+}
+
+/// Split a clamped coordinate into its cell index and the weight within
+/// the cell: `(x.floor() as usize, x - x.floor())`, bit for bit, without
+/// the math-library `floor`.
+///
+/// The clamped coordinate is +0 (never -0: `p - 0.5` cannot round to -0,
+/// and the clamp returns its +0 bound below the range), in `(0, n - 1]`,
+/// or NaN. Truncation is `floor` there, and `x - trunc(x)` is exact: at or
+/// above 2^24 every f32 is an integer. NaN gives cell 0 and a NaN weight,
+/// as `floor` did. Truncating to `i64` costs the same as to `u32` on
+/// x86_64 and keeps this exact for any axis below 2^62 voxels. (The
+/// `#[ignore]` sweep checks every f32 in `[0, 2^24)`.)
+#[inline]
+fn split(x: f32) -> (usize, f32) {
+    let i = x as i64;
+    (i as usize, x - i as f32)
 }
 
 /// Eight-corner trilinear blend, `corners` in
@@ -170,7 +195,7 @@ fn blend8(corners: &[f32; 8], tx: f32, ty: f32, tz: f32) -> f32 {
 /// Portable scalar blend: the fallback on non-x86 targets and the bitwise
 /// oracle the SIMD path is tested against.
 #[cfg(any(test, not(target_arch = "x86_64")))]
-fn blend8_scalar(corners: &[f32; 8], tx: f32, ty: f32, tz: f32) -> f32 {
+pub(crate) fn blend8_scalar(corners: &[f32; 8], tx: f32, ty: f32, tz: f32) -> f32 {
     let [c000, c100, c010, c110, c001, c101, c011, c111] = *corners;
     let lerp = |a: f32, b: f32, t: f32| a + (b - a) * t;
     let c00 = lerp(c000, c100, tx);
@@ -367,6 +392,40 @@ mod tests {
             let fast = blend8(&corners, tx, ty, tz);
             let slow = blend8_scalar(&corners, tx, ty, tz);
             assert_eq!(fast.to_bits(), slow.to_bits(), "case {case}");
+        }
+    }
+
+    /// `split` against `floor`, bit for bit.
+    fn assert_split_is_floor(x: f32) {
+        let (i, t) = split(x);
+        assert_eq!(i, x.floor() as usize, "{x:e}");
+        assert_eq!(t.to_bits(), (x - x.floor()).to_bits(), "{x:e}");
+    }
+
+    #[test]
+    fn split_matches_floor_on_a_strided_sweep_and_specials() {
+        // The inputs a clamped coordinate can take: +0, NaN, and
+        // (0, n - 1] for any axis below 2^62 voxels.
+        for bits in (0..2f32.powi(62).to_bits()).step_by(4093) {
+            assert_split_is_floor(f32::from_bits(bits));
+        }
+        for x in [
+            f32::NAN,
+            0.5,
+            16_777_215.5,
+            16_777_216.0,
+            2f32.powi(32),
+            f32::from_bits(2f32.powi(62).to_bits() - 1),
+        ] {
+            assert_split_is_floor(x);
+        }
+    }
+
+    #[test]
+    #[ignore = "every f32 in [0, 2^24): run with `cargo test --release -p sfc-volrend -- --ignored`"]
+    fn split_matches_floor_for_every_f32_below_2_pow_24() {
+        for bits in 0..16_777_216f32.to_bits() {
+            assert_split_is_floor(f32::from_bits(bits));
         }
     }
 

@@ -10,9 +10,10 @@
 use sfc_core::{image_tiles, Volume3};
 use sfc_harness::{DisjointSlots, Executor, WorkPlan};
 
+use crate::counters::record_nan_samples;
 use crate::ray::Aabb;
-use crate::render::RenderOpts;
-use crate::sampler::sample_trilinear;
+use crate::render::{assert_step_advances, check_step_advances, MarchOpts, RenderOpts};
+use crate::sampler::CellSampler;
 use crate::transfer::{Rgba, TransferFunction};
 use crate::vec3::{vec3, Vec3};
 
@@ -46,12 +47,18 @@ impl Default for Light {
 /// Central-difference gradient of the field at a continuous position
 /// (step `h` in voxel units).
 pub fn field_gradient<V: Volume3>(vol: &V, p: Vec3, h: f32) -> Vec3 {
-    let dx = sample_trilinear(vol, vec3(p.x + h, p.y, p.z))
-        - sample_trilinear(vol, vec3(p.x - h, p.y, p.z));
-    let dy = sample_trilinear(vol, vec3(p.x, p.y + h, p.z))
-        - sample_trilinear(vol, vec3(p.x, p.y - h, p.z));
-    let dz = sample_trilinear(vol, vec3(p.x, p.y, p.z + h))
-        - sample_trilinear(vol, vec3(p.x, p.y, p.z - h));
+    let mut sampler = CellSampler::uncached(vol);
+    let g = gradient_at(&mut sampler, p, h);
+    record_nan_samples(sampler.take_nan_count());
+    g
+}
+
+/// [`field_gradient`] through a caller's sampler, whose NaN tally the six
+/// samples add to.
+fn gradient_at<V: Volume3>(sampler: &mut CellSampler<'_, V>, p: Vec3, h: f32) -> Vec3 {
+    let dx = sampler.sample(vec3(p.x + h, p.y, p.z)) - sampler.sample(vec3(p.x - h, p.y, p.z));
+    let dy = sampler.sample(vec3(p.x, p.y + h, p.z)) - sampler.sample(vec3(p.x, p.y - h, p.z));
+    let dz = sampler.sample(vec3(p.x, p.y, p.z + h)) - sampler.sample(vec3(p.x, p.y, p.z - h));
     vec3(dx, dy, dz) / (2.0 * h)
 }
 
@@ -74,6 +81,10 @@ pub fn phong_intensity(normal: Vec3, view: Vec3, light: &Light) -> f32 {
 /// March one ray with gradient shading (front-to-back, early termination —
 /// the shaded counterpart of [`crate::render::shade_ray`]). `bbox` is the
 /// volume's bounding box, hoisted to the caller (built once per frame).
+///
+/// # Panics
+/// Panics if the ray hits the box and `opts.step` does not advance its
+/// ray parameter up to the box exit, like [`crate::render::shade_ray`].
 pub fn shade_ray_lit<V: Volume3>(
     vol: &V,
     tf: &TransferFunction,
@@ -82,20 +93,43 @@ pub fn shade_ray_lit<V: Volume3>(
     ray: &crate::ray::Ray,
     bbox: &Aabb,
 ) -> Rgba {
+    if let Some((_, t1)) = bbox.intersect(ray) {
+        assert_step_advances(opts.step, t1);
+    }
+    let march = MarchOpts::new(tf, opts);
+    let (color, nan_seen) = shade_ray_lit_counted(vol, tf, &march, light, ray, bbox);
+    record_nan_samples(nan_seen);
+    color
+}
+
+/// [`shade_ray_lit`] without the step check and the counter flush:
+/// returns the composited color and the ray's NaN-substitution count.
+/// One uncached sampler serves the ray's seven samples per step, so each
+/// sample reads its cell afresh, as a one-shot sample would.
+pub(crate) fn shade_ray_lit_counted<V: Volume3>(
+    vol: &V,
+    tf: &TransferFunction,
+    march: &MarchOpts,
+    light: &Light,
+    ray: &crate::ray::Ray,
+    bbox: &Aabb,
+) -> (Rgba, u64) {
     let Some((t0, t1)) = bbox.intersect(ray) else {
-        return Rgba::default();
+        return (Rgba::default(), 0);
     };
+    let opts = &march.opts;
+    let mut sampler = CellSampler::uncached(vol);
     let mut color = Rgba::default();
     let mut t = t0 + opts.step * 0.5;
     while t < t1 {
         let p = ray.at(t);
-        let v = sample_trilinear(vol, p);
-        let s = tf.sample(v);
+        let idx = tf.index(sampler.sample(p));
+        let s = tf.entry(idx);
         if s.a > 0.0 {
             // Normal points against the gradient (out of dense regions).
-            let g = field_gradient(vol, p, 1.0);
+            let g = gradient_at(&mut sampler, p, 1.0);
             let intensity = phong_intensity(-g, -ray.dir, light);
-            let a = 1.0 - (1.0 - s.a).powf(opts.step);
+            let a = march.alphas[idx];
             let w = (1.0 - color.a) * a;
             color.r += w * s.r * intensity;
             color.g += w * s.g * intensity;
@@ -107,7 +141,7 @@ pub fn shade_ray_lit<V: Volume3>(
         }
         t += opts.step;
     }
-    color
+    (color, sampler.take_nan_count())
 }
 
 /// Render a full frame with gradient shading (tile-parallel on
@@ -115,7 +149,9 @@ pub fn shade_ray_lit<V: Volume3>(
 /// [`crate::render::render`]).
 ///
 /// # Panics
-/// Panics on invalid options ([`RenderOpts::validate`]).
+/// Panics on invalid options ([`RenderOpts::validate`]) and on a ray step
+/// too small to advance the ray parameter up to where `cam`'s rays leave
+/// the volume.
 pub fn render_lit<V: Volume3 + Sync>(
     vol: &V,
     cam: &crate::camera::Camera,
@@ -123,22 +159,29 @@ pub fn render_lit<V: Volume3 + Sync>(
     opts: &RenderOpts,
     light: &Light,
 ) -> crate::image::Image {
-    if let Err(e) = opts.validate() {
+    let bbox = Aabb::of_dims(vol.dims());
+    let valid = opts
+        .validate()
+        .and_then(|()| check_step_advances(opts.step, cam.max_exit_param(&bbox)));
+    if let Err(e) = valid {
         panic!("{e}");
     }
     let (w, h) = (cam.width(), cam.height());
     let tiles = image_tiles(w, h, opts.tile, opts.tile);
-    let bbox = Aabb::of_dims(vol.dims());
+    let march = MarchOpts::new(tf, opts);
     let mut img = crate::image::Image::new(w, h);
     let slots = DisjointSlots::new(img.pixels_mut());
     let plan = WorkPlan::new(tiles.len(), opts.schedule);
     Executor::new(opts.nthreads).run(&plan, |_tid, ti| {
+        let mut nan_seen = 0u64;
         for (x, y) in tiles[ti].pixels() {
             let ray = cam.ray_for_pixel(x, y);
-            let c = shade_ray_lit(vol, tf, opts, light, &ray, &bbox);
+            let (c, n) = shade_ray_lit_counted(vol, tf, &march, light, &ray, &bbox);
+            nan_seen += n;
             // SAFETY: tiles partition the image; each pixel written once.
             unsafe { slots.write(y * w + x, c) };
         }
+        record_nan_samples(nan_seen);
     });
     img
 }
@@ -240,6 +283,42 @@ mod tests {
         let ia = render_lit(&a, &cam(12, 20), &tf, &opts, &Light::default());
         let iz = render_lit(&z, &cam(12, 20), &tf, &opts, &Light::default());
         assert_eq!(ia.pixels(), iz.pixels());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not advance the ray parameter")]
+    fn lit_render_with_a_step_too_small_to_advance_panics_instead_of_hanging() {
+        let opts = RenderOpts {
+            step: 1e-6,
+            ..Default::default()
+        };
+        render_lit(
+            &sphere(16),
+            &cam(16, 8),
+            &TransferFunction::fire(),
+            &opts,
+            &Light::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid parameter `step`")]
+    fn shade_ray_lit_at_step_zero_panics_instead_of_hanging() {
+        let vol = sphere(8);
+        let opts = RenderOpts {
+            step: 0.0,
+            ..Default::default()
+        };
+        let ray = cam(8, 16).ray_for_pixel(8, 8);
+        let bbox = Aabb::of_dims(vol.dims());
+        shade_ray_lit(
+            &vol,
+            &TransferFunction::fire(),
+            &opts,
+            &Light::default(),
+            &ray,
+            &bbox,
+        );
     }
 
     #[test]

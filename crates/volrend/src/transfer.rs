@@ -86,11 +86,44 @@ impl TransferFunction {
         ])
     }
 
-    /// Sample at a scalar value (clamped to `[0, 1]`).
+    /// Sample at a scalar value (clamped to `[0, 1]`): the nearest table
+    /// entry.
     #[inline]
     pub fn sample(&self, v: f32) -> Rgba {
-        let idx = (v.clamp(0.0, 1.0) * (self.table.len() - 1) as f32).round() as usize;
-        self.table[idx]
+        self.entry(self.index(v))
+    }
+
+    /// Table index of the entry nearest to `v` (clamped to `[0, 1]`; NaN
+    /// maps to entry 0): `(v.clamp(0.0, 1.0) * 255.0).round()`, computed
+    /// without a math-library call. With `y` in `[0, 255]` and
+    /// `i = y as u32` (truncation, which is `floor` for `y >= 0`),
+    /// `y - i` is exact, so rounding half away from zero is `i` plus one
+    /// when `y - i >= 0.5`.
+    #[inline]
+    pub(crate) fn index(&self, v: f32) -> usize {
+        const LAST: f32 = (TransferFunction::RESOLUTION - 1) as f32;
+        let y = v.clamp(0.0, 1.0) * LAST;
+        let i = y as u32;
+        (i + u32::from(y - i as f32 >= 0.5)) as usize
+    }
+
+    /// The table entry at `index` (from [`index`](Self::index)).
+    ///
+    /// # Panics
+    /// Panics if `index >= RESOLUTION`.
+    #[inline]
+    pub(crate) fn entry(&self, index: usize) -> Rgba {
+        self.table[index]
+    }
+
+    /// Each entry's opacity corrected for a ray step of `step` voxels
+    /// (reference step 1 voxel): `1 - (1 - a)^step`, the expression the
+    /// compositing loop would otherwise evaluate per sample. A
+    /// nearest-entry table has one opacity per entry, so the marchers
+    /// build this once per frame and step and look samples up by
+    /// [`index`](Self::index).
+    pub(crate) fn corrected_alphas(&self, step: f32) -> [f32; Self::RESOLUTION] {
+        std::array::from_fn(|i| 1.0 - (1.0 - self.table[i].a).powf(step))
     }
 }
 
@@ -144,6 +177,77 @@ mod tests {
             (0.5, rgba(0.0, 0.0, 0.0, 0.0)),
             (0.5, rgba(1.0, 1.0, 1.0, 1.0)),
         ]);
+    }
+
+    /// The index the lookup used before it stopped calling `round`.
+    fn index_by_round(v: f32) -> usize {
+        (v.clamp(0.0, 1.0) * 255.0).round() as usize
+    }
+
+    #[test]
+    fn index_matches_round_at_ties_and_their_neighbours() {
+        let tf = TransferFunction::grayscale();
+        for k in 0..256u32 {
+            for y in [k as f32, k as f32 + 0.5] {
+                let v = y / 255.0;
+                // `v` and its neighbours one bit pattern away.
+                let near = |d: i32| f32::from_bits(v.to_bits().wrapping_add_signed(d));
+                for v in [v, near(-1), near(1)] {
+                    assert_eq!(tf.index(v), index_by_round(v), "v = {v:e}");
+                }
+            }
+        }
+        for v in [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.0,
+            2.0,
+        ] {
+            assert_eq!(tf.index(v), index_by_round(v), "v = {v:e}");
+        }
+    }
+
+    #[test]
+    fn index_matches_round_on_a_strided_sweep() {
+        let tf = TransferFunction::fire();
+        for bits in (0..=u32::MAX).step_by(65521) {
+            let v = f32::from_bits(bits);
+            assert_eq!(tf.index(v), index_by_round(v), "bits {bits:#010x}");
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 inputs: run with `cargo test --release -p sfc-volrend -- --ignored`"]
+    fn index_matches_round_for_every_f32() {
+        let tf = TransferFunction::fire();
+        let halves = [0..=u32::MAX / 2, u32::MAX / 2 + 1..=u32::MAX];
+        std::thread::scope(|s| {
+            for half in halves {
+                let tf = &tf;
+                s.spawn(move || {
+                    for bits in half {
+                        let v = f32::from_bits(bits);
+                        assert_eq!(tf.index(v), index_by_round(v), "bits {bits:#010x}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn corrected_alphas_repeat_the_per_sample_expression() {
+        let tf = TransferFunction::fire();
+        for step in [0.37, 0.5, 1.0, 4.0] {
+            let table = tf.corrected_alphas(step);
+            for (i, &a) in table.iter().enumerate() {
+                let want = 1.0 - (1.0 - tf.entry(i).a).powf(step);
+                assert_eq!(a.to_bits(), want.to_bits(), "step {step}, entry {i}");
+            }
+        }
     }
 
     #[test]
