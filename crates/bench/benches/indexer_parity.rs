@@ -1,8 +1,10 @@
 //! Microbench for the paper's §III-C claim: with both index computations
 //! table-driven, array-order (two lookups + two adds) and Z-order (three
 //! lookups + two ORs) cost "more or less the same", so measured kernel
-//! differences reflect memory layout, not index arithmetic. Hilbert is the
-//! counterexample (O(bits) per access).
+//! differences reflect memory layout, not index arithmetic. Hilbert cannot
+//! be split into per-axis tables; its table-driven index (one dilation
+//! table, then ⌈bits/2⌉ dependent two-plane lookups) still costs several
+//! times theirs, though far less than the transpose encoder it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;

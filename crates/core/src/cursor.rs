@@ -98,10 +98,11 @@ impl DebugDomain {
 /// An incremental position inside a 3D layout's storage mapping.
 ///
 /// `inc_*` moves one voxel forward along an axis, `dec_*` one voxel
-/// backward; both are O(1) for every layout except Hilbert. The cursor
-/// does not bounds-check in release builds — callers own the iteration
-/// domain (kernels step only within rows they have verified in-bounds);
-/// debug builds assert every step stays inside the logical domain.
+/// backward; both are O(1) for every layout, amortized for Hilbert. The
+/// cursor does not bounds-check in release builds — callers own the
+/// iteration domain (kernels step only within rows they have verified
+/// in-bounds); debug builds assert every step stays inside the logical
+/// domain.
 pub trait Cursor3: Clone {
     /// Storage slot of the current position.
     fn index(&self) -> usize;

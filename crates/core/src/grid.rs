@@ -19,10 +19,31 @@ pub struct Grid3<T, L: Layout3> {
 
 impl<T: Copy + Default, L: Layout3> Grid3<T, L> {
     /// Create a grid filled with `T::default()` (padding slots included).
+    ///
+    /// # Panics
+    /// Panics with [`SfcError::SizeOverflow`]'s message when the padded
+    /// storage cannot be addressed (see [`Grid3::try_from_row_major`]).
     pub fn new(dims: Dims3) -> Self {
-        let layout = L::new(dims);
+        match Self::try_new(dims) {
+            Ok(g) => g,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`Grid3::new`], failing with [`SfcError::SizeOverflow`] when the
+    /// layout's padded slot count ([`Layout3::try_new`]) or its size in
+    /// bytes cannot be addressed, before anything is allocated for it.
+    fn try_new(dims: Dims3) -> SfcResult<Self> {
+        let layout = L::try_new(dims)?;
+        layout
+            .storage_len()
+            .checked_mul(std::mem::size_of::<T>())
+            .filter(|&bytes| bytes <= isize::MAX as usize)
+            .ok_or(SfcError::SizeOverflow {
+                what: "Grid3 storage bytes storage_len() * size_of::<T>()",
+            })?;
         let data = vec![T::default(); layout.storage_len()].into_boxed_slice();
-        Self { layout, data }
+        Ok(Self { layout, data })
     }
 
     /// Create a grid by evaluating `f(i,j,k)` at every logical coordinate.
@@ -36,7 +57,9 @@ impl<T: Copy + Default, L: Layout3> Grid3<T, L> {
 
     /// Create a grid from a row-major element slice
     /// (`values[i + j*nx + k*nx*ny]`), validating the length — the entry
-    /// point for data read from untrusted files.
+    /// point for data read from untrusted files. Dims whose padded storage
+    /// cannot be addressed (a Hilbert axis above 2^20 voxels on 64-bit
+    /// targets) give [`SfcError::SizeOverflow`].
     pub fn try_from_row_major(dims: Dims3, values: &[T]) -> SfcResult<Self> {
         if values.len() != dims.len() {
             return Err(SfcError::ShapeMismatch {
@@ -45,7 +68,7 @@ impl<T: Copy + Default, L: Layout3> Grid3<T, L> {
                 actual: format!("{} elements", values.len()),
             });
         }
-        let mut g = Self::new(dims);
+        let mut g = Self::try_new(dims)?;
         let mut it = values.iter();
         for (i, j, k) in dims.iter() {
             g.set(i, j, k, *it.next().expect("length checked above"));
@@ -56,8 +79,8 @@ impl<T: Copy + Default, L: Layout3> Grid3<T, L> {
     /// Create a grid from a row-major element slice.
     ///
     /// # Panics
-    /// Panics if `values.len() != dims.len()`; use
-    /// [`Grid3::try_from_row_major`] for untrusted inputs.
+    /// Panics where [`Grid3::try_from_row_major`] returns an error, such as
+    /// `values.len() != dims.len()`; use it for untrusted inputs.
     pub fn from_row_major(dims: Dims3, values: &[T]) -> Self {
         match Self::try_from_row_major(dims, values) {
             Ok(g) => g,
@@ -420,6 +443,32 @@ mod tests {
         assert!(matches!(err, SfcError::ShapeMismatch { .. }), "{err}");
         assert!(Grid3::<f32, ArrayOrder3>::try_from_row_major(Dims3::cube(2), &[0.0; 8]).is_ok());
         assert!(Grid2::<f32, ArrayOrder2>::try_from_row_major(Dims2::new(2, 2), &[0.0; 3]).is_err());
+    }
+
+    #[test]
+    fn hilbert_storage_that_cannot_be_addressed_is_a_typed_error() {
+        use crate::error::SfcError;
+        // (2^22, 1, 1): 2^66 padded slots; (2^20 + 1, 1, 1): 2^63 slots,
+        // 2^65 bytes of f32.
+        for nx in [1usize << 22, (1 << 20) + 1] {
+            let dims = Dims3::new(nx, 1, 1);
+            let values = vec![0.0f32; nx];
+            let err = Grid3::<f32, HilbertOrder3>::try_from_row_major(dims, &values).unwrap_err();
+            assert!(matches!(err, SfcError::SizeOverflow { .. }), "{nx}: {err}");
+        }
+        // 2^60 slots pass the layout's check; 2^63 bytes of f64 do not.
+        let nx = 1usize << 20;
+        let values = vec![0.0f64; nx];
+        let err = Grid3::<f64, HilbertOrder3>::try_from_row_major(Dims3::new(nx, 1, 1), &values)
+            .unwrap_err();
+        assert!(matches!(err, SfcError::SizeOverflow { .. }), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "size computation overflowed usize")]
+    fn from_row_major_panics_with_the_overflow_message() {
+        let nx = (1usize << 20) + 1;
+        Grid3::<f32, HilbertOrder3>::from_row_major(Dims3::new(nx, 1, 1), &vec![0.0; nx]);
     }
 
     #[test]
