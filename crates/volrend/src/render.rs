@@ -276,6 +276,18 @@ pub(crate) fn assert_step_advances(step: f32, t1: f32) {
     }
 }
 
+/// The frame-wide check of the panicking frame entry points: `opts` must
+/// validate and its step must advance every ray of `cam` up to where it
+/// leaves `bbox`. Panics with the typed error's message.
+pub(crate) fn assert_frame_opts(opts: &RenderOpts, cam: &Camera, bbox: &Aabb) {
+    let valid = opts
+        .validate()
+        .and_then(|()| check_step_advances(opts.step, cam.max_exit_param(bbox)));
+    if let Err(e) = valid {
+        panic!("{e}");
+    }
+}
+
 /// The raycaster as an engine [`UnitKernel`]: one work unit is one image
 /// tile, shaded into a local pixel buffer (in [`TileRect::pixels`] order)
 /// and committed to the framebuffer.

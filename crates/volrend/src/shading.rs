@@ -12,7 +12,7 @@ use sfc_harness::{DisjointSlots, Executor, WorkPlan};
 
 use crate::counters::record_nan_samples;
 use crate::ray::Aabb;
-use crate::render::{assert_step_advances, check_step_advances, MarchOpts, RenderOpts};
+use crate::render::{assert_frame_opts, assert_step_advances, MarchOpts, RenderOpts};
 use crate::sampler::CellSampler;
 use crate::transfer::{Rgba, TransferFunction};
 use crate::vec3::{vec3, Vec3};
@@ -160,12 +160,7 @@ pub fn render_lit<V: Volume3 + Sync>(
     light: &Light,
 ) -> crate::image::Image {
     let bbox = Aabb::of_dims(vol.dims());
-    let valid = opts
-        .validate()
-        .and_then(|()| check_step_advances(opts.step, cam.max_exit_param(&bbox)));
-    if let Err(e) = valid {
-        panic!("{e}");
-    }
+    assert_frame_opts(opts, cam, &bbox);
     let (w, h) = (cam.width(), cam.height());
     let tiles = image_tiles(w, h, opts.tile, opts.tile);
     let march = MarchOpts::new(tf, opts);
