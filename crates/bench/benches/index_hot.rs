@@ -1,90 +1,25 @@
-//! Ablation microbench for the incremental-cursor and gather fast paths.
+//! Ablation microbench for the gather and cached-cell fast paths.
 //!
-//! Three columns, each isolating one hot-loop optimization against the
-//! table-lookup baseline it replaced:
+//! Two columns, each isolating one hot-loop optimization against the
+//! per-access baseline it replaced:
 //!
-//! * `cursor_vs_index` — axis sweeps via `Layout3::index` per voxel vs one
-//!   cursor positioned once and stepped with O(1) increments;
-//! * `trilinear` — per-sample `sample_trilinear` (8 `index()` calls per
-//!   sample, no reuse) vs the per-ray [`CellSampler`] (7-step gray-code
-//!   corner walk + cached cell);
+//! * `trilinear` — per-sample `sample_trilinear` (a fresh cell fetch,
+//!   the 8 `index()` calls of `Layout3::cell_slots`, on every sample) vs
+//!   the per-ray [`CellSampler`] (the cell cached across samples and
+//!   fetched through `cell_slots` only on a cell change);
 //! * `bilateral_interior` — the per-voxel bilateral kernel vs the
 //!   single-thread pencil-gather driver, r1/r3/r5.
 //!
-//! The cursor paths compute bitwise-identical results; only the index
-//! arithmetic and read scheduling change, so any delta here is pure
+//! Both sides of each column compute bitwise-identical results; only the
+//! number of reads and their scheduling change, so any delta here is pure
 //! addressing cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sfc_core::{
-    ArrayOrder3, Axis, Cursor3, Dims3, Grid3, HilbertOrder3, Layout3, StencilOrder, StencilSize,
-    Tiled3, ZOrder3,
-};
+use sfc_core::{ArrayOrder3, Axis, Dims3, Grid3, StencilOrder, StencilSize, ZOrder3};
 use sfc_filters::{bilateral3d, bilateral_voxel, BilateralParams, FilterRun};
 use sfc_volrend::{sample_trilinear, vec3, CellSampler};
-
-/// Sum a full x/y/z sweep using a fresh `index()` per voxel.
-fn sweep_index<L: Layout3>(g: &Grid3<f32, L>) -> f32 {
-    let d = g.dims();
-    let (l, s) = (g.layout(), g.storage());
-    let mut acc = 0.0f32;
-    for k in 0..d.nz {
-        for j in 0..d.ny {
-            for i in 0..d.nx {
-                acc += s[l.index(i, j, k)];
-            }
-        }
-    }
-    acc
-}
-
-/// Same sweep, but each x-run walks one cursor with `inc_x` steps.
-fn sweep_cursor<L: Layout3>(g: &Grid3<f32, L>) -> f32 {
-    let d = g.dims();
-    let (l, s) = (g.layout(), g.storage());
-    let mut acc = 0.0f32;
-    for k in 0..d.nz {
-        for j in 0..d.ny {
-            let mut c = l.cursor(0, j, k);
-            for i in 0..d.nx {
-                acc += s[c.index()];
-                if i + 1 < d.nx {
-                    c.inc_x();
-                }
-            }
-        }
-    }
-    acc
-}
-
-fn bench_cursor_vs_index(c: &mut Criterion) {
-    let dims = Dims3::cube(64);
-    let values: Vec<f32> = (0..dims.len()).map(|v| (v % 251) as f32).collect();
-    let a = Grid3::<f32, ArrayOrder3>::from_row_major(dims, &values);
-    let z: Grid3<f32, ZOrder3> = a.convert();
-    let t: Grid3<f32, Tiled3> = a.convert();
-    let h: Grid3<f32, HilbertOrder3> = a.convert();
-
-    let mut g = c.benchmark_group("cursor_vs_index");
-    g.throughput(Throughput::Elements(dims.len() as u64));
-    macro_rules! pair {
-        ($name:expr, $grid:expr) => {
-            g.bench_function(BenchmarkId::new($name, "index"), |b| {
-                b.iter(|| black_box(sweep_index(black_box(&$grid))))
-            });
-            g.bench_function(BenchmarkId::new($name, "cursor"), |b| {
-                b.iter(|| black_box(sweep_cursor(black_box(&$grid))))
-            });
-        };
-    }
-    pair!("a-order", a);
-    pair!("z-order", z);
-    pair!("tiled", t);
-    pair!("hilbert", h);
-    g.finish();
-}
 
 fn bench_trilinear(c: &mut Criterion) {
     let dims = Dims3::cube(64);
@@ -110,7 +45,7 @@ fn bench_trilinear(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    g.bench_function("cached_cell_cursor", |b| {
+    g.bench_function("cached_cell_slots", |b| {
         b.iter(|| {
             let mut sampler = CellSampler::new(&z);
             let mut acc = 0.0f32;
@@ -166,10 +101,5 @@ fn bench_bilateral_interior(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_cursor_vs_index,
-    bench_trilinear,
-    bench_bilateral_interior
-);
+criterion_group!(benches, bench_trilinear, bench_bilateral_interior);
 criterion_main!(benches);

@@ -2,18 +2,14 @@
 //! (committed at the repo root as `BENCH_speed_pass.json`).
 //!
 //! "before" is the exact configuration ([`TapConfig::exact`]: bit-exact
-//! `expf` weights on the widest detected SIMD tier) and — for the Hilbert
-//! layout — the O(bits)-per-step [`RecomputeCursor`] (reconstructed here
-//! as a bench-local layout newtype, since the library's Hilbert layout now
-//! hands out the amortized-O(1) [`HilbertCursor3`](sfc_core::HilbertCursor3)). "after" is the
-//! configuration under test: `--weight` on the `--simd` tier plus the
-//! O(1) Hilbert stepping. Since `HilbertOrder3::index` runs on tables
-//! (DESIGN.md §5.4), the Hilbert "before" column indexes by table lookups
-//! too: the recompute cursor calls that `index()`, and its trilinear cell
-//! fetch is the default eight-`index()` `Layout3::cell_slots`, not the
-//! transpose encoder the pass started from. Unlike `bench_baseline`, the
-//! after-side output is *tolerance*-equal, not bitwise-equal, so every
-//! after row is diffed
+//! `expf` weights on the widest detected SIMD tier); "after" is the
+//! configuration under test: `--weight` on the `--simd` tier. Each layout,
+//! Hilbert included, runs one volume on both sides and reads it through
+//! its table-driven `index()`, so only the weights differ, and the
+//! trilinear rows, which have none, act as a noise floor. The committed
+//! JSON predates that: its Hilbert "before" rows also paid an
+//! O(bits)-per-step cursor. Unlike `bench_baseline`, the after-side output
+//! is *tolerance*-equal, not bitwise-equal, so every after row is diffed
 //! against the exact oracle and the binary fails if the max abs error
 //! leaves the documented budget — which is 0 for `--weight exact`, so
 //! `--weight exact --simd scalar` checks that the scalar tier gives the
@@ -27,8 +23,8 @@ use std::io::Write;
 use std::time::Instant;
 
 use sfc_core::{
-    ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, Layout3, LayoutKind, RecomputeCursor,
-    StencilOrder, StencilSize, Tiled3, Volume3, ZOrder3,
+    ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, StencilOrder, StencilSize, Tiled3, Volume3,
+    ZOrder3,
 };
 use sfc_filters::{
     bilateral3d, detect_tier, BilateralParams, FilterRun, SimdTier, TapConfig, WeightMode,
@@ -39,37 +35,6 @@ use sfc_volrend::{vec3, CellSampler};
 /// Output error budget vs the exact oracle (unit-range data); matches the
 /// bound asserted by `crates/filters/tests/fastmath_oracle.rs`.
 const TOL: f32 = 1e-4;
-
-/// The Hilbert layout exactly as it behaved before this pass: same index
-/// bijection, but sequential access steps via [`RecomputeCursor`] — one
-/// full O(bits) `index()` per neighbor — instead of the automaton cursor.
-#[derive(Debug, Clone)]
-struct RecomputeHilbert(HilbertOrder3);
-
-impl Layout3 for RecomputeHilbert {
-    const KIND: LayoutKind = LayoutKind::Hilbert;
-    type Cursor = RecomputeCursor<Self>;
-
-    fn new(dims: Dims3) -> Self {
-        Self(HilbertOrder3::new(dims))
-    }
-    fn dims(&self) -> Dims3 {
-        self.0.dims()
-    }
-    fn storage_len(&self) -> usize {
-        self.0.storage_len()
-    }
-    #[inline]
-    fn index(&self, i: usize, j: usize, k: usize) -> usize {
-        self.0.index(i, j, k)
-    }
-    fn coords(&self, index: usize) -> (usize, usize, usize) {
-        self.0.coords(index)
-    }
-    fn cursor(&self, i: usize, j: usize, k: usize) -> RecomputeCursor<Self> {
-        RecomputeCursor::new(self, i, j, k)
-    }
-}
 
 /// Best-of-`reps` wall-clock for `f`, in seconds.
 fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -98,31 +63,25 @@ fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         .fold(0.0f32, f32::max)
 }
 
-/// (before, after, max_abs_err): exact weights on `before_vol` vs the fast
-/// config on `after_vol` (same values, possibly different cursor), plus
-/// the after-output's max abs deviation from the exact oracle.
-fn bilateral_pair<VB, VA>(
-    before_vol: &VB,
-    after_vol: &VA,
+/// (before, after, max_abs_err): exact weights vs the fast config on
+/// `vol`, plus the after-output's max abs deviation from the exact oracle.
+fn bilateral_pair<V: Volume3 + Sync>(
+    vol: &V,
     size: StencilSize,
     fast: TapConfig,
     reps: usize,
-) -> (f64, f64, f32)
-where
-    VB: Volume3 + Sync,
-    VA: Volume3 + Sync,
-{
-    let voxels = before_vol.dims().len() as f64;
+) -> (f64, f64, f32) {
+    let voxels = vol.dims().len() as f64;
     let exact_run = run_for(size, TapConfig::exact());
     let fast_run = run_for(size, fast);
     let before = best_of(reps, || {
-        std::hint::black_box(bilateral3d::<_, ZOrder3>(before_vol, &exact_run));
+        std::hint::black_box(bilateral3d::<_, ZOrder3>(vol, &exact_run));
     });
     let after = best_of(reps, || {
-        std::hint::black_box(bilateral3d::<_, ZOrder3>(after_vol, &fast_run));
+        std::hint::black_box(bilateral3d::<_, ZOrder3>(vol, &fast_run));
     });
-    let want: Grid3<f32, ZOrder3> = bilateral3d(after_vol, &exact_run);
-    let got: Grid3<f32, ZOrder3> = bilateral3d(after_vol, &fast_run);
+    let want: Grid3<f32, ZOrder3> = bilateral3d(vol, &exact_run);
+    let got: Grid3<f32, ZOrder3> = bilateral3d(vol, &fast_run);
     let err = max_abs_diff(&want.to_row_major(), &got.to_row_major());
     (voxels / before, voxels / after, err)
 }
@@ -188,7 +147,6 @@ fn main() {
     let z: Grid3<f32, ZOrder3> = a.convert();
     let t: Grid3<f32, Tiled3> = a.convert();
     let h: Grid3<f32, HilbertOrder3> = a.convert();
-    let h_old: Grid3<f32, RecomputeHilbert> = a.convert();
 
     let mut worst_err = 0.0f32;
     let mut rows: Vec<Row> = Vec::new();
@@ -209,27 +167,33 @@ fn main() {
                 aft / b
             );
         };
-        push("a-order", bilateral_pair(&a, &a, size, fast, reps));
-        push("z-order", bilateral_pair(&z, &z, size, fast, reps));
-        push("tiled", bilateral_pair(&t, &t, size, fast, reps));
-        // Hilbert's before-side additionally pays the old recompute cursor.
-        push("hilbert", bilateral_pair(&h_old, &h, size, fast, reps));
+        push("a-order", bilateral_pair(&a, size, fast, reps));
+        push("z-order", bilateral_pair(&z, size, fast, reps));
+        push("tiled", bilateral_pair(&t, size, fast, reps));
+        push("hilbert", bilateral_pair(&h, size, fast, reps));
     }
     worst_err = rows
         .iter()
         .map(|r| r.max_abs_err)
         .fold(worst_err, f32::max);
 
-    // Trilinear: both Hilbert sides fetch a cell through eight table-driven
-    // `index()` calls, so that row, like the table layouts' rows, runs the
-    // same code on both sides and acts as a noise floor.
+    // Trilinear: no weights, so each row runs the same code on both sides
+    // and acts as a noise floor.
     for (layout, before, after) in [
-        ("a-order", trilinear_rate(&a, reps), trilinear_rate(&a, reps)),
-        ("z-order", trilinear_rate(&z, reps), trilinear_rate(&z, reps)),
+        (
+            "a-order",
+            trilinear_rate(&a, reps),
+            trilinear_rate(&a, reps),
+        ),
+        (
+            "z-order",
+            trilinear_rate(&z, reps),
+            trilinear_rate(&z, reps),
+        ),
         ("tiled", trilinear_rate(&t, reps), trilinear_rate(&t, reps)),
         (
             "hilbert",
-            trilinear_rate(&h_old, reps),
+            trilinear_rate(&h, reps),
             trilinear_rate(&h, reps),
         ),
     ] {
@@ -257,7 +221,7 @@ fn main() {
     s.push_str("{\n");
     s.push_str(&format!("  \"size\": {n},\n  \"reps\": {reps},\n"));
     s.push_str(&format!(
-        "  \"note\": \"before = exact weights on {} tier + recompute Hilbert cursor; after = {} weights on {} tier + O(1) Hilbert stepping; after diffed vs exact oracle (budget {:.0e})\",\n",
+        "  \"note\": \"before = exact weights on {} tier; after = {} weights on {} tier; after diffed vs exact oracle (budget {:.0e})\",\n",
         detect_tier().name(),
         mode.name(),
         tier.name(),

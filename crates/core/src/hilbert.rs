@@ -164,22 +164,23 @@ pub const MAX_BITS3: u32 = 21;
 
 /// Octant key of the coordinate bits at plane `b`: `x | y<<1 | z<<2`.
 #[inline]
-pub(crate) fn octant3(x: u32, y: u32, z: u32, b: u32) -> usize {
+fn octant3(x: u32, y: u32, z: u32, b: u32) -> usize {
     (((x >> b) & 1) | (((y >> b) & 1) << 1) | (((z >> b) & 1) << 2)) as usize
 }
 
 /// Recursive-descent automaton for the 3D Hilbert curve.
 ///
 /// The transpose-form encoder above is O(bits) *per index* with two
-/// data-dependent bit-plane loops — too slow to pay per cursor step. But
+/// data-dependent bit-plane loops — too slow to pay per voxel read. But
 /// the curve is self-similar: every octant of the cube contains a
 /// rotated/reflected copy of the whole curve, so encoding is equivalently
 /// a top-down descent through a finite automaton whose state is the
 /// sub-cube's orientation (an isometry of the unit cube). Per bit plane
 /// the automaton emits one 3-bit index digit (`digit[state][octant]`) and
-/// transitions (`child[state][octant]`) — this is the table form
-/// Holzmüller's *Efficient Neighbor-Finding on Space-Filling Curves*
-/// (arXiv:1710.06384) builds its O(1)-amortized neighbor stepping on.
+/// transitions (`child[state][octant]`) — the table form of Holzmüller's
+/// *Efficient Neighbor-Finding on Space-Filling Curves*
+/// (arXiv:1710.06384). `MortonToHilbert3`, which
+/// [`crate::HilbertOrder3`]'s `index()` runs, is built from these tables.
 ///
 /// Rather than hard-coding an orientation table (and risking a mismatch
 /// with the Skilling encoder the rest of the repo is pinned to), the
@@ -194,9 +195,8 @@ pub(crate) fn octant3(x: u32, y: u32, z: u32, b: u32) -> usize {
 pub struct HilbertTables3 {
     /// Packed per-state row: `pair[s][octant]` is the emitted 3-bit index
     /// digit and `pair[s][8 + octant]` the child state — one 16-byte row
-    /// per state, so the cursor hot loop touches a single cache line per
-    /// plane. 32 rows (≥ the 24 reachable states) so `state & 31` indexes
-    /// without a bounds check.
+    /// per state, so a step reads a single cache line. 32 rows (≥ the 24
+    /// reachable states) so `state & 31` indexes without a bounds check.
     pair: [[u8; 16]; 32],
     /// Number of reachable states (24 for the Skilling curve).
     nstates: usize,
@@ -314,20 +314,21 @@ impl HilbertTables3 {
 
     /// The index digit emitted in `state` for `octant`.
     #[inline]
-    pub(crate) fn digit(&self, state: u8, octant: usize) -> u8 {
+    fn digit(&self, state: u8, octant: usize) -> u8 {
         self.pair[(state & 31) as usize][octant & 7]
     }
 
     /// The child state entered from `state` through `octant`.
     #[inline]
-    pub(crate) fn child(&self, state: u8, octant: usize) -> u8 {
+    fn child(&self, state: u8, octant: usize) -> u8 {
         self.pair[(state & 31) as usize][8 | (octant & 7)]
     }
 
-    /// `(digit, child)` from one packed-row read — the cursor hot-loop
-    /// form (one cache line per plane, mask-elided bounds checks).
+    /// `(digit, child)` from one packed-row read (one cache line per
+    /// plane, mask-elided bounds checks); [`MortonToHilbert3`] is built
+    /// from it.
     #[inline]
-    pub(crate) fn step(&self, state: u8, octant: usize) -> (u8, u8) {
+    fn step(&self, state: u8, octant: usize) -> (u8, u8) {
         let row = &self.pair[(state & 31) as usize];
         let c = octant & 7;
         (row[c], row[8 | c])

@@ -6,7 +6,7 @@
 //! index-computation cost is "on more or less equal footing" (paper §III-C)
 //! and measured differences reflect memory locality, not arithmetic.
 
-use crate::cursor::Cursor3;
+use crate::cursor::RecomputeCursor;
 use crate::dims::{Dims2, Dims3};
 use crate::error::SfcResult;
 
@@ -75,9 +75,6 @@ pub trait Layout3: Clone + Send + Sync + 'static {
     /// Which family this layout belongs to.
     const KIND: LayoutKind;
 
-    /// Incremental cursor type for this layout (see [`crate::cursor`]).
-    type Cursor: Cursor3;
-
     /// Construct the layout (precomputes any index tables).
     ///
     /// # Panics
@@ -88,9 +85,11 @@ pub trait Layout3: Clone + Send + Sync + 'static {
     /// [`SfcError::SizeOverflow`](crate::SfcError::SizeOverflow) when its
     /// padded storage needs more slots than `isize::MAX`, the most any
     /// buffer can hold; the check runs before any table is built. The
-    /// default accepts every `dims`. [`crate::HilbertOrder3`] overrides it:
-    /// its cube padding passes that limit once an axis exceeds 2^20 voxels
-    /// on 64-bit targets.
+    /// default accepts every `dims`. Two layouts override it, because their
+    /// power-of-two padding can pass that limit while `dims` itself is
+    /// valid: [`crate::HilbertOrder3`] once an axis exceeds 2^20 voxels,
+    /// and [`crate::ZOrder3`] once its per-axis bits sum past 62, on
+    /// 64-bit targets.
     fn try_new(dims: Dims3) -> SfcResult<Self> {
         Ok(Self::new(dims))
     }
@@ -138,13 +137,15 @@ pub trait Layout3: Clone + Send + Sync + 'static {
     /// with `dims().contains(..)`.
     fn coords(&self, index: usize) -> (usize, usize, usize);
 
-    /// Position an incremental cursor at `(i,j,k)`.
+    /// Position a cursor at `(i,j,k)`: a [`RecomputeCursor`], which
+    /// recomputes [`index`](Self::index) on every step.
     ///
-    /// The cursor satisfies `cursor(i,j,k).index() == index(i,j,k)` and
-    /// stays consistent with `index()` under any in-bounds sequence of
-    /// unit steps. Positioning costs one full index computation; steps are
-    /// then O(1) (amortized O(1) for Hilbert).
-    fn cursor(&self, i: usize, j: usize, k: usize) -> Self::Cursor;
+    /// Kernels read through `index` directly (see
+    /// [`Volume3::gather_axis_run`](crate::Volume3::gather_axis_run)); the
+    /// cursor remains for the benchmark ledger's `core.step_ns` probe.
+    fn cursor(&self, i: usize, j: usize, k: usize) -> RecomputeCursor<Self> {
+        RecomputeCursor::new(self, i, j, k)
+    }
 
     /// Fraction of backing-buffer slots that are padding
     /// (`0.0` means a perfectly tight layout).

@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use crate::cursor::ArrayCursor3;
 use crate::dims::{Dims2, Dims3};
 use crate::layout::{Layout2, Layout3, LayoutKind};
 
@@ -22,8 +21,6 @@ pub struct ArrayOrder3 {
 
 impl Layout3 for ArrayOrder3 {
     const KIND: LayoutKind = LayoutKind::ArrayOrder;
-
-    type Cursor = ArrayCursor3;
 
     fn new(dims: Dims3) -> Self {
         let yoffset: Arc<[usize]> = (0..dims.ny).map(|j| j * dims.nx).collect();
@@ -58,17 +55,6 @@ impl Layout3 for ArrayOrder3 {
         let j = (index / self.dims.nx) % self.dims.ny;
         let k = index / (self.dims.nx * self.dims.ny);
         (i, j, k)
-    }
-
-    #[inline]
-    fn cursor(&self, i: usize, j: usize, k: usize) -> ArrayCursor3 {
-        ArrayCursor3::new(
-            self.index(i, j, k),
-            self.dims.nx,
-            self.dims.nx * self.dims.ny,
-            (i, j, k),
-            self.dims,
-        )
     }
 }
 

@@ -9,10 +9,8 @@
 //! (`hilbert::MortonToHilbert3`), ⌈bits/2⌉ dependent lookups in all. The
 //! paper's background (Reissmann et al. 2014) found Hilbert's index cost to
 //! outweigh its slightly better locality; `sfc-bench`'s `curve_ablation`
-//! measures the trade-off with this implementation.
-//! *Sequential* access steps to an axis neighbor in amortized-O(1) through
-//! [`HilbertCursor3`] and the recursive-descent automaton in
-//! [`crate::hilbert::HilbertTables3`].
+//! measures the trade-off with this implementation. Axis runs read through
+//! `index()` too, one voxel at a time, like every other layout.
 //!
 //! Hilbert order requires a power-of-two *cube*, so rectangular domains pad
 //! every axis to the largest axis's power of two — a much bigger overhead
@@ -20,7 +18,6 @@
 
 use std::sync::Arc;
 
-use crate::cursor::HilbertCursor3;
 use crate::dims::{bits_for, Dims2, Dims3};
 use crate::error::{SfcError, SfcResult};
 use crate::hilbert::{hilbert2_decode, hilbert2_encode, hilbert3_decode, MortonToHilbert3};
@@ -51,8 +48,6 @@ impl HilbertOrder3 {
 
 impl Layout3 for HilbertOrder3 {
     const KIND: LayoutKind = LayoutKind::Hilbert;
-
-    type Cursor = HilbertCursor3;
 
     fn new(dims: Dims3) -> Self {
         match Self::try_new(dims) {
@@ -104,11 +99,6 @@ impl Layout3 for HilbertOrder3 {
     fn coords(&self, index: usize) -> (usize, usize, usize) {
         let (i, j, k) = hilbert3_decode(index as u64, self.bits);
         (i as usize, j as usize, k as usize)
-    }
-
-    #[inline]
-    fn cursor(&self, i: usize, j: usize, k: usize) -> HilbertCursor3 {
-        HilbertCursor3::new(self.bits, (i, j, k), self.dims)
     }
 }
 

@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use crate::cursor::TiledCursor3;
 use crate::dims::{Dims2, Dims3};
 use crate::layout::{Layout2, Layout3, LayoutKind};
 
@@ -81,8 +80,6 @@ impl Tiled3 {
 impl Layout3 for Tiled3 {
     const KIND: LayoutKind = LayoutKind::Tiled;
 
-    type Cursor = TiledCursor3;
-
     fn new(dims: Dims3) -> Self {
         Self::with_brick(dims, DEFAULT_BRICK_3D)
     }
@@ -114,29 +111,6 @@ impl Layout3 for Tiled3 {
         let (bi, bj, bk) = (b % nbx, (b / nbx) % nby, b / (nbx * nby));
         let (ri, rj, rk) = (r % tx, (r / tx) % ty, r / (tx * ty));
         (bi * tx + ri, bj * ty + rj, bk * tz + rk)
-    }
-
-    #[inline]
-    fn cursor(&self, i: usize, j: usize, k: usize) -> TiledCursor3 {
-        let (tx, ty, tz) = self.brick;
-        let (nbx, nby, _) = self.nbricks;
-        let brick_vol = tx * ty * tz;
-        // Forward brick-crossing deltas, derived from the per-axis table
-        // recurrences (e.g. along x: the last intra-brick slot `tx-1` jumps
-        // to slot 0 of the next brick, `brick_vol` further along).
-        let cross = (
-            brick_vol - (tx - 1),
-            nbx * brick_vol - (ty - 1) * tx,
-            nbx * nby * brick_vol - (tz - 1) * tx * ty,
-        );
-        TiledCursor3::new(
-            self.index(i, j, k),
-            (i % tx, j % ty, k % tz),
-            self.brick,
-            cross,
-            (i, j, k),
-            self.dims,
-        )
     }
 }
 

@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
-use crate::cursor::ZCursor3;
-use crate::dims::{Dims2, Dims3};
+use crate::dims::{bits_for, Dims2, Dims3};
+use crate::error::{SfcError, SfcResult};
 use crate::layout::{Layout2, Layout3, LayoutKind};
 use crate::pattern::InterleavePattern3;
 
@@ -36,25 +36,45 @@ impl ZOrder3 {
     }
 }
 
+/// The padded slot count `2^(bits x + bits y + bits z)`, or
+/// [`SfcError::SizeOverflow`] past `isize::MAX`. The interleave needs one
+/// index bit per padded coordinate bit, so valid `dims` can need more
+/// than 63: a cube of 2^21 + 1 voxels needs 66.
+fn padded_slots(dims: Dims3) -> SfcResult<usize> {
+    let bits = bits_for(dims.nx) + bits_for(dims.ny) + bits_for(dims.nz);
+    1usize
+        .checked_shl(bits)
+        .filter(|&n| n <= isize::MAX as usize)
+        .ok_or(SfcError::SizeOverflow {
+            what: "ZOrder3 padded slot count 2^(bits x + bits y + bits z)",
+        })
+}
+
 impl Layout3 for ZOrder3 {
     const KIND: LayoutKind = LayoutKind::ZOrder;
 
-    type Cursor = ZCursor3;
-
     fn new(dims: Dims3) -> Self {
+        match Self::try_new(dims) {
+            Ok(l) => l,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    fn try_new(dims: Dims3) -> SfcResult<Self> {
+        // Checked before the pattern or any table is built.
+        let storage_len = padded_slots(dims)?;
         let pattern = InterleavePattern3::new(dims);
         let xtab: Arc<[u64]> = pattern.build_table(0).into();
         let ytab: Arc<[u64]> = pattern.build_table(1).into();
         let ztab: Arc<[u64]> = pattern.build_table(2).into();
-        let storage_len = pattern.storage_len();
-        Self {
+        Ok(Self {
             dims,
             xtab,
             ytab,
             ztab,
             pattern: Arc::new(pattern),
             storage_len,
-        }
+        })
     }
 
     #[inline]
@@ -76,19 +96,6 @@ impl Layout3 for ZOrder3 {
     #[inline]
     fn coords(&self, index: usize) -> (usize, usize, usize) {
         self.pattern.decode(index as u64)
-    }
-
-    #[inline]
-    fn cursor(&self, i: usize, j: usize, k: usize) -> ZCursor3 {
-        debug_assert!(self.dims.contains(i, j, k));
-        ZCursor3::new(
-            self.xtab[i] | self.ytab[j] | self.ztab[k],
-            self.pattern.axis_mask(0),
-            self.pattern.axis_mask(1),
-            self.pattern.axis_mask(2),
-            (i, j, k),
-            self.dims,
-        )
     }
 }
 
@@ -206,6 +213,29 @@ mod tests {
         assert_eq!(l.index(17, 32, 8), base + 1);
         assert_eq!(l.index(16, 33, 8), base + 2);
         assert_eq!(l.index(16, 32, 9), base + 4);
+    }
+
+    #[test]
+    fn padded_slot_count_never_wraps() {
+        // (2^21 + 1)^3 < 2^64 voxels is valid, but the interleave needs
+        // 3 * 22 = 66 bits, which wrapped to 4 slots; 2^21 needs 63 bits,
+        // 2^63 slots, past isize::MAX.
+        for n in [(1 << 21) + 1, 1 << 21] {
+            let err = ZOrder3::try_new(Dims3::cube(n)).unwrap_err();
+            assert!(matches!(err, SfcError::SizeOverflow { .. }), "{n}: {err}");
+        }
+        // 62 bits is the most that fits; checked without building tables.
+        let widest = Dims3::new(1 << 20, 1 << 21, 1 << 21);
+        assert_eq!(padded_slots(widest).unwrap(), 1 << 62);
+        let l = ZOrder3::try_new(Dims3::new((1 << 12) + 1, 1 << 12, 3)).unwrap();
+        assert_eq!(l.storage_len(), 1 << (13 + 12 + 2));
+        assert_eq!(l.storage_len(), l.pattern().storage_len());
+    }
+
+    #[test]
+    #[should_panic(expected = "size computation overflowed usize")]
+    fn new_panics_with_the_overflow_message() {
+        ZOrder3::new(Dims3::cube((1 << 21) + 1));
     }
 
     #[test]

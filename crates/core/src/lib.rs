@@ -31,15 +31,16 @@
 //! ## Module map
 //!
 //! * [`morton`] / [`hilbert`] — raw curve codecs (magic-bits and byte-LUT
-//!   Morton; Skilling-transpose Hilbert).
+//!   Morton; Skilling-transpose Hilbert, and the automaton tables its
+//!   table-driven index is built from).
 //! * [`pattern`] — bit-interleave patterns generalizing Morton order to
 //!   rectangular (per-axis power-of-two padded) domains.
 //! * [`layout`] / [`layouts`] — the `Layout3`/`Layout2` traits and the four
 //!   implementations: [`ArrayOrder3`], [`ZOrder3`], [`Tiled3`],
 //!   [`HilbertOrder3`] (and 2D counterparts).
-//! * [`cursor`] — O(1) incremental neighbor stepping per layout
-//!   (dilated-integer arithmetic for Z-order), the engine behind the
-//!   kernels' gather fast paths.
+//! * [`cursor`] — a coordinate stepped one voxel at a time, recomputing
+//!   `index()` per step; kept for the benchmark ledger's step probe.
+//!   Kernels read through `index()` directly, axis runs included.
 //! * [`grid`] — layout-generic containers [`Grid3`]/[`Grid2`].
 //! * [`volume`] — the [`Volume3`] sampling trait kernels are written
 //!   against (and which `sfc-memsim` instruments).
@@ -65,7 +66,7 @@ pub mod stats;
 pub mod stencil;
 pub mod volume;
 
-pub use cursor::{ArrayCursor3, Cursor3, HilbertCursor3, RecomputeCursor, TiledCursor3, ZCursor3};
+pub use cursor::{Cursor3, RecomputeCursor};
 pub use hilbert::HilbertTables3;
 pub use dims::{bits_for, next_pow2, Axis, Dims2, Dims3};
 pub use dyn_grid::DynGrid3;

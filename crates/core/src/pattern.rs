@@ -72,16 +72,6 @@ impl InterleavePattern3 {
         self.positions[axis].len() as u32
     }
 
-    /// Bit mask of the global index positions owned by axis `a` — the OR
-    /// of `1 << p` over that axis's bit planes. This is the mask `M` that
-    /// drives O(1) dilated-integer neighbor steps
-    /// (see [`crate::cursor::ZCursor3`]): with the other axes' bits forced
-    /// to ones, an ordinary add/subtract carries only through `M`'s
-    /// positions. A degenerate axis (extent 1) has mask 0.
-    pub fn axis_mask(&self, axis: usize) -> u64 {
-        self.positions[axis].iter().fold(0u64, |m, &p| m | (1 << p))
-    }
-
     /// Dilate a single coordinate of axis `a` into its index contribution.
     /// The per-axis lookup tables are just this function tabulated.
     pub fn dilate(&self, axis: usize, coord: usize) -> u64 {
@@ -207,10 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn axis_masks_partition_the_index_bits() {
+    fn axis_bits_partition_the_index_bits() {
+        // Each axis's all-ones coordinate dilates to the bits it owns.
         for dims in [Dims3::cube(16), Dims3::new(5, 3, 9), Dims3::new(16, 1, 16)] {
             let p = InterleavePattern3::new(dims);
-            let (mx, my, mz) = (p.axis_mask(0), p.axis_mask(1), p.axis_mask(2));
+            let [mx, my, mz] = [0, 1, 2].map(|a| p.dilate(a, p.padded_extent(a) - 1));
             assert_eq!(mx & my, 0);
             assert_eq!(mx & mz, 0);
             assert_eq!(my & mz, 0);

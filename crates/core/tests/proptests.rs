@@ -204,264 +204,52 @@ fn storage_order_iteration_matches_logical_set() {
     }
 }
 
-/// Random in-bounds unit-step walk: after every step the cursor's index
-/// must equal a fresh `index()` of the stepped-to coordinate.
-fn cursor_walk_agrees_with_index<L: Layout3>(seed: u64) {
-    use sfc_core::{Axis, Cursor3};
+/// `gather_axis_run` on a grid of layout `L`, against one `get` and the
+/// row-major source value per coordinate: along every axis, the full
+/// pencil from the row's start and random runs that start off the origin
+/// and stop short of the far face.
+fn gather_matches_per_get_reads<L: Layout3>(seed: u64) {
+    use sfc_core::{Axis, Volume3};
     let mut rng = SplitMix64::new(seed);
     for _ in 0..24 {
         let dims = small_dims(&mut rng);
-        let l = L::new(dims);
-        let (mut i, mut j, mut k) = (
-            rng.usize_in(0, dims.nx),
-            rng.usize_in(0, dims.ny),
-            rng.usize_in(0, dims.nz),
-        );
-        let mut c = l.cursor(i, j, k);
-        assert_eq!(c.index(), l.index(i, j, k));
-        for _ in 0..200 {
-            let axis = Axis::ALL[rng.usize_in(0, 3)];
-            let forward = rng.next_u64().is_multiple_of(2);
-            let (coord, extent) = match axis {
-                Axis::X => (&mut i, dims.nx),
-                Axis::Y => (&mut j, dims.ny),
-                Axis::Z => (&mut k, dims.nz),
-            };
-            // Skip steps that would leave the domain (cursor contract only
-            // covers in-bounds walks).
-            if forward {
-                if *coord + 1 >= extent {
-                    continue;
-                }
-                *coord += 1;
-            } else {
-                if *coord == 0 {
-                    continue;
-                }
-                *coord -= 1;
-            }
-            c.step(axis, forward);
-            assert_eq!(
-                c.index(),
-                l.index(i, j, k),
-                "{:?} walk diverged at ({i},{j},{k}) dims {dims:?}",
-                L::KIND
-            );
-        }
-    }
-}
-
-#[test]
-fn array_cursor_walks_agree_with_index() {
-    cursor_walk_agrees_with_index::<ArrayOrder3>(0x2001);
-}
-
-#[test]
-fn zorder_cursor_walks_agree_with_index() {
-    cursor_walk_agrees_with_index::<ZOrder3>(0x2002);
-}
-
-#[test]
-fn tiled_cursor_walks_agree_with_index() {
-    cursor_walk_agrees_with_index::<Tiled3>(0x2003);
-}
-
-#[test]
-fn hilbert_cursor_walks_agree_with_index() {
-    cursor_walk_agrees_with_index::<HilbertOrder3>(0x2004);
-}
-
-#[test]
-fn tiled_cursor_walks_cross_every_brick_boundary() {
-    use sfc_core::{Axis, Cursor3};
-    // Dims chosen so every axis has interior brick boundaries AND a
-    // partial final brick; full-axis sweeps cross them all.
-    let dims = Dims3::new(17, 11, 9);
-    let l = Tiled3::with_brick(dims, (4, 4, 4));
-    for axis in Axis::ALL {
-        let n = axis.extent(dims);
-        for (b, c) in [(0usize, 0usize), (3, 5), (7, 2)] {
-            let (i0, j0, k0) = match axis {
-                Axis::X => (0, b.min(dims.ny - 1), c.min(dims.nz - 1)),
-                Axis::Y => (b.min(dims.nx - 1), 0, c.min(dims.nz - 1)),
-                Axis::Z => (b.min(dims.nx - 1), c.min(dims.ny - 1), 0),
-            };
-            let mut cur = l.cursor(i0, j0, k0);
-            let (mut i, mut j, mut k) = (i0, j0, k0);
-            for _ in 1..n {
-                cur.step(axis, true);
-                match axis {
-                    Axis::X => i += 1,
-                    Axis::Y => j += 1,
-                    Axis::Z => k += 1,
-                }
-                assert_eq!(cur.index(), l.index(i, j, k));
-            }
-            for _ in 1..n {
-                cur.step(axis, false);
-                match axis {
-                    Axis::X => i -= 1,
-                    Axis::Y => j -= 1,
-                    Axis::Z => k -= 1,
-                }
-                assert_eq!(cur.index(), l.index(i, j, k));
-            }
-        }
-    }
-}
-
-#[test]
-fn zorder_cursor_handles_non_pow2_rectangles() {
-    use sfc_core::{Axis, Cursor3};
-    // Deliberately lopsided non-power-of-two dims: the round-robin
-    // interleave gives each axis a different, non-contiguous bit mask.
-    for dims in [Dims3::new(5, 3, 17), Dims3::new(33, 2, 9), Dims3::new(1, 19, 6)] {
-        let l = ZOrder3::new(dims);
+        let values: Vec<f32> = (0..dims.len()).map(|v| v as f32 * 0.13).collect();
+        let g = Grid3::<f32, L>::from_row_major(dims, &values);
         for axis in Axis::ALL {
-            let n = axis.extent(dims);
-            let mut cur = l.cursor(0, 0, 0);
-            let (mut i, mut j, mut k) = (0, 0, 0);
-            for _ in 1..n {
-                cur.step(axis, true);
-                match axis {
-                    Axis::X => i += 1,
-                    Axis::Y => j += 1,
-                    Axis::Z => k += 1,
-                }
-                assert_eq!(cur.index(), l.index(i, j, k), "dims {dims:?}");
-            }
-        }
-    }
-}
-
-#[test]
-fn hilbert_cursor_handles_non_pow2_padded_domains() {
-    use sfc_core::{Axis, Cursor3};
-    // Hilbert pads every axis to the largest axis's power of two, so
-    // non-power-of-two rectangles exercise walks through a logical domain
-    // much smaller than the curve's cube — including degenerate axes.
-    // Full sweeps forward and back along every axis from several offset
-    // rows, parity with a fresh index() at every step.
-    for dims in [
-        Dims3::new(5, 3, 17),
-        Dims3::new(33, 2, 9),
-        Dims3::new(1, 19, 6),
-        Dims3::new(7, 7, 7),
-    ] {
-        let l = HilbertOrder3::new(dims);
-        for axis in Axis::ALL {
-            let n = axis.extent(dims);
-            for (b, c) in [(0usize, 0usize), (2, 4), (11, 1)] {
-                let (i0, j0, k0) = match axis {
-                    Axis::X => (0, b.min(dims.ny - 1), c.min(dims.nz - 1)),
-                    Axis::Y => (b.min(dims.nx - 1), 0, c.min(dims.nz - 1)),
-                    Axis::Z => (b.min(dims.nx - 1), c.min(dims.ny - 1), 0),
+            let extent = axis.extent(dims);
+            for run in 0..4 {
+                let (mut i, mut j, mut k) = (
+                    rng.usize_in(0, dims.nx),
+                    rng.usize_in(0, dims.ny),
+                    rng.usize_in(0, dims.nz),
+                );
+                let start = match axis {
+                    Axis::X => &mut i,
+                    Axis::Y => &mut j,
+                    Axis::Z => &mut k,
                 };
-                let mut cur = l.cursor(i0, j0, k0);
-                let (mut i, mut j, mut k) = (i0, j0, k0);
-                for _ in 1..n {
-                    cur.step(axis, true);
-                    match axis {
-                        Axis::X => i += 1,
-                        Axis::Y => j += 1,
-                        Axis::Z => k += 1,
-                    }
-                    assert_eq!(cur.index(), l.index(i, j, k), "dims {dims:?} fwd {axis:?}");
+                let n = if run == 0 {
+                    *start = 0;
+                    extent
+                } else {
+                    rng.usize_in(0, extent - *start + 1)
+                };
+                let mut got = vec![f32::NAN; n];
+                g.gather_axis_run(i, j, k, axis, &mut got);
+                for (t, &v) in got.iter().enumerate() {
+                    let (ci, cj, ck) = match axis {
+                        Axis::X => (i + t, j, k),
+                        Axis::Y => (i, j + t, k),
+                        Axis::Z => (i, j, k + t),
+                    };
+                    let at = format!(
+                        "{:?} {axis:?} run from ({i},{j},{k}) at t={t} in {dims:?}",
+                        L::KIND
+                    );
+                    assert_eq!(v.to_bits(), g.get(ci, cj, ck).to_bits(), "{at}");
+                    let row_major = (ck * dims.ny + cj) * dims.nx + ci;
+                    assert_eq!(v.to_bits(), values[row_major].to_bits(), "{at}");
                 }
-                for _ in 1..n {
-                    cur.step(axis, false);
-                    match axis {
-                        Axis::X => i -= 1,
-                        Axis::Y => j -= 1,
-                        Axis::Z => k -= 1,
-                    }
-                    assert_eq!(cur.index(), l.index(i, j, k), "dims {dims:?} back {axis:?}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn hilbert_cursor_crosses_octant_transitions() {
-    use sfc_core::{Axis, Cursor3};
-    // Steps whose coordinate flips a high bit (7->8, 15->16, 31->32)
-    // cross top-level octant boundaries: the automaton must re-descend
-    // from the changed plane and every deeper level. Walk straight lines
-    // that cross each power-of-two boundary on each axis, both
-    // directions, checking parity at every step.
-    let dims = Dims3::new(34, 34, 34); // pads to 64^3, bits = 6
-    let l = HilbertOrder3::new(dims);
-    for axis in Axis::ALL {
-        for boundary in [8usize, 16, 32] {
-            let start = boundary - 2;
-            let (i0, j0, k0) = match axis {
-                Axis::X => (start, 9, 17),
-                Axis::Y => (17, start, 9),
-                Axis::Z => (9, 17, start),
-            };
-            let mut cur = l.cursor(i0, j0, k0);
-            let (mut i, mut j, mut k) = (i0, j0, k0);
-            for _ in 0..3 {
-                cur.step(axis, true);
-                match axis {
-                    Axis::X => i += 1,
-                    Axis::Y => j += 1,
-                    Axis::Z => k += 1,
-                }
-                assert_eq!(cur.index(), l.index(i, j, k), "crossing {boundary} fwd {axis:?}");
-            }
-            for _ in 0..3 {
-                cur.step(axis, false);
-                match axis {
-                    Axis::X => i -= 1,
-                    Axis::Y => j -= 1,
-                    Axis::Z => k -= 1,
-                }
-                assert_eq!(cur.index(), l.index(i, j, k), "crossing {boundary} back {axis:?}");
-            }
-        }
-    }
-}
-
-#[test]
-fn hilbert_cursor_random_walks_on_padded_rectangles() {
-    use sfc_core::{Axis, Cursor3};
-    // Long random in-bounds walks on heavily padded rectangles, with the
-    // cursor cloned mid-walk to confirm the stepping state is
-    // self-contained (a cloned cursor must keep agreeing independently).
-    let mut rng = SplitMix64::new(0x2007);
-    for dims in [Dims3::new(21, 13, 5), Dims3::new(3, 37, 11), Dims3::new(60, 1, 29)] {
-        let l = HilbertOrder3::new(dims);
-        let (mut i, mut j, mut k) = (dims.nx / 2, dims.ny / 2, dims.nz / 2);
-        let mut c = l.cursor(i, j, k);
-        let mut clone_check: Option<sfc_core::HilbertCursor3> = None;
-        for step in 0..2000 {
-            let axis = Axis::ALL[rng.usize_in(0, 3)];
-            let forward = rng.next_u64().is_multiple_of(2);
-            let (coord, extent) = match axis {
-                Axis::X => (&mut i, dims.nx),
-                Axis::Y => (&mut j, dims.ny),
-                Axis::Z => (&mut k, dims.nz),
-            };
-            if forward {
-                if *coord + 1 >= extent {
-                    continue;
-                }
-                *coord += 1;
-            } else {
-                if *coord == 0 {
-                    continue;
-                }
-                *coord -= 1;
-            }
-            c.step(axis, forward);
-            assert_eq!(c.index(), l.index(i, j, k), "dims {dims:?} at step {step}");
-            if step == 1000 {
-                clone_check = Some(c);
-            } else if let Some(cc) = &mut clone_check {
-                cc.step(axis, forward);
-                assert_eq!(cc.index(), c.index(), "cloned cursor diverged at step {step}");
             }
         }
     }
@@ -469,28 +257,8 @@ fn hilbert_cursor_random_walks_on_padded_rectangles() {
 
 #[test]
 fn gather_axis_run_matches_per_get_reads() {
-    use sfc_core::{Axis, Volume3};
-    let mut rng = SplitMix64::new(0x2005);
-    for _ in 0..16 {
-        let dims = small_dims(&mut rng);
-        let values: Vec<f32> = (0..dims.len()).map(|v| v as f32 * 0.13).collect();
-        let g = Grid3::<f32, Tiled3>::from_row_major(dims, &values);
-        for axis in sfc_core::Axis::ALL {
-            let n = match axis {
-                Axis::X => dims.nx,
-                Axis::Y => dims.ny,
-                Axis::Z => dims.nz,
-            };
-            let mut fast = vec![0.0f32; n];
-            g.gather_axis_run(0, 0, 0, axis, &mut fast);
-            for (t, &v) in fast.iter().enumerate() {
-                let (i, j, k) = match axis {
-                    Axis::X => (t, 0, 0),
-                    Axis::Y => (0, t, 0),
-                    Axis::Z => (0, 0, t),
-                };
-                assert_eq!(v.to_bits(), g.get(i, j, k).to_bits());
-            }
-        }
-    }
+    gather_matches_per_get_reads::<ArrayOrder3>(0x3001);
+    gather_matches_per_get_reads::<ZOrder3>(0x3002);
+    gather_matches_per_get_reads::<Tiled3>(0x3003);
+    gather_matches_per_get_reads::<HilbertOrder3>(0x3004);
 }

@@ -6,10 +6,9 @@
 //! of a pencil share almost their entire neighborhood: the stencil taps of
 //! the whole pencil live in the `(2r+1)²` rows of voxels that run parallel
 //! to it. This module gathers those rows **once per pencil** into a
-//! contiguous row-major scratch buffer (each row read with a single
-//! incremental cursor walk, see [`sfc_core::cursor`]), after which the
-//! per-voxel tap loop is pure contiguous arithmetic with *zero* index
-//! computation.
+//! contiguous row-major scratch buffer (each row read with one
+//! [`sfc_core::Volume3::gather_axis_run`]), after which the per-voxel tap
+//! loop is pure contiguous arithmetic with *zero* index computation.
 //!
 //! ## Bitwise equivalence
 //!
@@ -18,9 +17,10 @@
 //! and performs the identical sequence of f32 operations on the identical
 //! sample values, so its outputs are bit-for-bit equal to the per-voxel
 //! path — the `output_is_layout_invariant_bitwise` tests hold unchanged.
-//! Equal footing across layouts is also preserved: every layout goes
-//! through the same `Layout3::cursor` abstraction; only the (layout-
-//! independent) redundancy of recomputing indices is removed.
+//! Equal footing across layouts is also preserved: every layout's rows
+//! are read through the same `Layout3::index`, once per voxel; only the
+//! (layout-independent) redundancy of re-reading a voxel per tap is
+//! removed.
 //!
 //! ## Padded rows, one loop
 //!

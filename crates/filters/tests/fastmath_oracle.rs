@@ -285,7 +285,7 @@ fn every_tier_gives_the_scalar_bits_and_nan_tally_in_every_mode() {
             }
         }
     }
-    // The gather walks Hilbert pencils through their own cursor.
+    // Hilbert pencils, whose gather runs the two-plane table per voxel.
     let dims = Dims3::new(9, 8, 10);
     let values = defect_values(dims, rng.next_u64(), true);
     for mode in modes {
