@@ -1,25 +1,40 @@
-//! Ablation microbench for the gather and cached-cell fast paths.
+//! Ablation microbench for the gather, cached-cell and ray-packet fast
+//! paths.
 //!
-//! Two columns, each isolating one hot-loop optimization against the
-//! per-access baseline it replaced:
+//! Three columns, each isolating one hot-loop optimization against the
+//! per-access or per-ray baseline it replaced:
 //!
 //! * `trilinear` — per-sample `sample_trilinear` (a fresh cell fetch,
 //!   the 8 `index()` calls of `Layout3::cell_slots`, on every sample) vs
 //!   the per-ray [`CellSampler`] (the cell cached across samples and
 //!   fetched through `cell_slots` only on a cell change);
 //! * `bilateral_interior` — the per-voxel bilateral kernel vs the
-//!   single-thread pencil-gather driver, r1/r3/r5.
+//!   single-thread pencil-gather driver, r1/r3/r5;
+//! * `render_packets` — one frame of the 64³ orbit per layout, one
+//!   thread: [`render`] (the tile kernel, eight rays per AVX2 packet
+//!   where the CPU has AVX2) vs a per-pixel [`shade_ray`] loop.
+//!   `shade_ray` builds its 256-entry opacity table on every call, which
+//!   `render` does once per frame; `per_pixel_table_builds` times the
+//!   same loop over a ray that misses the volume, so the per-ray march
+//!   costs the difference.
 //!
 //! Both sides of each column compute bitwise-identical results; only the
 //! number of reads and their scheduling change, so any delta here is pure
-//! addressing cost.
+//! addressing cost, or, for `render_packets`, the per-sample arithmetic
+//! moving into lanes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use sfc_core::{ArrayOrder3, Axis, Dims3, Grid3, StencilOrder, StencilSize, ZOrder3};
+use sfc_core::{
+    ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, Layout3, StencilOrder, StencilSize, Tiled3,
+    ZOrder3,
+};
 use sfc_filters::{bilateral3d, bilateral_voxel, BilateralParams, FilterRun};
-use sfc_volrend::{sample_trilinear, vec3, CellSampler};
+use sfc_volrend::{
+    render, sample_trilinear, shade_ray, vec3, Aabb, Camera, CellSampler, Image, Ray, RenderOpts,
+    TransferFunction,
+};
 
 fn bench_trilinear(c: &mut Criterion) {
     let dims = Dims3::cube(64);
@@ -101,5 +116,73 @@ fn bench_bilateral_interior(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_trilinear, bench_bilateral_interior);
+/// `render` vs a per-pixel `shade_ray` loop over one layout.
+fn bench_frame<L: Layout3>(
+    g: &mut criterion::BenchmarkGroup<'_>,
+    grid: &Grid3<f32, L>,
+    cam: &Camera,
+    opts: &RenderOpts,
+) {
+    let tf = TransferFunction::fire();
+    g.bench_function(BenchmarkId::new("render", L::KIND), |b| {
+        b.iter(|| black_box(render(grid, cam, &tf, opts)))
+    });
+    let bbox = Aabb::of_dims(grid.dims());
+    g.bench_function(BenchmarkId::new("per_pixel_shade_ray", L::KIND), |b| {
+        b.iter(|| {
+            let mut img = Image::new(cam.width(), cam.height());
+            for y in 0..cam.height() {
+                for x in 0..cam.width() {
+                    let c = shade_ray(grid, &tf, opts, &cam.ray_for_pixel(x, y), &bbox);
+                    img.set(x, y, c);
+                }
+            }
+            black_box(img)
+        })
+    });
+}
+
+fn bench_render_packets(c: &mut Criterion) {
+    // The benchmark ledger's `render_orbit` frame: a 64³ combustion
+    // field, 128² pixels, 32-pixel tiles, no early ray termination; here
+    // on one thread, from the oblique viewpoint 1.
+    let n = 64;
+    let dims = Dims3::cube(n);
+    let values = sfc_datagen::combustion_field(dims, 1, sfc_datagen::CombustionParams::default());
+    let a = Grid3::<f32, ArrayOrder3>::from_row_major(dims, &values);
+    let cam = sfc_bench::paper_orbit(n, 128).swap_remove(1);
+    let opts = RenderOpts {
+        early_termination: 2.0,
+        ..RenderOpts::default()
+    };
+
+    let mut g = c.benchmark_group("render_packets");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements((cam.width() * cam.height()) as u64));
+    bench_frame(&mut g, &a, &cam, &opts);
+    bench_frame(&mut g, &a.convert::<ZOrder3>(), &cam, &opts);
+    bench_frame(&mut g, &a.convert::<Tiled3>(), &cam, &opts);
+    bench_frame(&mut g, &a.convert::<HilbertOrder3>(), &cam, &opts);
+    let tf = TransferFunction::fire();
+    let bbox = Aabb::of_dims(dims);
+    let miss = Ray {
+        origin: vec3(-5.0, -5.0, -5.0),
+        dir: vec3(-1.0, 0.0, 0.0),
+    };
+    g.bench_function("per_pixel_table_builds", |b| {
+        b.iter(|| {
+            for _ in 0..cam.width() * cam.height() {
+                black_box(shade_ray(&a, &tf, &opts, black_box(&miss), &bbox));
+            }
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_trilinear,
+    bench_bilateral_interior,
+    bench_render_packets
+);
 criterion_main!(benches);

@@ -114,7 +114,10 @@ pub trait Layout3: Clone + Send + Sync + 'static {
     ///
     /// The default makes 8 independent [`index`](Self::index) calls, each
     /// a few table lookups.
-    #[inline]
+    // Always inlined, as `Grid3::cell_corners` is: with two callers of
+    // that inlined, Hilbert's eight `index()` calls otherwise stayed in one
+    // shared out-of-line copy.
+    #[inline(always)]
     fn cell_slots(&self, x0: usize, y0: usize, z0: usize) -> [usize; 8] {
         let d = self.dims();
         let x1 = (x0 + 1).min(d.nx - 1);

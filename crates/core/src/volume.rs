@@ -98,7 +98,11 @@ impl<L: Layout3> Volume3 for Grid3<f32, L> {
         Grid3::get(self, i, j, k)
     }
 
-    #[inline]
+    // Always inlined: the raycaster calls it from two loops, the per-ray
+    // `CellSampler` and the ray packets, and with two callers the
+    // compiler kept one shared out-of-line copy, which slowed the per-ray
+    // sample that used to inline it.
+    #[inline(always)]
     fn cell_corners(&self, x0: usize, y0: usize, z0: usize) -> [f32; 8] {
         let s = self.storage();
         self.layout().cell_slots(x0, y0, z0).map(|slot| s[slot])

@@ -17,7 +17,8 @@
 //! * [`render`](mod@render) — tile-parallel front-to-back compositing
 //!   renderer: one execution-engine kernel over image tiles under every
 //!   policy (plain, supervised, degraded with typed tile defects and
-//!   repair, brownout);
+//!   repair, brownout), marching eight rays per AVX2 register where the
+//!   CPU has AVX2;
 //! * [`image`] — float RGBA framebuffer;
 //! * [`counters`] — simulated cache counters for a rendered frame.
 
@@ -26,6 +27,8 @@
 pub mod camera;
 pub mod counters;
 pub mod image;
+#[cfg(target_arch = "x86_64")]
+mod packet;
 pub mod ray;
 #[cfg(test)]
 mod reference;

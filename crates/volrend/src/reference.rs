@@ -5,11 +5,11 @@
 //! The references below use `floor` for the sampler's cell split, `round`
 //! for the transfer-function index and `powf` for the opacity correction,
 //! one sample at a time, exactly as the marchers did. The tests compare
-//! every marching path against them with `to_bits`, NaN-sample tallies
-//! included, over layouts, odd and degenerate dims, steps and ladder
-//! rungs, transfer functions, early-termination thresholds, non-finite
-//! and out-of-range voxels, and rays that miss, graze or start inside the
-//! box.
+//! every marching path, the AVX2 ray packets included, against them with
+//! `to_bits`, NaN-sample tallies included, over layouts, odd and
+//! degenerate dims, steps and ladder rungs, transfer functions,
+//! early-termination thresholds, non-finite and out-of-range voxels, and
+//! rays that miss, graze or start inside the box.
 
 use sfc_core::{
     ArrayOrder3, Dims3, FnVolume, Grid3, HilbertOrder3, SplitMix64, Tiled3, Volume3, ZOrder3,
@@ -24,6 +24,8 @@ use crate::sampler::{blend8_scalar, CellSampler};
 use crate::shading::{phong_intensity, render_lit, shade_ray_lit, shade_ray_lit_counted, Light};
 use crate::transfer::{rgba, Rgba, TransferFunction};
 use crate::vec3::{vec3, Vec3};
+#[cfg(target_arch = "x86_64")]
+use crate::{packet, render::PACKET};
 
 /// One trilinear sample with `floor`, its cell fetched afresh; NaN
 /// corners become 0 and are tallied in `nan_seen`.
@@ -321,8 +323,10 @@ impl<V: Volume3> VolumeCase for V {
     fn check_flat(&self, tf: &TransferFunction, opts: &RenderOpts, rays: &[Ray], what: &str) {
         let bbox = Aabb::of_dims(self.dims());
         let march = MarchOpts::new(tf, opts);
+        let mut wants = Vec::with_capacity(rays.len());
         for (r, ray) in rays.iter().enumerate() {
             let (want, want_nans) = shade_ray_reference(self, tf, opts, ray, &bbox);
+            wants.push((want, want_nans));
             let (cached, cached_nans) = shade_ray_counted(self, tf, &march, ray, &bbox);
             let (replay, replay_nans) = shade_ray_replay(self, tf, &march, ray, &bbox);
             for (path, got, nans) in [
@@ -335,6 +339,8 @@ impl<V: Volume3> VolumeCase for V {
             let public = shade_ray(self, tf, opts, ray, &bbox);
             assert_eq!(bits(public), bits(want), "{what}, ray {r}, shade_ray");
         }
+        #[cfg(target_arch = "x86_64")]
+        check_packets(self, tf, &march, rays, &wants, what);
     }
 
     fn check_lit(&self, tf: &TransferFunction, opts: &RenderOpts, rays: &[Ray], what: &str) {
@@ -348,6 +354,55 @@ impl<V: Volume3> VolumeCase for V {
             assert_eq!(bits(got), bits(want), "{what}, ray {r} ({ray:?}), lit");
             assert_eq!(bits(public), bits(want), "{what}, ray {r}, shade_ray_lit");
             assert_eq!(nans, want_nans, "{what}, ray {r}, lit NaN tally");
+        }
+    }
+}
+
+/// The packet marcher over `rays`, eight to a packet, the last packet
+/// padded with a ray that misses the box: every lane's bits and NaN tally
+/// against `wants`, the reference per ray, and again with each packet's
+/// rays in reverse lane order, so that no lane reads another's state.
+/// Hosts without AVX2 have no packet marcher to check.
+#[cfg(target_arch = "x86_64")]
+fn check_packets<V: Volume3>(
+    vol: &V,
+    tf: &TransferFunction,
+    march: &MarchOpts,
+    rays: &[Ray],
+    wants: &[(Rgba, u64)],
+    what: &str,
+) {
+    if !is_x86_feature_detected!("avx2") {
+        return;
+    }
+    let bbox = Aabb::of_dims(vol.dims());
+    let miss = Ray {
+        origin: vec3(-5.0, -5.0, -5.0),
+        dir: vec3(-1.0, 0.0, 0.0),
+    };
+    assert!(bbox.intersect(&miss).is_none());
+    for (p, (rays, wants)) in rays.chunks(PACKET).zip(wants.chunks(PACKET)).enumerate() {
+        let mut forward = [miss; PACKET];
+        forward[..rays.len()].copy_from_slice(rays);
+        let mut want = [(Rgba::default(), 0u64); PACKET];
+        want[..wants.len()].copy_from_slice(wants);
+        let mut reversed = forward;
+        reversed.reverse();
+        let shade = |rays: &[Ray]| packet::shade(vol, tf, march, rays, &bbox).expect("AVX2 host");
+        let (colors, nans) = shade(&forward);
+        let (rev_colors, rev_nans) = shade(&reversed);
+        for l in 0..PACKET {
+            let r = p * PACKET + l;
+            let (want, want_nans) = want[l];
+            let m = PACKET - 1 - l;
+            for (order, lane, got, nans) in [
+                ("forward", l, colors[l], nans[l]),
+                ("reversed", m, rev_colors[m], rev_nans[m]),
+            ] {
+                // The color's bits and the NaN tally.
+                let (got, want) = ((bits(got), nans), (bits(want), want_nans));
+                assert_eq!(got, want, "{what}, ray {r}, {order} lane {lane}");
+            }
         }
     }
 }

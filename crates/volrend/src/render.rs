@@ -6,11 +6,20 @@
 //! volume with trilinear sampling, a transfer-function lookup per sample,
 //! and early ray termination.
 //!
+//! A tile's pixels go in packets of up to eight consecutive pixels, row
+//! by row. On an x86_64 CPU with AVX2 a packet's rays march together, one
+//! per f32 lane (the `packet` module, DESIGN.md §5.6); elsewhere, and for
+//! volumes with an axis too long for the lanes' `i32` cell split, they
+//! march one by one through `march_ray`. Either way each pixel gets the
+//! per-ray march's bits and NaN tally. The per-ray march also serves the
+//! memory-counter replay and the public [`shade_ray`].
+//!
 //! The renderer has one driver: `TileKernel`, the raycaster as an engine
 //! [`UnitKernel`] ([`sfc_harness::engine`]) — one work unit is one image
 //! tile, shaded into a local pixel buffer, committed to the framebuffer,
-//! and read back for validation. [`render_with_policy`] runs it under any
-//! [`ExecPolicy`]:
+//! and read back for validation. It polls the engine's `keep_going` once
+//! per packet of up to eight rays. [`render_with_policy`] runs it under
+//! any [`ExecPolicy`]:
 //!
 //! * [`ExecPolicy::Plain`] — `opts.nthreads` threads scheduled by
 //!   `opts.schedule`, panics propagate; [`render`] is a thin wrapper over
@@ -41,6 +50,7 @@ use crate::image::Image;
 use crate::ray::Aabb;
 use crate::sampler::CellSampler;
 use crate::transfer::{Rgba, TransferFunction};
+use crate::vec3::Vec3;
 
 /// Renderer options.
 #[derive(Debug, Clone, Copy)]
@@ -249,6 +259,38 @@ fn march_ray<V: Volume3>(
     color
 }
 
+/// Rays per packet. The tile kernel polls `keep_going` once per packet
+/// and, on a CPU with AVX2, marches a packet's rays together, one per f32
+/// lane of a 256-bit register (the `packet` module).
+pub(crate) const PACKET: usize = 8;
+
+/// Shade `rays`, at most [`PACKET`] of them, appending their colors to
+/// `out` in order, and return their NaN-substitution count. The rays
+/// march together as one packet where `packet::shade` can run them and
+/// one by one through [`shade_ray_counted`] elsewhere; either way each
+/// color and count is bit for bit [`shade_ray_counted`]'s.
+pub(crate) fn shade_rays<V: Volume3>(
+    vol: &V,
+    tf: &TransferFunction,
+    march: &MarchOpts,
+    rays: &[crate::ray::Ray],
+    bbox: &Aabb,
+    out: &mut Vec<Rgba>,
+) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some((colors, nans)) = crate::packet::shade(vol, tf, march, rays, bbox) {
+        out.extend_from_slice(&colors[..rays.len()]);
+        return nans.iter().sum();
+    }
+    let mut nan_seen = 0;
+    for ray in rays {
+        let (c, n) = shade_ray_counted(vol, tf, march, ray, bbox);
+        nan_seen += n;
+        out.push(c);
+    }
+    nan_seen
+}
+
 /// Typed error unless `t += step` moves every ray parameter `t` in
 /// `[0, t_max]` forward; where `t + step == t` a ray would sample the same
 /// point forever. Float spacing is widest in `t_max`'s binade, and a tie
@@ -316,8 +358,10 @@ impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
         (self.rungs.len() - 1) as u8
     }
 
-    /// Shade one tile, polling `keep_going` once per pixel. NaN-sample
-    /// counts seen so far are flushed once per tile, even when aborted.
+    /// Shade one tile a packet of up to [`PACKET`] consecutive pixels at
+    /// a time ([`shade_rays`]), polling `keep_going` once per packet.
+    /// NaN-sample counts seen so far are flushed once per tile, even when
+    /// aborted.
     fn compute(
         &self,
         unit: usize,
@@ -331,15 +375,25 @@ impl<V: Volume3 + Sync> UnitKernel for TileKernel<'_, V> {
         buf.reserve(tile.area());
         let mut nan_seen = 0u64;
         let mut completed = true;
-        for (x, y) in tile.pixels() {
+        let mut pixels = tile.pixels();
+        let mut rays = [crate::ray::Ray {
+            origin: Vec3::ZERO,
+            dir: Vec3::ZERO,
+        }; PACKET];
+        loop {
+            let n = rays
+                .iter_mut()
+                .zip(pixels.by_ref())
+                .map(|(ray, (x, y))| *ray = self.cam.ray_for_pixel(x, y))
+                .count();
+            if n == 0 {
+                break;
+            }
             if !keep_going() {
                 completed = false;
                 break;
             }
-            let ray = self.cam.ray_for_pixel(x, y);
-            let (c, n) = shade_ray_counted(self.vol, self.tf, march, &ray, &self.bbox);
-            nan_seen += n;
-            buf.push(c);
+            nan_seen += shade_rays(self.vol, self.tf, march, &rays[..n], &self.bbox, buf);
         }
         crate::counters::record_nan_samples(nan_seen);
         completed
@@ -472,7 +526,7 @@ mod tests {
     use super::*;
     use crate::camera::{orbit_viewpoints, Projection};
     use crate::vec3::vec3;
-    use sfc_core::{Dims3, FnVolume, Grid3, ArrayOrder3, ZOrder3};
+    use sfc_core::{ArrayOrder3, Dims3, FnVolume, Grid3, ZOrder3};
     use sfc_harness::{DeadlineBudget, FaultKind, SupervisorConfig};
     use std::time::Duration;
 
@@ -1012,6 +1066,125 @@ mod tests {
                 let want = shade_ray(&vol, &tf, &o, &cam.ray_for_pixel(x, y), &bbox);
                 assert_eq!(img.get(x, y), want, "pixel ({x},{y})");
             }
+        }
+    }
+
+    /// 13×7×5 voxels of `((v * 2654435761) % 997) / 997` with every
+    /// seventh voxel NaN, in Z-order.
+    fn nan_grid() -> Grid3<f32, ZOrder3> {
+        let dims = Dims3::new(13, 7, 5);
+        let values: Vec<f32> = (0..dims.len())
+            .map(|v| match v % 7 {
+                0 => f32::NAN,
+                _ => ((v * 2654435761) % 997) as f32 / 997.0,
+            })
+            .collect();
+        Grid3::from_row_major(dims, &values)
+    }
+
+    fn camera_wh(center: Vec3, w: usize, h: usize) -> Camera {
+        Camera::look_at(
+            center + vec3(14.0, 5.0, 9.0),
+            center,
+            vec3(0.0, 1.0, 0.0),
+            Projection::Perspective {
+                fov_y: 60f32.to_radians(),
+            },
+            w,
+            h,
+        )
+    }
+
+    #[test]
+    fn every_tile_shape_matches_per_pixel_shade_ray_bitwise() {
+        // Packets run along a tile's rows and wrap to the next row when
+        // the tile is narrower than a packet or not a multiple of it.
+        let vol = nan_grid();
+        let bbox = Aabb::of_dims(vol.dims());
+        let tf = TransferFunction::fire();
+        for (w, h) in [(1, 1), (7, 3), (20, 12)] {
+            let cam = camera_wh(bbox.center(), w, h);
+            for tile in [1, 3, 5, 9, 32] {
+                let o = RenderOpts {
+                    tile,
+                    nthreads: 2,
+                    ..Default::default()
+                };
+                let img = render(&vol, &cam, &tf, &o);
+                let frame = TileRect {
+                    x0: 0,
+                    y0: 0,
+                    x1: w,
+                    y1: h,
+                };
+                for (x, y) in frame.pixels() {
+                    let want = shade_ray(&vol, &tf, &o, &cam.ray_for_pixel(x, y), &bbox);
+                    let got = img.get(x, y);
+                    let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
+                    assert_eq!(bits(got), bits(want), "{w}x{h}, tile {tile}, ({x},{y})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn aborted_tile_flushes_its_nan_count() {
+        // The engine aborts a tile through `keep_going`: the Supervised
+        // watchdog's cancel mid-tile, or a zero-budget Brownout's token
+        // before the first packet. The packets shaded before the abort
+        // still count their NaN taps.
+        let vol = nan_grid();
+        let bbox = Aabb::of_dims(vol.dims());
+        let tf = TransferFunction::fire();
+        let cam = camera_wh(bbox.center(), 20, 12);
+        let o = RenderOpts::default();
+        let march = MarchOpts::new(&tf, &o);
+        let tiles = [TileRect {
+            x0: 3,
+            y0: 4,
+            x1: 17,
+            y1: 11,
+        }];
+        let mut img = Image::new(20, 12);
+        let kernel = TileKernel {
+            vol: &vol,
+            cam: &cam,
+            tf: &tf,
+            bbox,
+            tiles: &tiles,
+            width: 20,
+            out: DisjointSlots::new(img.pixels_mut()),
+            rungs: vec![MarchOpts::new(&tf, &o)],
+        };
+        let pixels: Vec<_> = tiles[0].pixels().collect();
+        for packets in [0, 1, 3, 20] {
+            let mut polls = 0;
+            let mut buf = Vec::new();
+            let before = crate::counters::nan_samples();
+            let done = kernel.compute(0, 0, &mut buf, &mut || {
+                polls += 1;
+                polls <= packets
+            });
+            let after = crate::counters::nan_samples();
+            let shaded = (packets * PACKET).min(pixels.len());
+            assert_eq!(done, shaded == pixels.len(), "{packets} packets");
+            assert_eq!(buf.len(), shaded, "{packets} packets");
+            let mut want_nans = 0;
+            for (&(x, y), got) in pixels.iter().zip(&buf) {
+                let ray = cam.ray_for_pixel(x, y);
+                let (want, n) = shade_ray_counted(&vol, &tf, &march, &ray, &bbox);
+                assert_eq!(*got, want, "({x},{y})");
+                want_nans += n;
+            }
+            assert!(
+                packets == 0 || want_nans > 0,
+                "the packets must meet NaN voxels"
+            );
+            // Other tests may count NaN taps concurrently, never fewer.
+            assert!(
+                after - before >= want_nans,
+                "{packets} packets: {before} -> {after}"
+            );
         }
     }
 

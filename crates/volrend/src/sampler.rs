@@ -15,13 +15,21 @@
 //!   makes 0.58 cell fetches per sample, so 42% of samples reuse the
 //!   cached cell.
 //!
+//! The tile kernel's AVX2 ray packets (DESIGN.md §5.6) keep the same
+//! one-cell cache in each lane and fetch exactly when a `CellSampler`
+//! would, with the same `cell_corners` call. `CellSampler` itself runs
+//! the memory-counter replay, the lit march, the public `shade_ray`, and
+//! every frame on CPUs without AVX2.
+//!
 //! The cell cache's hit rate is a function of the ray step: the brownout
 //! quality ladder (`RenderOpts::brownout`) doubles the step per rung, so a
 //! downgraded tile takes half the samples *and* almost every remaining
 //! sample lands in a fresh cell (cache hits approach zero past a 1-voxel
 //! step). Both effects are already priced into the per-unit latency the
 //! deadline controller's EWMA observes — no sampler changes are needed
-//! for coarse-step marching to be profitable.
+//! for coarse-step marching to be profitable. A tile checks for
+//! cancellation (the engine's `keep_going`) once per packet of up to
+//! eight rays.
 //!
 //! The per-sample arithmetic makes no math-library call: the cell index
 //! is the clamped coordinate truncated to an integer, which equals its

@@ -1,7 +1,11 @@
 //! Transfer functions: scalar value → RGBA.
 
 /// A straight-alpha RGBA color, components in `[0, 1]`.
+///
+/// `repr(C)`: the ray-packet marcher gathers the transfer-function
+/// table's components by their offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Rgba {
     /// Red.
     pub r: f32,
@@ -22,7 +26,7 @@ pub const fn rgba(r: f32, g: f32, b: f32, a: f32) -> Rgba {
 /// discretized into a lookup table for cheap per-sample evaluation.
 #[derive(Debug, Clone)]
 pub struct TransferFunction {
-    table: Vec<Rgba>,
+    table: Box<[Rgba; TransferFunction::RESOLUTION]>,
 }
 
 impl TransferFunction {
@@ -37,13 +41,11 @@ impl TransferFunction {
             points.windows(2).all(|w| w[0].0 < w[1].0),
             "control point values must be strictly increasing"
         );
-        let n = Self::RESOLUTION;
-        let mut table = Vec::with_capacity(n);
-        for idx in 0..n {
-            let v = idx as f32 / (n - 1) as f32;
-            table.push(Self::eval_points(points, v));
+        let last = (Self::RESOLUTION - 1) as f32;
+        let table = std::array::from_fn(|idx| Self::eval_points(points, idx as f32 / last));
+        Self {
+            table: Box::new(table),
         }
-        Self { table }
     }
 
     fn eval_points(points: &[(f32, Rgba)], v: f32) -> Rgba {
@@ -114,6 +116,11 @@ impl TransferFunction {
     #[inline]
     pub(crate) fn entry(&self, index: usize) -> Rgba {
         self.table[index]
+    }
+
+    /// The whole table, for lanes that gather several entries at once.
+    pub(crate) fn entries(&self) -> &[Rgba; Self::RESOLUTION] {
+        &self.table
     }
 
     /// Each entry's opacity corrected for a ray step of `step` voxels
