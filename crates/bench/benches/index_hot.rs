@@ -12,23 +12,26 @@
 //!   single-thread pencil-gather driver, r1/r3/r5;
 //! * `render_packets` — one frame of the 64³ orbit per layout, one
 //!   thread: [`render`] (the tile kernel, eight rays per AVX2 packet
-//!   where the CPU has AVX2) vs a per-pixel [`shade_ray`] loop.
-//!   `shade_ray` builds its 256-entry opacity table on every call, which
-//!   `render` does once per frame; `per_pixel_table_builds` times the
-//!   same loop over a ray that misses the volume, so the per-ray march
-//!   costs the difference.
+//!   where the CPU has AVX2, each packet fetching its lanes' cells with
+//!   gathers from the layout's index tables) vs `render_per_lane_fetch`
+//!   (the same packets over a volume that serves only `cell_corners`, so
+//!   the packets fetch one lane after another) vs a per-pixel
+//!   [`shade_ray`] loop. `shade_ray` builds its 256-entry opacity table
+//!   on every call, which `render` does once per frame;
+//!   `per_pixel_table_builds` times the same loop over a ray that misses
+//!   the volume, so the per-ray march costs the difference.
 //!
 //! Both sides of each column compute bitwise-identical results; only the
 //! number of reads and their scheduling change, so any delta here is pure
 //! addressing cost, or, for `render_packets`, the per-sample arithmetic
-//! moving into lanes.
+//! and the cell fetch moving into lanes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use sfc_core::{
     ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, Layout3, StencilOrder, StencilSize, Tiled3,
-    ZOrder3,
+    Volume3, ZOrder3,
 };
 use sfc_filters::{bilateral3d, bilateral_voxel, BilateralParams, FilterRun};
 use sfc_volrend::{
@@ -116,7 +119,28 @@ fn bench_bilateral_interior(c: &mut Criterion) {
     g.finish();
 }
 
-/// `render` vs a per-pixel `shade_ray` loop over one layout.
+/// A grid that serves only `dims`, `get` and `cell_corners`, so a ray
+/// packet over it fetches its lanes' cells one lane at a time, through the
+/// default `Volume3::cell_corners_lanes`.
+struct PerLaneFetch<'a, L: Layout3>(&'a Grid3<f32, L>);
+
+impl<L: Layout3> Volume3 for PerLaneFetch<'_, L> {
+    fn dims(&self) -> Dims3 {
+        self.0.dims()
+    }
+
+    fn get(&self, i: usize, j: usize, k: usize) -> f32 {
+        self.0.get(i, j, k)
+    }
+
+    #[inline(always)]
+    fn cell_corners(&self, x0: usize, y0: usize, z0: usize) -> [f32; 8] {
+        Volume3::cell_corners(self.0, x0, y0, z0)
+    }
+}
+
+/// `render`, `render` with the per-lane fetch, and a per-pixel
+/// `shade_ray` loop over one layout.
 fn bench_frame<L: Layout3>(
     g: &mut criterion::BenchmarkGroup<'_>,
     grid: &Grid3<f32, L>,
@@ -126,6 +150,10 @@ fn bench_frame<L: Layout3>(
     let tf = TransferFunction::fire();
     g.bench_function(BenchmarkId::new("render", L::KIND), |b| {
         b.iter(|| black_box(render(grid, cam, &tf, opts)))
+    });
+    let per_lane = PerLaneFetch(grid);
+    g.bench_function(BenchmarkId::new("render_per_lane_fetch", L::KIND), |b| {
+        b.iter(|| black_box(render(&per_lane, cam, &tf, opts)))
     });
     let bbox = Aabb::of_dims(grid.dims());
     g.bench_function(BenchmarkId::new("per_pixel_shade_ray", L::KIND), |b| {

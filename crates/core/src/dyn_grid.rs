@@ -126,6 +126,19 @@ impl Volume3 for DynGrid3 {
     fn cell_corners(&self, x0: usize, y0: usize, z0: usize) -> [f32; 8] {
         dispatch!(self, g => g.cell_corners(x0, y0, z0))
     }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn cell_corners_lanes(
+        &self,
+        x: std::arch::x86_64::__m256i,
+        y: std::arch::x86_64::__m256i,
+        z: std::arch::x86_64::__m256i,
+        mask: std::arch::x86_64::__m256i,
+    ) -> [std::arch::x86_64::__m256; 8] {
+        // SAFETY: the caller's contract is the grid's.
+        dispatch!(self, g => unsafe { g.cell_corners_lanes(x, y, z, mask) })
+    }
 }
 
 #[cfg(test)]
@@ -174,6 +187,38 @@ mod tests {
         let v: &dyn Volume3 = &g;
         assert_eq!(v.get(0, 0, 0), 0.0);
         assert_eq!(v.get_clamped(-1, 0, 0), 0.0);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_fetch_matches_per_lane_cell_corners_in_every_kind() {
+        use crate::lanes::probe;
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let dims = Dims3::new(5, 6, 7);
+        let mut rng = crate::rng::SplitMix64::new(0xd1_6a);
+        for kind in LayoutKind::ALL {
+            let g = DynGrid3::from_row_major(kind, dims, &values(dims));
+            for _ in 0..50 {
+                let cells: [(usize, usize, usize); 8] = std::array::from_fn(|_| {
+                    let mut axis = |n: usize| rng.u64_below(n as u64) as usize;
+                    (axis(dims.nx), axis(dims.ny), axis(dims.nz))
+                });
+                let mask = rng.next_u32() as u8;
+                // SAFETY: AVX2 was detected above; the cells lie inside
+                // `dims`.
+                let got = unsafe { probe::corners(&g, &cells, mask) };
+                for (l, &(i, j, k)) in cells.iter().enumerate() {
+                    let want = if mask >> l & 1 == 1 {
+                        g.cell_corners(i, j, k)
+                    } else {
+                        [0.0; 8]
+                    };
+                    assert_eq!(got[l], want, "{kind} lane {l} cell ({i},{j},{k})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -452,6 +452,90 @@ impl MortonToHilbert3 {
         }
         h
     }
+
+    /// [`encode`](Self::encode) for eight codes of eight lanes each, the
+    /// walks interleaved step by step so that their lookups overlap. Each
+    /// lane of `codes[c]` holds the high dword of the left-aligned code
+    /// `encode` takes, which is the whole code for `bits <= 10`; lane `l`
+    /// of the result's vector `c` is that code's index. Lanes outside
+    /// `mask` read nothing, and their indices are unspecified.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and the caller must be compiled with it
+    /// enabled; `bits` must be at most 10.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    pub(crate) unsafe fn encode_lanes(
+        &self,
+        codes: [std::arch::x86_64::__m256i; 8],
+        bits: u32,
+        mask: std::arch::x86_64::__m256i,
+    ) -> [std::arch::x86_64::__m256i; 8] {
+        use std::arch::x86_64::*;
+        debug_assert!(bits <= 10, "order {bits} does not fit a 32-bit lane");
+        let mut m = codes;
+        let mut e = [_mm256_setzero_si256(); 8];
+        let mut h = [_mm256_setzero_si256(); 8];
+        let digits = _mm256_set1_epi32(63);
+        if bits & 1 == 1 {
+            let root = _mm256_set1_epi32((Self::ODD_ROOT << 6) as i32);
+            for c in 0..8 {
+                let idx = _mm256_or_si256(root, _mm256_srli_epi32::<29>(m[c]));
+                e[c] = self.lookup_lanes(idx, mask);
+                h[c] = _mm256_and_si256(e[c], digits);
+                m[c] = _mm256_slli_epi32::<3>(m[c]);
+            }
+        }
+        let rows = _mm256_set1_epi32(0x7c0);
+        for _ in 0..bits / 2 {
+            for c in 0..8 {
+                let row = _mm256_and_si256(e[c], rows);
+                let chunk = _mm256_srli_epi32::<26>(m[c]);
+                e[c] = self.lookup_lanes(_mm256_or_si256(row, chunk), mask);
+                let digit_pair = _mm256_and_si256(e[c], digits);
+                h[c] = _mm256_or_si256(_mm256_slli_epi32::<6>(h[c]), digit_pair);
+                m[c] = _mm256_slli_epi32::<6>(m[c]);
+            }
+        }
+        h
+    }
+
+    /// `table[idx]` in each lane `mask` selects, 0 in the others: one
+    /// masked dword gather at scale 2, which reads entries `idx` and
+    /// `idx + 1`, and the low 16 bits of each dword.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and the caller must be compiled with it
+    /// enabled; every selected lane of `idx` must be a row of a state or
+    /// of `ODD_ROOT` ORed with a chunk, as [`encode_lanes`](Self::encode_lanes)
+    /// forms it.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn lookup_lanes(
+        &self,
+        idx: std::arch::x86_64::__m256i,
+        mask: std::arch::x86_64::__m256i,
+    ) -> std::arch::x86_64::__m256i {
+        use std::arch::x86_64::*;
+        crate::lanes::debug_assert_below(idx, mask, self.table.len() - 1, "Hilbert table index");
+        // SAFETY: each selected lane reads the 4 bytes at `2 * idx`, the
+        // entries `idx` and `idx + 1`, both inside the 2048-entry table.
+        // An index is either `ODD_ROOT << 6` ORed with a 3-bit chunk, at
+        // most 31 * 64 + 7 = 1991, or the row bits of an entry (0 before
+        // the first step) ORed with a 6-bit chunk. `build` fills entries
+        // only with the rows of states, and asserts that there are at
+        // most `ODD_ROOT` of them, so such a row is at most 30 * 64 and
+        // the index at most 1983. Unselected lanes read nothing.
+        let pairs = unsafe {
+            _mm256_mask_i32gather_epi32::<2>(
+                _mm256_setzero_si256(),
+                self.table.as_ptr().cast::<i32>(),
+                idx,
+                mask,
+            )
+        };
+        _mm256_and_si256(pairs, _mm256_set1_epi32(0xffff))
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,10 @@
 //! A *layout* is a bijection from logical grid coordinates onto slots of a
 //! linear backing buffer. All layouts here are table-driven or O(1) so the
 //! index-computation cost is "on more or less equal footing" (paper §III-C)
-//! and measured differences reflect memory locality, not arithmetic.
+//! and measured differences reflect memory locality, not arithmetic. The
+//! footing holds in lanes too: on x86_64 each layout computes the slots of
+//! eight trilinear cells at once from its own tables, with AVX2 gathers
+//! (`Layout3::cell_slots_lanes`, DESIGN.md §5.7).
 
 use crate::cursor::RecomputeCursor;
 use crate::dims::{Dims2, Dims3};
@@ -135,6 +138,44 @@ pub trait Layout3: Clone + Send + Sync + 'static {
         ]
     }
 
+    /// [`cell_slots`](Self::cell_slots) for up to eight cells at once, one
+    /// per 32-bit lane: lane `l` of `x`, `y` and `z` holds the low corner
+    /// of lane `l`'s cell, and lane `l` of the returned vector `c` holds
+    /// that cell's slot of corner `c`, in `cell_slots`' corner order and
+    /// with its clamp. Only the lanes `mask` selects (all ones; a lane's
+    /// sign bit decides) are computed; the other lanes' slots are
+    /// unspecified.
+    ///
+    /// The default runs `cell_slots` on each selected lane, one after
+    /// another. Array, Z and tiled order override it with AVX2 gathers
+    /// from their per-axis tables, and Hilbert order with gathers from its
+    /// dilation table and a lane walk through its automaton table
+    /// (DESIGN.md §5.7), so each layout still computes its slots from its
+    /// own tables.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and the caller must be compiled with it
+    /// enabled; every selected lane's cell must lie inside
+    /// [`dims`](Self::dims); and every slot must fit an `i32`, that is
+    /// [`storage_len`](Self::storage_len) at most 2^31. The overrides read
+    /// their tables without bounds checks, which debug builds assert.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn cell_slots_lanes(
+        &self,
+        x: std::arch::x86_64::__m256i,
+        y: std::arch::x86_64::__m256i,
+        z: std::arch::x86_64::__m256i,
+        mask: std::arch::x86_64::__m256i,
+    ) -> [std::arch::x86_64::__m256i; 8] {
+        // Each slot is below `storage_len() <= 2^31`, so it fits an i32.
+        let slots = crate::lanes::per_lane(x, y, z, mask, |i, j, k| {
+            self.cell_slots(i, j, k).map(|s| s as i32)
+        });
+        // SAFETY: an 8-element i32 array is 8 readable lanes.
+        slots.map(|row| unsafe { std::arch::x86_64::_mm256_loadu_si256(row.as_ptr().cast()) })
+    }
+
     /// Inverse map over the *storage* domain. For padded layouts the result
     /// may lie outside `dims()`; callers iterating storage order must filter
     /// with `dims().contains(..)`.
@@ -157,6 +198,15 @@ pub trait Layout3: Clone + Send + Sync + 'static {
         let storage = self.storage_len() as f64;
         (storage - logical) / storage
     }
+}
+
+/// Whether every storage slot of `layout` fits an `i32`:
+/// [`Layout3::storage_len`] at most 2^31, the bound
+/// [`Layout3::cell_slots_lanes`] needs. A `Grid3` fetches its cells
+/// through the lane slots only then, and one lane at a time otherwise.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn slots_fit_i32<L: Layout3>(layout: &L) -> bool {
+    layout.storage_len() <= 1 << 31
 }
 
 /// A 2D memory layout; mirrors [`Layout3`].

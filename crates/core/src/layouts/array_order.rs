@@ -48,6 +48,36 @@ impl Layout3 for ArrayOrder3 {
         i + self.yoffset[j] + self.zoffset[k]
     }
 
+    /// Four gathers, both planes of the `yoffset` and `zoffset` tables;
+    /// the x term is the coordinate itself.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn cell_slots_lanes(
+        &self,
+        x: std::arch::x86_64::__m256i,
+        y: std::arch::x86_64::__m256i,
+        z: std::arch::x86_64::__m256i,
+        mask: std::arch::x86_64::__m256i,
+    ) -> [std::arch::x86_64::__m256i; 8] {
+        use crate::lanes::{plane_terms, planes, separable_slots};
+        let d = self.dims;
+        // SAFETY: the caller runs AVX2 code and selects lanes whose cell
+        // lies inside `dims`. The gathered table indices are a selected
+        // lane's `y0`, `z0` and the clamped `min(y0 + 1, ny - 1)`,
+        // `min(z0 + 1, nz - 1)`, all below `ny == yoffset.len()` and
+        // `nz == zoffset.len()`. Each slot is `index()` of an in-bounds
+        // corner, below `storage_len() <= 2^31` (the caller's contract),
+        // so every term and sum fits an i32 and each `usize` entry's low
+        // dword is its value.
+        unsafe {
+            separable_slots(
+                planes(x, d.nx),
+                plane_terms(&self.yoffset, y, d.ny, mask, 0),
+                plane_terms(&self.zoffset, z, d.nz, mask, 0),
+            )
+        }
+    }
+
     #[inline]
     fn coords(&self, index: usize) -> (usize, usize, usize) {
         debug_assert!(index < self.storage_len());

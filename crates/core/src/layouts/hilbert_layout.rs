@@ -10,7 +10,9 @@
 //! paper's background (Reissmann et al. 2014) found Hilbert's index cost to
 //! outweigh its slightly better locality; `sfc-bench`'s `curve_ablation`
 //! measures the trade-off with this implementation. Axis runs read through
-//! `index()` too, one voxel at a time, like every other layout.
+//! `index()` too, one voxel at a time, like every other layout. On x86_64,
+//! `cell_slots_lanes` walks the same two tables for the eight corners of
+//! eight cells at once, with AVX2 gathers (DESIGN.md §5.7).
 //!
 //! Hilbert order requires a power-of-two *cube*, so rectangular domains pad
 //! every axis to the largest axis's power of two — a much bigger overhead
@@ -93,6 +95,47 @@ impl Layout3 for HilbertOrder3 {
         debug_assert!(self.dims.contains(i, j, k));
         let t = &self.dilate;
         self.table.encode(t[i] | t[j] << 1 | t[k] << 2, self.bits) as usize
+    }
+
+    /// Six gathers of the high dword of both planes' dilation entries per
+    /// axis, then the two-plane automaton walked in lanes for all eight
+    /// corners at once: ⌈bits/2⌉ table gathers per corner, plus the root
+    /// step of an odd order.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn cell_slots_lanes(
+        &self,
+        x: std::arch::x86_64::__m256i,
+        y: std::arch::x86_64::__m256i,
+        z: std::arch::x86_64::__m256i,
+        mask: std::arch::x86_64::__m256i,
+    ) -> [std::arch::x86_64::__m256i; 8] {
+        use crate::lanes::{plane_terms, separable_slots};
+        use std::arch::x86_64::*;
+        let d = self.dims;
+        // `storage_len() = 2^(3 * bits) <= 2^31` (the caller's contract)
+        // gives `bits <= 10`: each code has at most 30 bits, all in the
+        // high dword of its left-aligned entry, which holds it shifted
+        // left by `32 - 3 * bits`, its top bit at most bit 29
+        // (`encode_lanes` asserts the order in debug builds).
+        // SAFETY: the caller runs AVX2 code and selects lanes whose cell
+        // lies inside `dims`. The gathered indices are a selected lane's
+        // low corner and its clamped high corner on each axis, below that
+        // axis's extent and so below `dilate.len()`, the longest extent.
+        // With `bits <= 10` the y and z terms shifted left by 1 and 2
+        // stay within 32 bits, and the three terms' bits are disjoint, so
+        // their sum is the Morton code's OR. `encode_lanes` then gives an
+        // index below `2^(3 * bits) = storage_len()`, which fits an i32.
+        unsafe {
+            let [y0, y1] = plane_terms(&self.dilate, y, d.ny, mask, 1);
+            let [z0, z1] = plane_terms(&self.dilate, z, d.nz, mask, 1);
+            let codes = separable_slots(
+                plane_terms(&self.dilate, x, d.nx, mask, 1),
+                [_mm256_slli_epi32::<1>(y0), _mm256_slli_epi32::<1>(y1)],
+                [_mm256_slli_epi32::<2>(z0), _mm256_slli_epi32::<2>(z1)],
+            );
+            self.table.encode_lanes(codes, self.bits, mask)
+        }
     }
 
     #[inline]
@@ -201,6 +244,59 @@ mod tests {
     #[should_panic(expected = "size computation overflowed usize")]
     fn new_panics_with_the_overflow_message() {
         HilbertOrder3::new(Dims3::new(1 << 22, 1, 1));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_slots_match_cell_slots_at_orders_0_to_10() {
+        use crate::lanes::probe;
+        use crate::rng::SplitMix64;
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = SplitMix64::new(0x51_07_1a_e5);
+        for bits in 0..=10u32 {
+            let n = 1usize << bits;
+            // A cube and a box whose y and z faces clamp below the order.
+            for dims in [Dims3::cube(n), Dims3::new(n, n.div_ceil(3), n / 2 + 1)] {
+                let l = HilbertOrder3::new(dims);
+                assert_eq!(l.bits(), bits);
+                let far = (dims.nx - 1, dims.ny - 1, dims.nz - 1);
+                for round in 0..200 {
+                    let mut cells: [(usize, usize, usize); 8] = std::array::from_fn(|_| {
+                        let mut axis = |n: usize| rng.u64_below(n as u64) as usize;
+                        (axis(dims.nx), axis(dims.ny), axis(dims.nz))
+                    });
+                    cells[round % 8] = far;
+                    let mask = rng.next_u32() as u8;
+                    // SAFETY: AVX2 was detected above; the cells lie
+                    // inside `dims`, and 2^(3 * 10) slots fit an i32.
+                    let got = unsafe { probe::slots(&l, &cells, mask) };
+                    for lane in (0..8).filter(|lane| mask >> lane & 1 == 1) {
+                        let (i, j, k) = cells[lane];
+                        let want = l.cell_slots(i, j, k).map(|s| s as i32);
+                        assert_eq!(got[lane], want, "order {bits} {dims:?} cell ({i},{j},{k})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn only_storage_of_at_most_2_pow_31_slots_takes_the_lane_slots() {
+        use crate::layout::slots_fit_i32;
+        // Neither builds a grid: 2048 x 1 x 1 in Hilbert order pads to
+        // 2^33 slots from a 2048-entry dilation table, and array order's
+        // tables hold one entry each here.
+        let wide = HilbertOrder3::new(Dims3::new(2048, 1, 1));
+        assert_eq!(wide.storage_len(), 1 << 33);
+        assert!(wide.cell_slots(2047, 0, 0)[0] > i32::MAX as usize);
+        assert!(!slots_fit_i32(&wide));
+        assert!(slots_fit_i32(&HilbertOrder3::new(Dims3::new(1024, 1, 1))));
+        let array = |nx| crate::layouts::ArrayOrder3::new(Dims3::new(nx, 1, 1));
+        assert!(slots_fit_i32(&array(1 << 31)));
+        assert!(!slots_fit_i32(&array((1 << 31) + 1)));
     }
 
     #[test]

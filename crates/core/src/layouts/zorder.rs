@@ -93,6 +93,37 @@ impl Layout3 for ZOrder3 {
         (self.xtab[i] | self.ytab[j] | self.ztab[k]) as usize
     }
 
+    /// Six gathers, both planes of each axis's dilation table. The three
+    /// terms have disjoint bits, so their sum is their OR.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn cell_slots_lanes(
+        &self,
+        x: std::arch::x86_64::__m256i,
+        y: std::arch::x86_64::__m256i,
+        z: std::arch::x86_64::__m256i,
+        mask: std::arch::x86_64::__m256i,
+    ) -> [std::arch::x86_64::__m256i; 8] {
+        use crate::lanes::{plane_terms, separable_slots};
+        let d = self.dims;
+        // SAFETY: the caller runs AVX2 code and selects lanes whose cell
+        // lies inside `dims`. The gathered indices are a selected lane's
+        // low corner and its clamped high corner on each axis, below that
+        // axis's extent, and each table holds an entry for every
+        // coordinate below the axis's power-of-two padding, at least its
+        // extent. Each slot is `index()` of an in-bounds corner, below
+        // `storage_len() <= 2^31` (the caller's contract), so every term
+        // and sum fits an i32 and each `u64` entry's low dword is its
+        // value.
+        unsafe {
+            separable_slots(
+                plane_terms(&self.xtab, x, d.nx, mask, 0),
+                plane_terms(&self.ytab, y, d.ny, mask, 0),
+                plane_terms(&self.ztab, z, d.nz, mask, 0),
+            )
+        }
+    }
+
     #[inline]
     fn coords(&self, index: usize) -> (usize, usize, usize) {
         self.pattern.decode(index as u64)

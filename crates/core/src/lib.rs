@@ -57,6 +57,8 @@ pub mod grid;
 pub mod hash;
 pub mod hilbert;
 pub mod iter;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 pub mod layout;
 pub mod layouts;
 pub mod morton;

@@ -7,10 +7,14 @@
 //! blend, the transfer-function index, the corrected-opacity lookup,
 //! compositing and early termination. Nothing is fused or reassociated,
 //! so each lane's color and NaN tally equal the per-ray march's bit for
-//! bit. A lane whose cell changed fetches its eight corners with one
-//! [`Volume3::cell_corners`] call, exactly when the per-ray
-//! [`CellSampler`](crate::CellSampler) would, so every layout still reads
-//! through its own `cell_slots`/`index()`.
+//! bit. The lanes whose cell changed fetch their eight corners together,
+//! with one [`Volume3::cell_corners_lanes`] call, exactly when the
+//! per-ray [`CellSampler`](crate::CellSampler) would fetch them. A grid
+//! serves it with AVX2 gathers from its layout's own index tables
+//! (`Layout3::cell_slots_lanes`, DESIGN.md §5.7), so every layout still
+//! computes its slots its own way; any other volume serves it with one
+//! `cell_corners` call per lane. The corners stay in registers, and NaN
+//! corners are substituted and tallied in lanes.
 //!
 //! Ray set-up (`Camera::ray_for_pixel`, [`Aabb::intersect`]) stays per
 //! ray, and a lane whose ray misses the box is inactive from the start.
@@ -31,14 +35,18 @@ use crate::transfer::{Rgba, TransferFunction};
 /// an `i32`: it returns `i32::MIN` there.
 const I32_LIMIT: f32 = 2_147_483_648.0;
 
-/// Whether the lanes' `i32` cell split is exact on `dims`: every axis's
-/// clamp bound `(n - 1) as f32` lies below 2^31. That holds up to
+/// Whether the lanes' `i32` cell split is exact on `dims` and keeps every
+/// cell inside it: every axis's clamp bound `(n - 1) as f32` lies below
+/// 2^31 and does not round up past `n - 1`. The first holds up to
 /// `n = 2^31 - 64`; from `2^31 - 63` voxels on, the bound rounds up to
-/// 2^31.
+/// 2^31. The second fails only above 2^24 + 1 voxels, where `n - 1` can
+/// round up to `n`, and a cell split there would start outside the
+/// volume, past what the lane fetch may read.
 pub(crate) fn lanes_fit(dims: Dims3) -> bool {
-    [dims.nx, dims.ny, dims.nz]
-        .into_iter()
-        .all(|n| ((n - 1) as f32) < I32_LIMIT)
+    [dims.nx, dims.ny, dims.nz].into_iter().all(|n| {
+        let bound = (n - 1) as f32;
+        bound < I32_LIMIT && (bound as usize) < n
+    })
 }
 
 /// March `rays`, at most [`PACKET`] of them, as one packet: each ray's
@@ -195,13 +203,14 @@ unsafe fn march_packet<V: Volume3>(
     // Each lane's cached cell, as `CellSampler` keeps it: no valid cell
     // is negative, so -1 makes every lane's first sample fetch.
     let mut cell = [_mm256_set1_epi32(-1); 3];
-    // Cached corners, NaN already substituted, as `corners[c][lane]` in
-    // `cell_corners` order.
-    let mut corners: [Lanes; 8] = [[0.0; PACKET]; 8];
-    let mut cell_nans = [0u64; PACKET];
+    // Cached corners in `cell_corners` order, NaN already substituted.
+    let mut corners = [zero; 8];
+    // Each lane's count of NaN corners in its cached cell.
+    let mut cell_nans = _mm256_setzero_si256();
     // Lanes whose cached cell holds a NaN corner.
     let mut nan_cells = 0u32;
-    let mut nan_seen = [0u64; PACKET];
+    // Each lane's NaN tally, lanes 0-3 and 4-7 as 64-bit counts.
+    let mut nan_seen = [_mm256_setzero_si256(); 2];
     let (mut r, mut g, mut b, mut a) = (zero, zero, zero, zero);
 
     // Each color component's f32 offset within a `repr(C)` `Rgba`.
@@ -238,51 +247,54 @@ unsafe fn march_packet<V: Volume3>(
             ),
         );
         let fetch = _mm256_andnot_ps(_mm256_castsi256_ps(same), active);
-        let mut lanes = _mm256_movemask_ps(fetch) as u32;
+        let lanes = _mm256_movemask_ps(fetch) as u32;
         if lanes != 0 {
-            let at = [lanes_i32(ix), lanes_i32(iy), lanes_i32(iz)];
-            while lanes != 0 {
-                let l = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                // A negative lane becomes a huge `usize` and fails the check.
-                let (x0, y0, z0) = (at[0][l] as usize, at[1][l] as usize, at[2][l] as usize);
-                debug_assert!(
-                    dims.contains(x0, y0, z0),
-                    "lane {l} fetched cell ({x0}, {y0}, {z0}) outside {dims:?}"
-                );
-                let mut nans = 0u64;
-                for (slot, v) in corners.iter_mut().zip(vol.cell_corners(x0, y0, z0)) {
-                    if v.is_nan() {
-                        nans += 1;
-                        slot[l] = 0.0;
-                    } else {
-                        slot[l] = v;
-                    }
-                }
-                cell_nans[l] = nans;
-                if nans > 0 {
-                    nan_cells |= 1 << l;
-                } else {
-                    nan_cells &= !(1 << l);
+            let fetched = _mm256_castps_si256(fetch);
+            if cfg!(debug_assertions) {
+                let at = [lanes_i32(ix), lanes_i32(iy), lanes_i32(iz)];
+                for l in (0..PACKET).filter(|l| lanes >> l & 1 == 1) {
+                    // A negative lane becomes a huge `usize` and fails the check.
+                    let (x0, y0, z0) = (at[0][l] as usize, at[1][l] as usize, at[2][l] as usize);
+                    debug_assert!(
+                        dims.contains(x0, y0, z0),
+                        "lane {l} fetched cell ({x0}, {y0}, {z0}) outside {dims:?}"
+                    );
                 }
             }
-            let fetched = _mm256_castps_si256(fetch);
+            // SAFETY: this function runs with AVX2, and every lane it
+            // selects holds a cell inside `dims`: a clamped coordinate is
+            // NaN, which `split` maps to 0, or in `[0, (n - 1) as f32]`,
+            // whose truncation `lanes_fit` makes exact and at most
+            // `n - 1`.
+            let raw = unsafe { vol.cell_corners_lanes(ix, iy, iz, fetched) };
+            // Substitute 0 for each NaN corner of a fetched lane and
+            // count them, as `CellSampler` does.
+            let mut nans = _mm256_setzero_si256();
+            for (c, v) in corners.iter_mut().zip(raw) {
+                let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+                nans = _mm256_sub_epi32(nans, _mm256_castps_si256(nan));
+                *c = _mm256_blendv_ps(*c, _mm256_andnot_ps(nan, v), fetch);
+            }
+            cell_nans = _mm256_blendv_epi8(cell_nans, nans, fetched);
+            let with_nans = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(
+                nans,
+                _mm256_setzero_si256(),
+            ))) as u32;
+            nan_cells = (nan_cells & !lanes) | (with_nans & lanes);
             for (c, i) in cell.iter_mut().zip([ix, iy, iz]) {
                 *c = _mm256_blendv_epi8(*c, i, fetched);
             }
         }
         // Tally per sample, cache hits included, as `CellSampler` does.
-        let mut tally = live & nan_cells;
-        while tally != 0 {
-            let l = tally.trailing_zeros() as usize;
-            tally &= tally - 1;
-            nan_seen[l] += cell_nans[l];
+        if live & nan_cells != 0 {
+            let n = _mm256_and_si256(cell_nans, _mm256_castps_si256(active));
+            let halves = [_mm256_castsi256_si128(n), _mm256_extracti128_si256::<1>(n)];
+            for (seen, half) in nan_seen.iter_mut().zip(halves) {
+                *seen = _mm256_add_epi64(*seen, _mm256_cvtepu32_epi64(half));
+            }
         }
 
-        let mut c = [zero; 8];
-        for (v, row) in c.iter_mut().zip(&corners) {
-            *v = load(row);
-        }
+        let c = &corners;
         let v = lerp(
             lerp(lerp(c[0], c[1], fx), lerp(c[2], c[3], fx), fy),
             lerp(lerp(c[4], c[5], fx), lerp(c[6], c[7], fx), fy),
@@ -343,7 +355,12 @@ unsafe fn march_packet<V: Volume3>(
         b: out[2][l],
         a: out[3][l],
     });
-    (colors, nan_seen)
+    let mut tallies = [0u64; PACKET];
+    for (dst, v) in tallies.chunks_exact_mut(4).zip(nan_seen) {
+        // SAFETY: a 4-element u64 slice is 4 writable 64-bit lanes.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) };
+    }
+    (colors, tallies)
 }
 
 #[cfg(test)]
@@ -356,7 +373,9 @@ mod tests {
     use crate::vec3::vec3;
     use sfc_core::{ArrayOrder3, FnVolume, Grid3, HilbertOrder3, Tiled3, ZOrder3};
 
-    /// A volume that counts its `cell_corners` calls.
+    /// A volume that counts the cells it fetches, through `cell_corners`
+    /// and through the lanes `cell_corners_lanes` selects, and forwards
+    /// both fetches to the wrapped volume's own.
     struct Counting<'a, V> {
         vol: &'a V,
         fetches: Cell<u64>,
@@ -374,6 +393,19 @@ mod tests {
         fn cell_corners(&self, x0: usize, y0: usize, z0: usize) -> [f32; 8] {
             self.fetches.set(self.fetches.get() + 1);
             self.vol.cell_corners(x0, y0, z0)
+        }
+
+        unsafe fn cell_corners_lanes(
+            &self,
+            x: __m256i,
+            y: __m256i,
+            z: __m256i,
+            mask: __m256i,
+        ) -> [__m256; 8] {
+            let lanes = _mm256_movemask_ps(_mm256_castsi256_ps(mask)).count_ones();
+            self.fetches.set(self.fetches.get() + u64::from(lanes));
+            // SAFETY: the caller's contract is the wrapped volume's.
+            unsafe { self.vol.cell_corners_lanes(x, y, z, mask) }
         }
     }
 
@@ -526,6 +558,11 @@ mod tests {
         assert!(!lanes_fit(x((1 << 31) - 63)), "the bound rounds up to 2^31");
         assert!(!lanes_fit(x((1 << 31) + 2)));
         assert!(!lanes_fit(Dims3::new(4, 4, 1 << 31)));
+        // 2^25 - 1 rounds up to 2^25, a cell past the last voxel; 2^25 is
+        // exact.
+        let y = |n| Dims3::new(4, n, 4);
+        assert!(!lanes_fit(y(1 << 25)), "the bound rounds up to n");
+        assert!(lanes_fit(y((1 << 25) + 1)));
     }
 
     #[test]

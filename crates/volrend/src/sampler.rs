@@ -17,8 +17,10 @@
 //!
 //! The tile kernel's AVX2 ray packets (DESIGN.md §5.6) keep the same
 //! one-cell cache in each lane and fetch exactly when a `CellSampler`
-//! would, with the same `cell_corners` call. `CellSampler` itself runs
-//! the memory-counter replay, the lit march, the public `shade_ray`, and
+//! would, every changed lane at once through
+//! `Volume3::cell_corners_lanes`, which grids serve with gathers from the
+//! layout's own tables (§5.7). `CellSampler` itself runs the
+//! memory-counter replay, the lit march, the public `shade_ray`, and
 //! every frame on CPUs without AVX2.
 //!
 //! The cell cache's hit rate is a function of the ray step: the brownout
@@ -324,6 +326,41 @@ mod tests {
         }
     }
 
+    /// `vol.cell_corners_lanes` as `out[lane][corner]`: `cells[l]` in
+    /// lane `l` where bit `l` of `mask` is set, and a cell outside every
+    /// grid, -1 on each axis, in the other lanes.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and every selected cell must lie inside
+    /// the volume's dims.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lane_corners<V: Volume3 + ?Sized>(
+        vol: &V,
+        cells: &[(usize, usize, usize); 8],
+        mask: u8,
+    ) -> [[f32; 8]; 8] {
+        use std::arch::x86_64::*;
+        let selected = |l: usize| mask >> l & 1 == 1;
+        let axis = |c: fn(&(usize, usize, usize)) -> usize| -> [i32; 8] {
+            std::array::from_fn(|l| if selected(l) { c(&cells[l]) as i32 } else { -1 })
+        };
+        let lanes: [[i32; 8]; 4] = [
+            axis(|c| c.0),
+            axis(|c| c.1),
+            axis(|c| c.2),
+            std::array::from_fn(|l| -i32::from(selected(l))),
+        ];
+        // SAFETY: 8-element i32 arrays are 8 readable lanes.
+        let [x, y, z, m] = lanes.map(|v| unsafe { _mm256_loadu_si256(v.as_ptr().cast()) });
+        let mut by_corner = [[0.0f32; 8]; 8];
+        for (row, v) in by_corner.iter_mut().zip(vol.cell_corners_lanes(x, y, z, m)) {
+            // SAFETY: an 8-element f32 array is 8 writable lanes.
+            unsafe { _mm256_storeu_ps(row.as_mut_ptr(), v) };
+        }
+        std::array::from_fn(|l| std::array::from_fn(|c| by_corner[c][l]))
+    }
+
     #[test]
     fn grid_cell_corners_match_default_on_all_edges() {
         // Cells whose high corner clamps (last plane along each axis) must
@@ -337,6 +374,39 @@ mod tests {
                 let fast = g.cell_corners(i, j, k);
                 let slow = vref.cell_corners(i, j, k);
                 assert_eq!(fast, slow, "{} {dims:?} cell ({i},{j},{k})", L::KIND);
+            }
+            // The lane fetch, eight cells at a time under a seeded random
+            // mask and then its complement, so that each cell is fetched
+            // once and unselected lanes, which hold no valid cell, must
+            // come back 0.
+            #[cfg(target_arch = "x86_64")]
+            if is_x86_feature_detected!("avx2") {
+                let all: Vec<_> = dims.iter().collect();
+                let mut rng = sfc_core::SplitMix64::new(dims.len() as u64);
+                for chunk in all.chunks(8) {
+                    let mut cells = [(0, 0, 0); 8];
+                    cells[..chunk.len()].copy_from_slice(chunk);
+                    let used = ((1u32 << chunk.len()) - 1) as u8;
+                    let draw = rng.next_u32() as u8 & used;
+                    for mask in [draw, !draw & used] {
+                        // SAFETY: AVX2 was detected above, and every
+                        // selected cell lies inside `dims`.
+                        let got = unsafe { lane_corners(&g, &cells, mask) };
+                        for (l, &(i, j, k)) in cells.iter().enumerate() {
+                            let want = if mask >> l & 1 == 1 {
+                                vref.cell_corners(i, j, k)
+                            } else {
+                                [0.0; 8]
+                            };
+                            assert_eq!(
+                                got[l].map(f32::to_bits),
+                                want.map(f32::to_bits),
+                                "{} {dims:?} lane {l} cell ({i},{j},{k}) mask {mask:#010b}",
+                                L::KIND
+                            );
+                        }
+                    }
+                }
             }
         }
         for (nx, ny, nz) in [(5, 4, 3), (13, 7, 5), (1, 1, 1), (1, 9, 2), (17, 3, 9)] {
