@@ -1,8 +1,11 @@
 //! Microbench for the paper's §III-C claim: with both index computations
-//! table-driven, array-order (two lookups + two adds) and Z-order (three
-//! lookups + two ORs) cost "more or less the same", so measured kernel
-//! differences reflect memory layout, not index arithmetic. Hilbert cannot
-//! be split into per-axis tables; its table-driven index (one dilation
+//! table-driven, array order and Z-order cost "more or less the same", so
+//! measured kernel differences reflect memory layout, not index
+//! arithmetic. The paper's array order takes two lookups and two adds and
+//! its Z-order three lookups and two ORs; here array, Z and tiled order
+//! are one separable layout, three lookups and two adds each, so they run
+//! the same code on different tables (DESIGN.md §5.8). Hilbert cannot be
+//! split into per-axis tables; its table-driven index (one dilation
 //! table, then ⌈bits/2⌉ dependent two-plane lookups) still costs several
 //! times theirs, though far less than the transpose encoder it replaced.
 

@@ -2,7 +2,10 @@
 //! [`Layout3::cell_slots_lanes`](crate::Layout3::cell_slots_lanes) and
 //! [`Volume3::cell_corners_lanes`](crate::Volume3::cell_corners_lanes)
 //! fetch the cells of up to eight lanes, one cell per 32-bit lane of an
-//! AVX2 register, for the raycaster's ray packets.
+//! AVX2 register, for the raycaster's ray packets. Two layouts use them:
+//! the separable layout of array, Z and tiled order, whose one fetch is
+//! six gathers and [`separable_slots`] (DESIGN.md §5.8), and Hilbert
+//! order.
 //!
 //! Every function here is `#[inline(always)]` and must be called from code
 //! compiled with AVX2 enabled, on a CPU that has it: they are written to
@@ -149,9 +152,8 @@ pub(crate) unsafe fn plane_terms<T>(
 
 /// The eight corner sums `x[X] + y[Y] + z[Z]` for corner `X + 2Y + 4Z`,
 /// in twelve adds: the slots of a layout whose index is the sum of three
-/// per-axis terms. Array order, Z-order (whose ORed terms have disjoint
-/// bits, so OR is add) and tiled order build their slots here, and
-/// Hilbert order its corners' Morton codes.
+/// per-axis terms. The separable layout (array, Z and tiled order) builds
+/// its slots here, and Hilbert order its corners' Morton codes.
 ///
 /// # Safety
 /// The caller must be compiled with AVX2 enabled.

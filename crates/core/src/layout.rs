@@ -2,16 +2,38 @@
 //! §III-C.
 //!
 //! A *layout* is a bijection from logical grid coordinates onto slots of a
-//! linear backing buffer. All layouts here are table-driven or O(1) so the
+//! linear backing buffer. All layouts here are table-driven, so the
 //! index-computation cost is "on more or less equal footing" (paper §III-C)
-//! and measured differences reflect memory locality, not arithmetic. The
-//! footing holds in lanes too: on x86_64 each layout computes the slots of
-//! eight trilinear cells at once from its own tables, with AVX2 gathers
+//! and measured differences reflect memory locality, not arithmetic: array,
+//! Z and tiled order share one implementation whose index is a sum of three
+//! per-axis table terms (`layouts::separable`), so array order takes three
+//! lookups like Z-order, where the paper's takes two (DESIGN.md §1); and
+//! Hilbert order walks its automaton table. The footing holds in lanes
+//! too: on x86_64 each layout computes the slots of eight trilinear cells
+//! at once from its own tables, with AVX2 gathers
 //! (`Layout3::cell_slots_lanes`, DESIGN.md §5.7).
 
 use crate::cursor::RecomputeCursor;
 use crate::dims::{Dims2, Dims3};
-use crate::error::SfcResult;
+use crate::error::{SfcError, SfcResult};
+
+/// `layout`, or a panic with its error's message: the panicking
+/// constructors of the layouts.
+pub(crate) fn or_panic<L>(layout: SfcResult<L>) -> L {
+    match layout {
+        Ok(l) => l,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// `slots`, a layout's padded slot count computed with checked arithmetic
+/// (`None` when it overflowed), if a buffer can hold that many; else
+/// [`SfcError::SizeOverflow`] naming `what`.
+pub(crate) fn padded_slots(slots: Option<usize>, what: &'static str) -> SfcResult<usize> {
+    slots
+        .filter(|&n| n <= isize::MAX as usize)
+        .ok_or(SfcError::SizeOverflow { what })
+}
 
 /// Identifies a layout family at runtime (CLI selection, reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,23 +100,23 @@ pub trait Layout3: Clone + Send + Sync + 'static {
     /// Which family this layout belongs to.
     const KIND: LayoutKind;
 
-    /// Construct the layout (precomputes any index tables).
+    /// Construct the layout, or fail with [`SfcError::SizeOverflow`] when its
+    /// padded storage needs more slots than `isize::MAX`, the most any
+    /// buffer can hold. Every layout counts its slots with checked
+    /// arithmetic before it builds any table, because padding can pass
+    /// that limit while `dims` itself is valid: Z-order's power-of-two
+    /// axes once their bits sum past 62, tiled order's whole 8³ bricks,
+    /// and Hilbert order's power-of-two cube once an axis exceeds 2^20
+    /// voxels, on 64-bit targets. Array order, unpadded, fails only past
+    /// `isize::MAX` voxels.
+    fn try_new(dims: Dims3) -> SfcResult<Self>;
+
+    /// Construct the layout (precomputes its index tables).
     ///
     /// # Panics
     /// Panics where [`try_new`](Self::try_new) returns an error.
-    fn new(dims: Dims3) -> Self;
-
-    /// Construct the layout, or fail with
-    /// [`SfcError::SizeOverflow`](crate::SfcError::SizeOverflow) when its
-    /// padded storage needs more slots than `isize::MAX`, the most any
-    /// buffer can hold; the check runs before any table is built. The
-    /// default accepts every `dims`. Two layouts override it, because their
-    /// power-of-two padding can pass that limit while `dims` itself is
-    /// valid: [`crate::HilbertOrder3`] once an axis exceeds 2^20 voxels,
-    /// and [`crate::ZOrder3`] once its per-axis bits sum past 62, on
-    /// 64-bit targets.
-    fn try_new(dims: Dims3) -> SfcResult<Self> {
-        Ok(Self::new(dims))
+    fn new(dims: Dims3) -> Self {
+        or_panic(Self::try_new(dims))
     }
 
     /// Logical grid dimensions.
@@ -147,11 +169,11 @@ pub trait Layout3: Clone + Send + Sync + 'static {
     /// unspecified.
     ///
     /// The default runs `cell_slots` on each selected lane, one after
-    /// another. Array, Z and tiled order override it with AVX2 gathers
-    /// from their per-axis tables, and Hilbert order with gathers from its
-    /// dilation table and a lane walk through its automaton table
-    /// (DESIGN.md §5.7), so each layout still computes its slots from its
-    /// own tables.
+    /// another. Array, Z and tiled order override it with one AVX2 fetch,
+    /// six gathers from their three per-axis tables, and Hilbert order with
+    /// gathers from its dilation table and a lane walk through its
+    /// automaton table (DESIGN.md §5.7), so each layout still computes its
+    /// slots from its own tables.
     ///
     /// # Safety
     /// The CPU must support AVX2 and the caller must be compiled with it

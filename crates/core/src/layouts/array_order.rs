@@ -1,134 +1,61 @@
-//! Traditional array-order (row-major) layout with offset tables.
+//! Traditional array order (row-major): `i` fastest, then `j`, then `k`,
+//! with no padding.
 //!
-//! Following the paper's §III-C, array order is implemented with the same
+//! Following the paper's §III-C, array order reads through the same
 //! table-lookup machinery as Z-order to put index-computation cost on equal
-//! footing: a `yoffset` table (`yoffset[j] = j*nx`) and a `zoffset` table
-//! (`zoffset[k] = k*nx*ny`), so `index(i,j,k) = i + yoffset[j] + zoffset[k]`
-//! is two lookups and two adds.
+//! footing. It is a [`Separable3`] order whose terms are `i`, `j * nx` and
+//! `k * nx * ny`: three lookups and two adds, where the paper's
+//! `i + yoffset[j] + zoffset[k]` takes two lookups (DESIGN.md §5.8).
 
-use std::sync::Arc;
+use crate::dims::Dims3;
+use crate::error::SfcResult;
+use crate::layout::{padded_slots, LayoutKind};
 
-use crate::dims::{Dims2, Dims3};
-use crate::layout::{Layout2, Layout3, LayoutKind};
+use super::separable::{Separable2, Separable3, SeparableOrder};
 
 /// Row-major 3D layout (`i` fastest, then `j`, then `k`). Zero padding.
-#[derive(Debug, Clone)]
-pub struct ArrayOrder3 {
-    dims: Dims3,
-    yoffset: Arc<[usize]>,
-    zoffset: Arc<[usize]>,
-}
-
-impl Layout3 for ArrayOrder3 {
-    const KIND: LayoutKind = LayoutKind::ArrayOrder;
-
-    fn new(dims: Dims3) -> Self {
-        let yoffset: Arc<[usize]> = (0..dims.ny).map(|j| j * dims.nx).collect();
-        let zoffset: Arc<[usize]> = (0..dims.nz).map(|k| k * dims.nx * dims.ny).collect();
-        Self {
-            dims,
-            yoffset,
-            zoffset,
-        }
-    }
-
-    #[inline]
-    fn dims(&self) -> Dims3 {
-        self.dims
-    }
-
-    #[inline]
-    fn storage_len(&self) -> usize {
-        self.dims.len()
-    }
-
-    #[inline]
-    fn index(&self, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(self.dims.contains(i, j, k));
-        i + self.yoffset[j] + self.zoffset[k]
-    }
-
-    /// Four gathers, both planes of the `yoffset` and `zoffset` tables;
-    /// the x term is the coordinate itself.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn cell_slots_lanes(
-        &self,
-        x: std::arch::x86_64::__m256i,
-        y: std::arch::x86_64::__m256i,
-        z: std::arch::x86_64::__m256i,
-        mask: std::arch::x86_64::__m256i,
-    ) -> [std::arch::x86_64::__m256i; 8] {
-        use crate::lanes::{plane_terms, planes, separable_slots};
-        let d = self.dims;
-        // SAFETY: the caller runs AVX2 code and selects lanes whose cell
-        // lies inside `dims`. The gathered table indices are a selected
-        // lane's `y0`, `z0` and the clamped `min(y0 + 1, ny - 1)`,
-        // `min(z0 + 1, nz - 1)`, all below `ny == yoffset.len()` and
-        // `nz == zoffset.len()`. Each slot is `index()` of an in-bounds
-        // corner, below `storage_len() <= 2^31` (the caller's contract),
-        // so every term and sum fits an i32 and each `usize` entry's low
-        // dword is its value.
-        unsafe {
-            separable_slots(
-                planes(x, d.nx),
-                plane_terms(&self.yoffset, y, d.ny, mask, 0),
-                plane_terms(&self.zoffset, z, d.nz, mask, 0),
-            )
-        }
-    }
-
-    #[inline]
-    fn coords(&self, index: usize) -> (usize, usize, usize) {
-        debug_assert!(index < self.storage_len());
-        let i = index % self.dims.nx;
-        let j = (index / self.dims.nx) % self.dims.ny;
-        let k = index / (self.dims.nx * self.dims.ny);
-        (i, j, k)
-    }
-}
+pub type ArrayOrder3 = Separable3<RowMajor>;
 
 /// Row-major 2D layout (`i` fastest). Zero padding.
+pub type ArrayOrder2 = Separable2<RowMajor>;
+
+/// Array order's terms: each coordinate times its axis's row-major stride.
 #[derive(Debug, Clone)]
-pub struct ArrayOrder2 {
-    dims: Dims2,
-    yoffset: Arc<[usize]>,
+pub struct RowMajor {
+    nx: usize,
+    ny: usize,
 }
 
-impl Layout2 for ArrayOrder2 {
+impl SeparableOrder for RowMajor {
     const KIND: LayoutKind = LayoutKind::ArrayOrder;
 
-    fn new(dims: Dims2) -> Self {
-        let yoffset: Arc<[usize]> = (0..dims.ny).map(|j| j * dims.nx).collect();
-        Self { dims, yoffset }
+    fn plan(dims: Dims3) -> SfcResult<(Self, usize)> {
+        let slots = padded_slots(Some(dims.len()), "array order slot count nx*ny*nz")?;
+        Ok((
+            Self {
+                nx: dims.nx,
+                ny: dims.ny,
+            },
+            slots,
+        ))
     }
 
-    #[inline]
-    fn dims(&self) -> Dims2 {
-        self.dims
+    fn term(&self, axis: usize, c: usize) -> usize {
+        c * [1, self.nx, self.nx * self.ny][axis]
     }
 
-    #[inline]
-    fn storage_len(&self) -> usize {
-        self.dims.len()
-    }
-
-    #[inline]
-    fn index(&self, i: usize, j: usize) -> usize {
-        debug_assert!(self.dims.contains(i, j));
-        i + self.yoffset[j]
-    }
-
-    #[inline]
-    fn coords(&self, index: usize) -> (usize, usize) {
-        debug_assert!(index < self.storage_len());
-        (index % self.dims.nx, index / self.dims.nx)
+    fn coords(&self, index: usize) -> (usize, usize, usize) {
+        let (nx, ny) = (self.nx, self.ny);
+        (index % nx, index / nx % ny, index / (nx * ny))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::Dims2;
+    use crate::error::SfcError;
+    use crate::layout::{Layout2, Layout3};
 
     #[test]
     fn index_is_row_major() {
@@ -165,5 +92,13 @@ mod tests {
         assert_eq!(l.index(3, 2), 19);
         assert_eq!(l.coords(19), (3, 2));
         assert_eq!(l.storage_len(), 32);
+    }
+
+    #[test]
+    fn slot_count_past_isize_max_is_refused() {
+        // 2^63 voxels fit a usize but no buffer: refused before the
+        // 3 * 2^21-entry tables are built.
+        let err = ArrayOrder3::try_new(Dims3::cube(1 << 21)).unwrap_err();
+        assert!(matches!(err, SfcError::SizeOverflow { .. }), "{err}");
     }
 }

@@ -21,9 +21,9 @@
 use std::sync::Arc;
 
 use crate::dims::{bits_for, Dims2, Dims3};
-use crate::error::{SfcError, SfcResult};
+use crate::error::SfcResult;
 use crate::hilbert::{hilbert2_decode, hilbert2_encode, hilbert3_decode, MortonToHilbert3};
-use crate::layout::{Layout2, Layout3, LayoutKind};
+use crate::layout::{padded_slots, Layout2, Layout3, LayoutKind};
 use crate::morton::part1by2;
 
 /// Hilbert-order 3D layout: one Morton dilation table and the process-wide
@@ -51,23 +51,14 @@ impl HilbertOrder3 {
 impl Layout3 for HilbertOrder3 {
     const KIND: LayoutKind = LayoutKind::Hilbert;
 
-    fn new(dims: Dims3) -> Self {
-        match Self::try_new(dims) {
-            Ok(l) => l,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     fn try_new(dims: Dims3) -> SfcResult<Self> {
         let bits = bits_for(dims.max_extent());
         // `1 << 3 * bits` slots: checked before the table is built, so the
         // largest table ever allocated covers an axis of 2^20 voxels.
-        1usize
-            .checked_shl(3 * bits)
-            .filter(|&n| n <= isize::MAX as usize)
-            .ok_or(SfcError::SizeOverflow {
-                what: "HilbertOrder3 padded slot count 2^(3 * bits)",
-            })?;
+        padded_slots(
+            1usize.checked_shl(3 * bits),
+            "HilbertOrder3 padded slot count 2^(3 * bits)",
+        )?;
         // An order of 0 has the single coordinate 0, whose shift is moot.
         let dilate = (0..dims.max_extent() as u32)
             .map(|c| part1by2(c).checked_shl(64 - 3 * bits).unwrap_or(0))
@@ -186,6 +177,7 @@ impl Layout2 for HilbertOrder2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SfcError;
 
     #[test]
     fn cube_roundtrip() {
@@ -288,15 +280,15 @@ mod tests {
         use crate::layout::slots_fit_i32;
         // Neither builds a grid: 2048 x 1 x 1 in Hilbert order pads to
         // 2^33 slots from a 2048-entry dilation table, and array order's
-        // tables hold one entry each here.
+        // three tables hold about 4,000 entries here.
         let wide = HilbertOrder3::new(Dims3::new(2048, 1, 1));
         assert_eq!(wide.storage_len(), 1 << 33);
         assert!(wide.cell_slots(2047, 0, 0)[0] > i32::MAX as usize);
         assert!(!slots_fit_i32(&wide));
         assert!(slots_fit_i32(&HilbertOrder3::new(Dims3::new(1024, 1, 1))));
-        let array = |nx| crate::layouts::ArrayOrder3::new(Dims3::new(nx, 1, 1));
-        assert!(slots_fit_i32(&array(1 << 31)));
-        assert!(!slots_fit_i32(&array((1 << 31) + 1)));
+        let array = |nx| crate::layouts::ArrayOrder3::new(Dims3::new(nx, 1 << 10, 1 << 10));
+        assert!(slots_fit_i32(&array(1 << 11)));
+        assert!(!slots_fit_i32(&array((1 << 11) + 1)));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! This is the paper's core mechanism (§III-C, after Pascucci & Frank 2001):
 //! during initialization we precompute one table per axis containing the
 //! bit-dilated contribution of every coordinate value; at access time
-//! `index(i,j,k)` is three table lookups and two ORs.
+//! `index(i,j,k)` is three table lookups. The contributions' bits are
+//! disjoint, so the [`Separable3`] sum of the three is their OR.
 //!
 //! Rectangular domains use the round-robin interleave of
 //! [`crate::pattern::InterleavePattern3`], so each axis is padded to its own
@@ -12,180 +13,55 @@
 
 use std::sync::Arc;
 
-use crate::dims::{bits_for, Dims2, Dims3};
-use crate::error::{SfcError, SfcResult};
-use crate::layout::{Layout2, Layout3, LayoutKind};
+use crate::dims::{bits_for, Dims3};
+use crate::error::SfcResult;
+use crate::layout::{padded_slots, LayoutKind};
 use crate::pattern::InterleavePattern3;
 
+use super::separable::{Separable2, Separable3, SeparableOrder};
+
 /// Z-order 3D layout backed by three per-axis dilation tables.
+pub type ZOrder3 = Separable3<Interleaved>;
+
+/// Z-order 2D layout: the dilation tables of an `nx × ny × 1` grid, whose
+/// z axis contributes no bits.
+pub type ZOrder2 = Separable2<Interleaved>;
+
+/// Z-order's terms: each coordinate's bits dilated to their places in the
+/// grid's [`InterleavePattern3`].
 #[derive(Debug, Clone)]
-pub struct ZOrder3 {
-    dims: Dims3,
-    xtab: Arc<[u64]>,
-    ytab: Arc<[u64]>,
-    ztab: Arc<[u64]>,
-    pattern: Arc<InterleavePattern3>,
-    storage_len: usize,
-}
+pub struct Interleaved(Arc<InterleavePattern3>);
 
-impl ZOrder3 {
-    /// The interleave pattern driving this layout (exposed for tests and
-    /// for building derived tables).
-    pub fn pattern(&self) -> &InterleavePattern3 {
-        &self.pattern
-    }
-}
-
-/// The padded slot count `2^(bits x + bits y + bits z)`, or
-/// [`SfcError::SizeOverflow`] past `isize::MAX`. The interleave needs one
-/// index bit per padded coordinate bit, so valid `dims` can need more
-/// than 63: a cube of 2^21 + 1 voxels needs 66.
-fn padded_slots(dims: Dims3) -> SfcResult<usize> {
-    let bits = bits_for(dims.nx) + bits_for(dims.ny) + bits_for(dims.nz);
-    1usize
-        .checked_shl(bits)
-        .filter(|&n| n <= isize::MAX as usize)
-        .ok_or(SfcError::SizeOverflow {
-            what: "ZOrder3 padded slot count 2^(bits x + bits y + bits z)",
-        })
-}
-
-impl Layout3 for ZOrder3 {
+impl SeparableOrder for Interleaved {
     const KIND: LayoutKind = LayoutKind::ZOrder;
 
-    fn new(dims: Dims3) -> Self {
-        match Self::try_new(dims) {
-            Ok(l) => l,
-            Err(e) => panic!("{e}"),
-        }
+    /// The padded slot count is `2^(bits x + bits y + bits z)`. The
+    /// interleave needs one index bit per padded coordinate bit, so valid
+    /// `dims` can need more than 63: a cube of 2^21 + 1 voxels needs 66.
+    fn plan(dims: Dims3) -> SfcResult<(Self, usize)> {
+        let bits = bits_for(dims.nx) + bits_for(dims.ny) + bits_for(dims.nz);
+        let slots = padded_slots(
+            1usize.checked_shl(bits),
+            "Z-order padded slot count 2^(bits x + bits y + bits z)",
+        )?;
+        Ok((Self(Arc::new(InterleavePattern3::new(dims))), slots))
     }
 
-    fn try_new(dims: Dims3) -> SfcResult<Self> {
-        // Checked before the pattern or any table is built.
-        let storage_len = padded_slots(dims)?;
-        let pattern = InterleavePattern3::new(dims);
-        let xtab: Arc<[u64]> = pattern.build_table(0).into();
-        let ytab: Arc<[u64]> = pattern.build_table(1).into();
-        let ztab: Arc<[u64]> = pattern.build_table(2).into();
-        Ok(Self {
-            dims,
-            xtab,
-            ytab,
-            ztab,
-            pattern: Arc::new(pattern),
-            storage_len,
-        })
+    fn term(&self, axis: usize, c: usize) -> usize {
+        self.0.dilate(axis, c) as usize
     }
 
-    #[inline]
-    fn dims(&self) -> Dims3 {
-        self.dims
-    }
-
-    #[inline]
-    fn storage_len(&self) -> usize {
-        self.storage_len
-    }
-
-    #[inline]
-    fn index(&self, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(self.dims.contains(i, j, k));
-        (self.xtab[i] | self.ytab[j] | self.ztab[k]) as usize
-    }
-
-    /// Six gathers, both planes of each axis's dilation table. The three
-    /// terms have disjoint bits, so their sum is their OR.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn cell_slots_lanes(
-        &self,
-        x: std::arch::x86_64::__m256i,
-        y: std::arch::x86_64::__m256i,
-        z: std::arch::x86_64::__m256i,
-        mask: std::arch::x86_64::__m256i,
-    ) -> [std::arch::x86_64::__m256i; 8] {
-        use crate::lanes::{plane_terms, separable_slots};
-        let d = self.dims;
-        // SAFETY: the caller runs AVX2 code and selects lanes whose cell
-        // lies inside `dims`. The gathered indices are a selected lane's
-        // low corner and its clamped high corner on each axis, below that
-        // axis's extent, and each table holds an entry for every
-        // coordinate below the axis's power-of-two padding, at least its
-        // extent. Each slot is `index()` of an in-bounds corner, below
-        // `storage_len() <= 2^31` (the caller's contract), so every term
-        // and sum fits an i32 and each `u64` entry's low dword is its
-        // value.
-        unsafe {
-            separable_slots(
-                plane_terms(&self.xtab, x, d.nx, mask, 0),
-                plane_terms(&self.ytab, y, d.ny, mask, 0),
-                plane_terms(&self.ztab, z, d.nz, mask, 0),
-            )
-        }
-    }
-
-    #[inline]
     fn coords(&self, index: usize) -> (usize, usize, usize) {
-        self.pattern.decode(index as u64)
-    }
-}
-
-/// Z-order 2D layout backed by two per-axis dilation tables.
-///
-/// Implemented by reusing the 3D interleave machinery with a degenerate
-/// z axis (which contributes zero bits).
-#[derive(Debug, Clone)]
-pub struct ZOrder2 {
-    dims: Dims2,
-    xtab: Arc<[u64]>,
-    ytab: Arc<[u64]>,
-    pattern: Arc<InterleavePattern3>,
-    storage_len: usize,
-}
-
-impl Layout2 for ZOrder2 {
-    const KIND: LayoutKind = LayoutKind::ZOrder;
-
-    fn new(dims: Dims2) -> Self {
-        let pattern = InterleavePattern3::new(Dims3::new(dims.nx, dims.ny, 1));
-        let xtab: Arc<[u64]> = pattern.build_table(0).into();
-        let ytab: Arc<[u64]> = pattern.build_table(1).into();
-        let storage_len = pattern.storage_len();
-        Self {
-            dims,
-            xtab,
-            ytab,
-            pattern: Arc::new(pattern),
-            storage_len,
-        }
-    }
-
-    #[inline]
-    fn dims(&self) -> Dims2 {
-        self.dims
-    }
-
-    #[inline]
-    fn storage_len(&self) -> usize {
-        self.storage_len
-    }
-
-    #[inline]
-    fn index(&self, i: usize, j: usize) -> usize {
-        debug_assert!(self.dims.contains(i, j));
-        (self.xtab[i] | self.ytab[j]) as usize
-    }
-
-    #[inline]
-    fn coords(&self, index: usize) -> (usize, usize) {
-        let (i, j, _) = self.pattern.decode(index as u64);
-        (i, j)
+        self.0.decode(index as u64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dims::Dims2;
+    use crate::error::SfcError;
+    use crate::layout::{Layout2, Layout3};
     use crate::morton::{morton2_encode, morton3_encode};
 
     #[test]
@@ -256,11 +132,12 @@ mod tests {
             assert!(matches!(err, SfcError::SizeOverflow { .. }), "{n}: {err}");
         }
         // 62 bits is the most that fits; checked without building tables.
-        let widest = Dims3::new(1 << 20, 1 << 21, 1 << 21);
-        assert_eq!(padded_slots(widest).unwrap(), 1 << 62);
-        let l = ZOrder3::try_new(Dims3::new((1 << 12) + 1, 1 << 12, 3)).unwrap();
+        let (_, slots) = Interleaved::plan(Dims3::new(1 << 20, 1 << 21, 1 << 21)).unwrap();
+        assert_eq!(slots, 1 << 62);
+        let dims = Dims3::new((1 << 12) + 1, 1 << 12, 3);
+        let l = ZOrder3::try_new(dims).unwrap();
         assert_eq!(l.storage_len(), 1 << (13 + 12 + 2));
-        assert_eq!(l.storage_len(), l.pattern().storage_len());
+        assert_eq!(l.storage_len(), InterleavePattern3::new(dims).storage_len());
     }
 
     #[test]

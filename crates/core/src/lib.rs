@@ -36,8 +36,9 @@
 //! * [`pattern`] — bit-interleave patterns generalizing Morton order to
 //!   rectangular (per-axis power-of-two padded) domains.
 //! * [`layout`] / [`layouts`] — the `Layout3`/`Layout2` traits and the four
-//!   implementations: [`ArrayOrder3`], [`ZOrder3`], [`Tiled3`],
-//!   [`HilbertOrder3`] (and 2D counterparts).
+//!   layouts: [`ArrayOrder3`], [`ZOrder3`] and [`Tiled3`], three orders of
+//!   one separable table layout, and [`HilbertOrder3`] (and 2D
+//!   counterparts).
 //! * [`cursor`] — a coordinate stepped one voxel at a time, recomputing
 //!   `index()` per step; kept for the benchmark ledger's step probe.
 //!   Kernels read through `index()` directly, axis runs included.
@@ -51,7 +52,6 @@
 
 pub mod cursor;
 pub mod dims;
-pub mod dyn_grid;
 pub mod error;
 pub mod grid;
 pub mod hash;
@@ -71,7 +71,6 @@ pub mod volume;
 pub use cursor::{Cursor3, RecomputeCursor};
 pub use hilbert::HilbertTables3;
 pub use dims::{bits_for, next_pow2, Axis, Dims2, Dims3};
-pub use dyn_grid::DynGrid3;
 pub use error::{SfcError, SfcResult};
 pub use grid::{Grid2, Grid3};
 pub use hash::fnv1a64;

@@ -6,12 +6,14 @@
 //! cases and every failure reproduces exactly.
 
 use sfc_core::{
+    fnv1a64,
     hilbert::{hilbert2_decode, hilbert2_encode, hilbert3_decode, hilbert3_encode},
     morton::{
-        compact1by1, compact1by2, morton2_decode, morton2_encode, morton3_decode,
-        morton3_encode, morton3_encode_lut, part1by1, part1by2,
+        compact1by1, compact1by2, morton2_decode, morton2_encode, morton3_decode, morton3_encode,
+        morton3_encode_lut, part1by1, part1by2,
     },
-    ArrayOrder3, Dims3, Grid3, HilbertOrder3, Layout3, SplitMix64, Tiled3, ZOrder3,
+    ArrayOrder2, ArrayOrder3, Dims2, Dims3, Grid3, HilbertOrder3, Layout2, Layout3, SplitMix64,
+    Tiled2, Tiled3, ZOrder2, ZOrder3,
 };
 
 #[test]
@@ -152,6 +154,135 @@ fn hilbert_invariants() {
     let mut rng = SplitMix64::new(0x2004);
     for _ in 0..64 {
         layout_invariants::<HilbertOrder3>(small_dims(&mut rng));
+    }
+}
+
+/// `(storage_len, h)`, where `h` is the FNV-1a hash of every slot the
+/// layout gives, in row-major coordinate order, each as a little-endian
+/// `u64`.
+fn slot_hash(storage_len: usize, slots: impl Iterator<Item = usize>) -> (usize, u64) {
+    let bytes: Vec<u8> = slots.flat_map(|s| (s as u64).to_le_bytes()).collect();
+    (storage_len, fnv1a64(&bytes))
+}
+
+fn slot_hash3<L: Layout3>(dims: Dims3) -> (usize, u64) {
+    let l = L::new(dims);
+    slot_hash(
+        l.storage_len(),
+        dims.iter().map(|(i, j, k)| l.index(i, j, k)),
+    )
+}
+
+fn slot_hash2<L: Layout2>(dims: Dims2) -> (usize, u64) {
+    let l = L::new(dims);
+    slot_hash(l.storage_len(), dims.iter().map(|(i, j)| l.index(i, j)))
+}
+
+/// Every slot of array, Z and tiled order stays where the three
+/// hand-written layouts that preceded the separable one put it: per size,
+/// `(storage_len, slot hash)` for array, Z and tiled order. The sizes
+/// cover 1-voxel axes, axes that Z-order pads to a power of two and tiled
+/// order to whole bricks, and a flat 3D grid, whose tiles are 8^3 bricks
+/// where the 2D layout's are 32^2 tiles. A table that moves one slot
+/// fails here, where the memsim counts and the bitwise pins would notice
+/// only far from the cause.
+#[test]
+fn table_layout_slots_are_frozen() {
+    let layouts_3d = [
+        (
+            (1, 1, 1),
+            [
+                (1, 0xa8c7f832281a39c5),
+                (1, 0xa8c7f832281a39c5),
+                (512, 0xa8c7f832281a39c5),
+            ],
+        ),
+        (
+            (5, 3, 2),
+            [
+                (30, 0xad3f3e0237073944),
+                (64, 0x8cecd1668586af61),
+                (512, 0xe1769752ec261b25),
+            ],
+        ),
+        (
+            (9, 4, 4),
+            [
+                (144, 0xbd2db8e6c49adf25),
+                (256, 0x3916d7360d57ea25),
+                (1024, 0x5a2045ca63ee1ba5),
+            ],
+        ),
+        (
+            (13, 7, 5),
+            [
+                (455, 0x2d6e82b10dfe2c95),
+                (1024, 0xf3b5946f5c4476f6),
+                (1024, 0xd7fc8d31e17413d4),
+            ],
+        ),
+        (
+            (17, 3, 9),
+            [
+                (459, 0xb5c7e08c7119b4fd),
+                (2048, 0x661d106da3ba9361),
+                (3072, 0xdc180f8fef69c9a7),
+            ],
+        ),
+        (
+            (33, 17, 1),
+            [
+                (561, 0xe3c6db8b88e8a3bf),
+                (2048, 0xcc9015627c10da03),
+                (7680, 0x0d93c3b111822041),
+            ],
+        ),
+        (
+            (64, 64, 64),
+            [
+                (262144, 0x330c0b30af3fc325),
+                (262144, 0xcdec387f68e75b25),
+                (262144, 0xaf23baaf849ccb25),
+            ],
+        ),
+    ];
+    let layouts_2d = [
+        (
+            (33, 17),
+            [
+                (561, 0xe3c6db8b88e8a3bf),
+                (2048, 0xcc9015627c10da03),
+                (2048, 0x0e632faae8b2b423),
+            ],
+        ),
+        (
+            (32, 4),
+            [
+                (128, 0xdaae756b97d6bf25),
+                (128, 0x3cc4c37ebe0b7f25),
+                (1024, 0xdaae756b97d6bf25),
+            ],
+        ),
+    ];
+    for ((nx, ny, nz), [array, z, tiled]) in layouts_3d {
+        let dims = Dims3::new(nx, ny, nz);
+        assert_eq!(
+            slot_hash3::<ArrayOrder3>(dims),
+            array,
+            "array order {dims:?}"
+        );
+        assert_eq!(slot_hash3::<ZOrder3>(dims), z, "Z-order {dims:?}");
+        assert_eq!(slot_hash3::<Tiled3>(dims), tiled, "tiled order {dims:?}");
+    }
+    for ((nx, ny), [array, z, tiled]) in layouts_2d {
+        let dims = Dims2::new(nx, ny);
+        assert_eq!(
+            slot_hash2::<ArrayOrder2>(dims),
+            array,
+            "array order {dims:?}"
+        );
+        assert_eq!(slot_hash2::<ZOrder2>(dims), z, "Z-order {dims:?}");
+        assert_eq!(slot_hash2::<Tiled2>(dims), tiled, "tiled order {dims:?}");
     }
 }
 

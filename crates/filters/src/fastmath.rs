@@ -74,17 +74,6 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// Parse a tier name (`scalar`/`sse2`/`avx2`), as accepted by the
-    /// bench `--simd` flag.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(Self::Scalar),
-            "sse2" => Some(Self::Sse2),
-            "avx2" => Some(Self::Avx2),
-            _ => None,
-        }
-    }
-
     /// Short label for bench JSON notes.
     pub fn name(self) -> &'static str {
         match self {
@@ -96,17 +85,6 @@ impl SimdTier {
 }
 
 impl WeightMode {
-    /// Parse a mode name (`exact`/`lut`/`fastexp`), as accepted by the
-    /// bench `--weight` flag.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(Self::Exact),
-            "lut" => Some(Self::Lut),
-            "fastexp" => Some(Self::FastExp),
-            _ => None,
-        }
-    }
-
     /// Short label for bench JSON notes.
     pub fn name(self) -> &'static str {
         match self {
@@ -857,18 +835,6 @@ mod tests {
                 want.to_bits()
             );
         }
-    }
-
-    #[test]
-    fn parse_roundtrips() {
-        for m in [WeightMode::Exact, WeightMode::Lut, WeightMode::FastExp] {
-            assert_eq!(WeightMode::parse(m.name()), Some(m));
-        }
-        for t in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
-            assert_eq!(SimdTier::parse(t.name()), Some(t));
-        }
-        assert_eq!(WeightMode::parse("nope"), None);
-        assert_eq!(SimdTier::parse(""), None);
     }
 
     #[test]

@@ -29,24 +29,21 @@ use sfc_core::{Dims3, Volume3};
 
 use crate::ray::{Aabb, Ray};
 use crate::render::{MarchOpts, PACKET};
+use crate::sampler::clamp_bound;
 use crate::transfer::{Rgba, TransferFunction};
 
 /// 2^31, the smallest positive f32 that `cvttps2dq` cannot truncate to
 /// an `i32`: it returns `i32::MIN` there.
 const I32_LIMIT: f32 = 2_147_483_648.0;
 
-/// Whether the lanes' `i32` cell split is exact on `dims` and keeps every
-/// cell inside it: every axis's clamp bound `(n - 1) as f32` lies below
-/// 2^31 and does not round up past `n - 1`. The first holds up to
-/// `n = 2^31 - 64`; from `2^31 - 63` voxels on, the bound rounds up to
-/// 2^31. The second fails only above 2^24 + 1 voxels, where `n - 1` can
-/// round up to `n`, and a cell split there would start outside the
-/// volume, past what the lane fetch may read.
+/// Whether the lanes' `i32` cell split is exact on `dims`: every axis's
+/// [`clamp_bound`] lies below 2^31. It does up to `n = 2^31` voxels; from
+/// `2^31 + 1` on, the bound is 2^31. The bound is never above `n - 1`, so
+/// every split cell lies inside the volume.
 pub(crate) fn lanes_fit(dims: Dims3) -> bool {
-    [dims.nx, dims.ny, dims.nz].into_iter().all(|n| {
-        let bound = (n - 1) as f32;
-        bound < I32_LIMIT && (bound as usize) < n
-    })
+    [dims.nx, dims.ny, dims.nz]
+        .into_iter()
+        .all(|n| clamp_bound(n) < I32_LIMIT)
 }
 
 /// March `rays`, at most [`PACKET`] of them, as one packet: each ray's
@@ -188,11 +185,7 @@ unsafe fn march_packet<V: Volume3>(
     }
     let t1 = load(&t_exit);
     let mut t = load(&t_start);
-    let hi = [
-        _mm256_set1_ps((dims.nx - 1) as f32),
-        _mm256_set1_ps((dims.ny - 1) as f32),
-        _mm256_set1_ps((dims.nz - 1) as f32),
-    ];
+    let hi = [dims.nx, dims.ny, dims.nz].map(|n| _mm256_set1_ps(clamp_bound(n)));
     let zero = _mm256_setzero_ps();
     let half = _mm256_set1_ps(0.5);
     let one = _mm256_set1_ps(1.0);
@@ -263,9 +256,9 @@ unsafe fn march_packet<V: Volume3>(
             }
             // SAFETY: this function runs with AVX2, and every lane it
             // selects holds a cell inside `dims`: a clamped coordinate is
-            // NaN, which `split` maps to 0, or in `[0, (n - 1) as f32]`,
-            // whose truncation `lanes_fit` makes exact and at most
-            // `n - 1`.
+            // NaN, which `split` maps to 0, or in `[0, clamp_bound(n)]`,
+            // whose truncation `lanes_fit` makes exact and whose bound is
+            // at most `n - 1`.
             let raw = unsafe { vol.cell_corners_lanes(ix, iy, iz, fetched) };
             // Substitute 0 for each NaN corner of a fetched lane and
             // count them, as `CellSampler` does.
@@ -555,14 +548,50 @@ mod tests {
         let x = |n| Dims3::new(n, 1, 1);
         assert!(lanes_fit(Dims3::new(1, 1, 1)));
         assert!(lanes_fit(x((1 << 31) - 64)));
-        assert!(!lanes_fit(x((1 << 31) - 63)), "the bound rounds up to 2^31");
+        // 2^31 - 64 and 2^31 - 1 round up to 2^31: the bound steps down
+        // to 2^31 - 128.
+        assert!(lanes_fit(x((1 << 31) - 63)));
+        assert!(lanes_fit(Dims3::new(4, 4, 1 << 31)));
+        assert!(!lanes_fit(x((1 << 31) + 1)), "the bound is 2^31");
         assert!(!lanes_fit(x((1 << 31) + 2)));
-        assert!(!lanes_fit(Dims3::new(4, 4, 1 << 31)));
-        // 2^25 - 1 rounds up to 2^25, a cell past the last voxel; 2^25 is
-        // exact.
+        // 2^25 - 1 rounds up to 2^25, a cell past the last voxel, and the
+        // bound steps down to 2^25 - 2; 2^25 is exact.
         let y = |n| Dims3::new(4, n, 4);
-        assert!(!lanes_fit(y(1 << 25)), "the bound rounds up to n");
+        assert!(lanes_fit(y(1 << 25)));
         assert!(lanes_fit(y((1 << 25) + 1)));
+    }
+
+    #[test]
+    fn samples_past_the_far_face_of_a_long_axis_stay_inside_it() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        // A ray along the x = 2^25 face: each sample's x - 0.5 rounds to
+        // 2^25, past the last voxel center 2^25 - 1, and a clamp bound
+        // that rounded up to 2^25 split it into cell x0 = 2^25, outside
+        // the volume.
+        let n = 1usize << 25;
+        let dims = Dims3::new(n, 4, 2);
+        let vol = FnVolume::new(dims, move |i, j, _| {
+            assert!(i < n, "read x = {i} past the far face");
+            if i + 2 >= n {
+                0.3 + j as f32 * 0.2
+            } else {
+                0.05
+            }
+        });
+        let tf = TransferFunction::fire();
+        let march = MarchOpts::new(&tf, &RenderOpts::default());
+        let bbox = Aabb::of_dims(dims);
+        let face = Ray {
+            origin: vec3(n as f32, -1.0, 0.5),
+            dir: vec3(0.0, 1.0, 0.0),
+        };
+        let (want, nans) = shade_ray_counted(&vol, &tf, &march, &face, &bbox);
+        assert!(want.a > 0.0, "the ray must composite");
+        let (got, got_nans) = shade(&vol, &tf, &march, &[face], &bbox).expect("lanes fit");
+        assert_eq!(got[0], want);
+        assert_eq!(got_nans[0], nans);
     }
 
     #[test]

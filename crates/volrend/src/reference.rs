@@ -20,7 +20,7 @@ use crate::camera::{orbit_viewpoints, Projection};
 use crate::ray::{Aabb, Ray};
 use crate::render::{render_with_policy, shade_ray, shade_ray_counted, shade_ray_replay};
 use crate::render::{MarchOpts, RenderOpts};
-use crate::sampler::{blend8_scalar, CellSampler};
+use crate::sampler::{blend8_scalar, clamp_bound, CellSampler};
 use crate::shading::{phong_intensity, render_lit, shade_ray_lit, shade_ray_lit_counted, Light};
 use crate::transfer::{rgba, Rgba, TransferFunction};
 use crate::vec3::{vec3, Vec3};
@@ -31,9 +31,9 @@ use crate::{packet, render::PACKET};
 /// corners become 0 and are tallied in `nan_seen`.
 fn sample_floor<V: Volume3>(vol: &V, p: Vec3, nan_seen: &mut u64) -> f32 {
     let d = vol.dims();
-    let x = (p.x - 0.5).clamp(0.0, (d.nx - 1) as f32);
-    let y = (p.y - 0.5).clamp(0.0, (d.ny - 1) as f32);
-    let z = (p.z - 0.5).clamp(0.0, (d.nz - 1) as f32);
+    let x = (p.x - 0.5).clamp(0.0, clamp_bound(d.nx));
+    let y = (p.y - 0.5).clamp(0.0, clamp_bound(d.ny));
+    let z = (p.z - 0.5).clamp(0.0, clamp_bound(d.nz));
     let (x0f, y0f, z0f) = (x.floor(), y.floor(), z.floor());
     let (tx, ty, tz) = (x - x0f, y - y0f, z - z0f);
     let raw = vol.cell_corners(x0f as usize, y0f as usize, z0f as usize);

@@ -57,7 +57,7 @@ use crate::vec3::Vec3;
 /// fresh fetch — exactly the tally the per-access path produced.
 pub struct CellSampler<'v, V: Volume3> {
     vol: &'v V,
-    /// Upper clamp bound per axis, `(n - 1) as f32`, converted once here
+    /// Upper clamp bound per axis, [`clamp_bound`], computed once here
     /// rather than on every sample.
     hi: [f32; 3],
     /// When false, every sample re-fetches its cell (see
@@ -79,7 +79,7 @@ impl<'v, V: Volume3> CellSampler<'v, V> {
         let d = vol.dims();
         Self {
             vol,
-            hi: [(d.nx - 1) as f32, (d.ny - 1) as f32, (d.nz - 1) as f32],
+            hi: [clamp_bound(d.nx), clamp_bound(d.ny), clamp_bound(d.nz)],
             cache: true,
             cell: (usize::MAX, usize::MAX, usize::MAX),
             corners: [0.0; 8],
@@ -143,6 +143,18 @@ impl<'v, V: Volume3> CellSampler<'v, V> {
     pub fn take_nan_count(&mut self) -> u64 {
         std::mem::take(&mut self.nan_seen)
     }
+}
+
+/// The upper clamp bound of both ray marchers on an axis of `n` voxels:
+/// the largest f32 not above `n - 1`, the last voxel center. Up to
+/// 2^24 + 1 voxels that is `(n - 1) as f32`. Beyond, `(n - 1) as f32` can
+/// round up to `n` (at n = 2^25, say), and a sample clamped there would
+/// split to a cell past the far face; so `n - 1` keeps only its top 24
+/// significant bits, an f32's precision, and converts exactly.
+pub(crate) fn clamp_bound(n: usize) -> f32 {
+    let last = n - 1;
+    let dropped = (usize::BITS - last.leading_zeros()).saturating_sub(f32::MANTISSA_DIGITS);
+    (last >> dropped << dropped) as f32
 }
 
 /// Split a clamped coordinate into its cell index and the weight within
@@ -511,6 +523,36 @@ mod tests {
     fn split_matches_floor_for_every_f32_below_2_pow_24() {
         for bits in 0..16_777_216f32.to_bits() {
             assert_split_is_floor(f32::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn clamp_bound_is_the_largest_f32_not_above_the_last_center() {
+        // Exact up to 2^24 + 1 voxels, so every image there is unchanged.
+        for n in [1, 2, 3, 64, (1 << 24) - 1, 1 << 24, (1 << 24) + 1] {
+            assert_eq!(clamp_bound(n), (n - 1) as f32, "{n}");
+        }
+        for n in [(1 << 24) + 2, 1 << 25, (1 << 31) - 63, 1 << 31, usize::MAX] {
+            let bound = clamp_bound(n);
+            assert!((bound as usize) < n, "{n}");
+            let next = f32::from_bits(bound.to_bits() + 1);
+            assert!(next as usize > n - 1, "{n}");
+        }
+        assert_eq!(clamp_bound(1 << 25), 33_554_430.0);
+        assert_eq!(clamp_bound((1 << 31) - 63), 2_147_483_520.0);
+    }
+
+    #[test]
+    fn samples_past_the_far_face_of_a_long_axis_stay_inside_it() {
+        // Past the far face x - 0.5 rounds to 2^25, and a bound of
+        // (2^25 - 1) as f32 = 2^25 read the cell at x = 2^25.
+        let n = 1usize << 25;
+        let v = FnVolume::new(Dims3::new(n, 2, 1), move |i, _, _| {
+            assert!(i < n, "read x = {i} past the far face");
+            (n - i) as f32
+        });
+        for x in [n as f32, n as f32 + 10.0, f32::INFINITY] {
+            assert_eq!(sample_trilinear(&v, vec3(x, 0.5, 0.5)), 2.0, "{x}");
         }
     }
 

@@ -1,39 +1,14 @@
 //! Integration tests for the extension features layered over the paper's
-//! core reproduction: runtime layout dispatch, TLB modeling, gradient-lit
-//! rendering, separable convolution, and locality statistics.
+//! core reproduction: padded volumes in every layout, TLB modeling,
+//! gradient-lit rendering, separable convolution, and locality statistics.
 
 use sfc_repro::prelude::*;
 use sfc_repro::{datagen, filters, memsim, volrend};
-use sfc_core::DynGrid3;
 
 #[test]
-fn dyn_grid_feeds_kernels_like_static_grids() {
-    let dims = Dims3::cube(16);
-    let values = datagen::combustion_field(dims, 5, datagen::CombustionParams::default());
-    let stat: Grid3<f32, ZOrder3> = Grid3::from_row_major(dims, &values);
-    let dynamic = DynGrid3::from_row_major(LayoutKind::ZOrder, dims, &values);
-
-    // The raycaster accepts either through Volume3.
-    let cam = volrend::orbit_viewpoints(
-        8,
-        volrend::vec3(8.0, 8.0, 8.0),
-        40.0,
-        Projection::Perspective {
-            fov_y: 40f32.to_radians(),
-        },
-        24,
-        24,
-    )
-    .remove(2);
-    let tf = TransferFunction::fire();
-    let opts = RenderOpts::default();
-    let a = volrend::render(&stat, &cam, &tf, &opts);
-    let b = volrend::render(&dynamic, &cam, &tf, &opts);
-    assert_eq!(a.pixels(), b.pixels());
-}
-
-#[test]
-fn dyn_grid_all_kinds_render_identically() {
+fn all_layouts_render_a_padded_volume_identically() {
+    // 12^3 pads to 16^3 in Z and Hilbert order and to whole 8^3 bricks in
+    // tiled order; every layout must render the same image.
     let dims = Dims3::cube(12);
     let values = datagen::patterns::radial_gradient(dims);
     let cam = volrend::orbit_viewpoints(
@@ -49,20 +24,24 @@ fn dyn_grid_all_kinds_render_identically() {
     .remove(1);
     let tf = TransferFunction::grayscale();
     let opts = RenderOpts::default();
-    let reference = volrend::render(
-        &DynGrid3::from_row_major(LayoutKind::ArrayOrder, dims, &values),
-        &cam,
-        &tf,
-        &opts,
-    );
-    for kind in [LayoutKind::ZOrder, LayoutKind::Tiled, LayoutKind::Hilbert] {
-        let img = volrend::render(
-            &DynGrid3::from_row_major(kind, dims, &values),
-            &cam,
-            &tf,
-            &opts,
-        );
-        assert_eq!(reference.pixels(), img.pixels(), "{kind}");
+    let a = Grid3::<f32, ArrayOrder3>::from_row_major(dims, &values);
+    let reference = volrend::render(&a, &cam, &tf, &opts);
+    let images = [
+        (
+            "z",
+            volrend::render(&a.convert::<ZOrder3>(), &cam, &tf, &opts),
+        ),
+        (
+            "tiled",
+            volrend::render(&a.convert::<Tiled3>(), &cam, &tf, &opts),
+        ),
+        (
+            "hilbert",
+            volrend::render(&a.convert::<HilbertOrder3>(), &cam, &tf, &opts),
+        ),
+    ];
+    for (name, img) in images {
+        assert_eq!(reference.pixels(), img.pixels(), "{name}");
     }
 }
 
