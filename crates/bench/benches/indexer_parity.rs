@@ -38,25 +38,23 @@ fn bench_indexers(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("get_index");
     g.throughput(Throughput::Elements(pts.len() as u64));
-    macro_rules! bench_layout {
-        ($name:expr, $layout:expr) => {
-            g.bench_function($name, |b| {
-                let l = &$layout;
-                b.iter(|| {
-                    let mut acc = 0usize;
-                    for &(i, j, k) in &pts {
-                        acc ^= l.index(black_box(i), black_box(j), black_box(k));
-                    }
-                    acc
-                })
-            });
-        };
-    }
-    bench_layout!("array_order_tables", a);
-    bench_layout!("zorder_tables", z);
-    bench_layout!("tiled_tables", t);
-    bench_layout!("hilbert_per_access", h);
+    g.bench_function("array_order_tables", |b| b.iter(|| lookups(&a, &pts)));
+    g.bench_function("zorder_tables", |b| b.iter(|| lookups(&z, &pts)));
+    g.bench_function("tiled_tables", |b| b.iter(|| lookups(&t, &pts)));
+    g.bench_function("hilbert_per_access", |b| b.iter(|| lookups(&h, &pts)));
     g.finish();
+}
+
+/// XOR of the indices of `pts` under `l`. Out of line, so each layout's
+/// lookup loop is compiled in a function of its own and keeps its table
+/// pointers in registers, whatever else the caller holds.
+#[inline(never)]
+fn lookups<L: Layout3>(l: &L, pts: &[(usize, usize, usize)]) -> usize {
+    let mut acc = 0usize;
+    for &(i, j, k) in pts {
+        acc ^= l.index(black_box(i), black_box(j), black_box(k));
+    }
+    acc
 }
 
 criterion_group!(benches, bench_indexers);

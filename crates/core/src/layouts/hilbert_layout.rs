@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::dims::{bits_for, Dims2, Dims3};
 use crate::error::SfcResult;
 use crate::hilbert::{hilbert2_decode, hilbert2_encode, hilbert3_decode, MortonToHilbert3};
-use crate::layout::{padded_slots, Layout2, Layout3, LayoutKind};
+use crate::layout::{or_panic, padded_slots, Layout2, Layout3, LayoutKind};
 use crate::morton::part1by2;
 
 /// Hilbert-order 3D layout: one Morton dilation table and the process-wide
@@ -141,6 +141,8 @@ impl Layout3 for HilbertOrder3 {
 pub struct HilbertOrder2 {
     dims: Dims2,
     bits: u32,
+    /// `2^(2 * bits)`, counted with checked arithmetic in `new`.
+    slots: usize,
 }
 
 impl Layout2 for HilbertOrder2 {
@@ -148,7 +150,11 @@ impl Layout2 for HilbertOrder2 {
 
     fn new(dims: Dims2) -> Self {
         let bits = bits_for(dims.nx.max(dims.ny));
-        Self { dims, bits }
+        let slots = or_panic(padded_slots(
+            1usize.checked_shl(2 * bits),
+            "HilbertOrder2 padded slot count 2^(2 * bits)",
+        ));
+        Self { dims, bits, slots }
     }
 
     #[inline]
@@ -158,7 +164,7 @@ impl Layout2 for HilbertOrder2 {
 
     #[inline]
     fn storage_len(&self) -> usize {
-        1usize << (2 * self.bits)
+        self.slots
     }
 
     #[inline]
@@ -298,5 +304,19 @@ mod tests {
             assert_eq!(l.coords(l.index(i, j)), (i, j));
         }
         assert_eq!(l.storage_len(), 256);
+    }
+
+    #[test]
+    fn two_d_padded_slot_count_fits_at_order_31() {
+        // The layout only: a grid of 2^62 slots could not be allocated.
+        let l = HilbertOrder2::new(Dims2::new(1 << 31, 1));
+        assert_eq!(l.storage_len(), 1 << 62);
+    }
+
+    #[test]
+    #[should_panic(expected = "size computation overflowed usize")]
+    fn two_d_new_panics_when_the_slot_count_overflows() {
+        // Order 33: 2^66 slots, more than a usize can count.
+        HilbertOrder2::new(Dims2::new((1 << 32) + 1, 1));
     }
 }

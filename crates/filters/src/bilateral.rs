@@ -9,7 +9,7 @@
 
 use sfc_core::{SfcError, SfcResult, StencilOrder, StencilSize, Volume3};
 
-use crate::fastmath::{photometric_weight, WeightMode};
+use crate::fastmath::photometric_weight;
 use crate::gaussian::SpatialKernel;
 
 /// Bilateral filter parameters.
@@ -119,7 +119,7 @@ pub fn bilateral_voxel<V: Volume3>(
         let w = if center_nan {
             wg
         } else {
-            wg * photometric_weight(v - center, inv_2sr2, WeightMode::Exact)
+            wg * photometric_weight(v - center, inv_2sr2)
         };
         acc += w * v;
         wsum += w;

@@ -2,25 +2,10 @@
 //!
 //! The bilateral filter pays one `exp` per stencil tap for the photometric
 //! weight `exp(-diff²/2σ_r²)`, and that `exp` is what the tap loop spends
-//! most of its time on. This module owns that weight, behind an explicit
-//! [`WeightMode`] knob:
-//!
-//! * [`WeightMode::Exact`] — `expf`, an in-repo port of glibc's `expf`
-//!   that matches the host libm bit for bit (see below), so the exact mode
-//!   is **bitwise-pinned**: the reference the layout-invariance and
-//!   service tests assert against. It vectorizes like the other modes.
-//! * [`WeightMode::Lut`] — the photometric Gaussian `exp(-u)` sampled on
-//!   `u = diff² / 2σ_r²` over `[0, 16]` in 4096 bins with linear
-//!   interpolation. Indexing the *exponent* rather than the intensity
-//!   difference makes one global table serve every `σ_r`. Interpolation
-//!   error is `≤ h²/8 ≈ 2e-6` (`h = 16/4096`, `|d²/du² e^{-u}| ≤ 1`) and
-//!   the clamped tail contributes `≤ e^{-16} ≈ 1.1e-7`, so per-weight
-//!   error is bounded by ~2.1e-6 — asserted by this module's tests and
-//!   swept end-to-end by `tests/fastmath_oracle.rs`.
-//! * [`WeightMode::FastExp`] — degree-5 polynomial `exp` (the classic
-//!   Cephes/sse_mathfun reduction: split off the power of two, evaluate a
-//!   minimax polynomial on the ~[-0.35, 0.35] remainder), relative error
-//!   ~1e-7, no table traffic.
+//! most of its time on. This module evaluates it with `expf`, an in-repo
+//! port of glibc's `expf` that matches the host libm bit for bit (see
+//! below), so the filter's output is **bitwise-pinned**: the reference the
+//! layout-invariance and service tests assert against.
 //!
 //! [`SimdTier`] selects the lane width of the tap loop
 //! (`crate::pencil_gather`): `Scalar` (1 lane) everywhere, `Sse2` (4) and
@@ -28,11 +13,10 @@
 //! features, no new dependencies — `core::arch` is std). The loop
 //! vectorizes *across the voxels of a pencil*: lane `i` computes voxel
 //! `a + i` with the scalar loop's exact sequence of f32 operations in
-//! kernel tap order, so every tier gives the same bits in every mode.
-//! `Lanes` is the per-tier primitive set that makes that true: each
-//! method performs, per lane, exactly the scalar operation it is named
-//! after, and the weight methods repeat `expf`, [`exp_neg_lut`] and
-//! [`exp_neg_poly`] op for op.
+//! kernel tap order, so every tier gives the same bits. `Lanes` is the
+//! per-tier primitive set that makes that true: each method performs, per
+//! lane, exactly the scalar operation it is named after, and the weight
+//! method repeats `expf` op for op.
 //!
 //! ## The `expf` port
 //!
@@ -49,17 +33,11 @@
 //! 2^32 inputs on such a host (the `#[ignore]` sweep in this module's
 //! tests checks it).
 
-use std::sync::OnceLock;
-
 /// How the photometric (range) weight `exp(-diff²/2σ_r²)` is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightMode {
     /// `expf`, bit for bit the host libm — the bitwise-pinned reference.
     Exact,
-    /// Interpolated lookup table over the quantized exponent.
-    Lut,
-    /// Degree-5 polynomial `exp` (no table traffic).
-    FastExp,
 }
 
 /// Lane width of the tap loop.
@@ -89,8 +67,6 @@ impl WeightMode {
     pub fn name(self) -> &'static str {
         match self {
             Self::Exact => "exact",
-            Self::Lut => "lut",
-            Self::FastExp => "fastexp",
         }
     }
 }
@@ -111,52 +87,26 @@ pub fn detect_tier() -> SimdTier {
     SimdTier::Scalar
 }
 
-/// Weight-evaluation configuration carried by
-/// [`FilterRun`](crate::FilterRun): a mode plus the tap-loop tier.
+/// Tap-loop configuration carried by [`FilterRun`](crate::FilterRun): the
+/// weight mode plus the tap-loop tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapConfig {
     /// Photometric weight evaluation.
     pub mode: WeightMode,
-    /// Tap-loop lane width. Every tier gives the same bits in every mode;
-    /// the tier only changes speed.
+    /// Tap-loop lane width, clamped to what the CPU supports when the loop
+    /// dispatches. Every tier gives the same bits; the tier only changes
+    /// speed.
     pub tier: SimdTier,
 }
 
 impl TapConfig {
-    /// The bitwise-pinned reference configuration: exact weights on the
-    /// widest detected tier. This is the default everywhere outputs are
-    /// contractually reproducible (the service, the layout-invariance
-    /// tests).
+    /// Exact weights on the widest detected tier: the default, which the
+    /// service, the workloads and the bitwise pins all run.
     pub fn exact() -> Self {
         Self {
             mode: WeightMode::Exact,
             tier: detect_tier(),
         }
-    }
-
-    /// The fastest tolerance-bound configuration for this machine: LUT
-    /// weights on the widest detected tier.
-    pub fn fast() -> Self {
-        Self {
-            mode: WeightMode::Lut,
-            tier: detect_tier(),
-        }
-    }
-
-    /// `mode` on the widest detected tier.
-    pub fn with_mode(mode: WeightMode) -> Self {
-        Self {
-            mode,
-            tier: detect_tier(),
-        }
-    }
-
-    /// Clamp the requested tier to what the CPU supports (a forced
-    /// `--simd avx2` on a non-AVX2 machine silently degrades rather than
-    /// faulting).
-    pub fn clamped(mut self) -> Self {
-        self.tier = self.tier.min(detect_tier());
-        self
     }
 }
 
@@ -203,8 +153,7 @@ const EXP_UNDERFLOW: f32 = f32::from_bits(0xc2cff1b4);
 
 /// `e^x`, bit for bit glibc's `expf` on a host with FMA (see the module
 /// docs). Every `exp` the 3D bilateral filter evaluates — spatial and
-/// photometric weights, the LUT entries — goes through this function or
-/// its SIMD lanes.
+/// photometric weights — goes through this function or its SIMD lanes.
 #[inline]
 pub(crate) fn expf(x: f32) -> f32 {
     // |x| >= 88, or x is NaN or infinite.
@@ -233,88 +182,11 @@ pub(crate) fn expf(x: f32) -> f32 {
     (y * s) as f32
 }
 
-// ---------------------------------------------------------------------------
-// Photometric LUT
-// ---------------------------------------------------------------------------
-
-/// LUT bins over the exponent domain `[0, LUT_UMAX]`.
-pub(crate) const LUT_LEN: usize = 4096;
-/// Exponent clamp: `exp(-16) ≈ 1.1e-7` is below the interpolation error,
-/// so larger exponents saturate to the last entry.
-pub(crate) const LUT_UMAX: f32 = 16.0;
-/// `u → bin` scale.
-pub(crate) const LUT_SCALE: f32 = LUT_LEN as f32 / LUT_UMAX;
-
-/// The global photometric table: `lut[i] = exp(-i / LUT_SCALE)`, one
-/// extra entry so interpolation may read `i + 1` at the clamp.
-pub(crate) fn lut() -> &'static [f32] {
-    static LUT: OnceLock<Vec<f32>> = OnceLock::new();
-    LUT.get_or_init(|| {
-        (0..=LUT_LEN)
-            .map(|i| expf(-(i as f32) / LUT_SCALE))
-            .collect()
-    })
-}
-
-/// `exp(-u)` for `u ≥ 0` via the interpolated table. `u` may be `+inf`
-/// (huge intensity difference): it clamps to the tail. A NaN `u` clamps
-/// to the tail too.
+/// The photometric weight for intensity difference `diff`.
 #[inline]
-pub fn exp_neg_lut(u: f32) -> f32 {
-    let t = lut();
-    let s = (u * LUT_SCALE).min((LUT_LEN - 1) as f32);
-    let i = s as usize; // truncation; s ∈ [0, LUT_LEN-1]
-    let frac = s - i as f32;
-    let a = t[i];
-    let b = t[i + 1];
-    a + (b - a) * frac
+pub(crate) fn photometric_weight(diff: f32, inv_2sr2: f32) -> f32 {
+    expf(-((diff * diff) * inv_2sr2))
 }
-
-/// `exp(-u)` for `u ≥ 0` via the Cephes/sse_mathfun degree-5 polynomial.
-/// Relative error ≤ ~2e-7 over the whole domain; underflows to 0 past the
-/// f32 exponent range.
-#[inline]
-pub fn exp_neg_poly(u: f32) -> f32 {
-    // Work on x = -u, clamped to the f32-representable range.
-    let x = (-u).max(-87.336_54);
-    // Split x = n·ln2 + r with n = round(x/ln2), r ∈ [-ln2/2, ln2/2],
-    // using the Cody–Waite two-constant ln2 so r stays accurate.
-    let fx = (x * std::f32::consts::LOG2_E + 0.5).floor();
-    let r = x - fx * 0.693_359_4 - fx * -2.121_944_4e-4;
-    let z = r * r;
-    let mut y = 1.987_569_1e-4f32;
-    y = y * r + 1.398_199_9e-3;
-    y = y * r + 8.333_452e-3;
-    y = y * r + 4.166_579_6e-2;
-    y = y * r + 1.666_666_5e-1;
-    y = y * r + 5.000_000_3e-1;
-    let y = y * z + r + 1.0;
-    // Scale by 2^n through the exponent bits.
-    let n = fx as i32;
-    let two_n = f32::from_bits(((n + 127) << 23) as u32);
-    y * two_n
-}
-
-/// The photometric weight for intensity difference `diff` under `mode`.
-#[inline]
-pub(crate) fn photometric_weight(diff: f32, inv_2sr2: f32, mode: WeightMode) -> f32 {
-    exp_neg(mode as u8, (diff * diff) * inv_2sr2)
-}
-
-/// `exp(-u)` under the weight mode numbered `mode` (`WeightMode as u8`).
-#[inline(always)]
-fn exp_neg(mode: u8, u: f32) -> f32 {
-    match mode {
-        EXACT => expf(-u),
-        LUT => exp_neg_lut(u),
-        _ => exp_neg_poly(u),
-    }
-}
-
-/// [`WeightMode`]s as the `u8` const generic of the tap loop.
-pub(crate) const EXACT: u8 = WeightMode::Exact as u8;
-pub(crate) const LUT: u8 = WeightMode::Lut as u8;
-pub(crate) const FAST_EXP: u8 = WeightMode::FastExp as u8;
 
 // ---------------------------------------------------------------------------
 // Lanes
@@ -374,9 +246,9 @@ pub(crate) trait Lanes {
     unsafe fn count(n: Self::N, m: Self::M) -> Self::N;
     /// Sum of all lanes' counters.
     unsafe fn total(n: Self::N) -> u64;
-    /// `exp(-u)` under the weight mode numbered `MODE`, for `u ≥ 0` or
-    /// NaN (the photometric exponent is never negative).
-    unsafe fn exp_neg<const MODE: u8>(u: Self::V) -> Self::V;
+    /// `expf(-u)`, for `u ≥ 0` or NaN (the photometric exponent is never
+    /// negative).
+    unsafe fn exp_neg(u: Self::V) -> Self::V;
 }
 
 /// The one-lane tier: plain f32 arithmetic.
@@ -447,24 +319,21 @@ impl Lanes for Scalar {
         n
     }
     #[inline(always)]
-    unsafe fn exp_neg<const MODE: u8>(u: f32) -> f32 {
-        exp_neg(MODE, u)
+    unsafe fn exp_neg(u: f32) -> f32 {
+        expf(-u)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    //! The SSE2 (4-lane) and AVX2 (8-lane) [`Lanes`]. Every weight
-    //! function repeats its scalar counterpart op for op; the `f64` part
-    //! of [`expf`] runs two (SSE2) or four (AVX2) doubles per register.
-    //! The table lookups are `vpgatherqq`/`vgatherdps` on AVX2 and lane
-    //! extracts on SSE2. `min`/`max` take the constant as the second
-    //! operand, so a NaN lane yields the constant exactly like
-    //! `f32::min`/`f32::max`.
+    //! The SSE2 (4-lane) and AVX2 (8-lane) [`Lanes`]. The weight repeats
+    //! [`expf`](super::expf) op for op; its `f64` part runs two (SSE2) or
+    //! four (AVX2) doubles per register. The table lookup is `vpgatherqq`
+    //! on AVX2 and lane extracts on SSE2.
 
     use super::{
-        exp_neg_lut, lut, Lanes, EXACT, EXP2F_T, EXP_C0, EXP_C1, EXP_C2, EXP_SHIFT, EXP_UNDERFLOW,
-        INV_LN2_N, INV_LN2_N_HI, INV_LN2_N_LO, LUT, LUT_LEN, LUT_SCALE,
+        Lanes, EXP2F_T, EXP_C0, EXP_C1, EXP_C2, EXP_SHIFT, EXP_UNDERFLOW, INV_LN2_N, INV_LN2_N_HI,
+        INV_LN2_N_LO,
     };
     use std::arch::x86_64::*;
 
@@ -472,17 +341,6 @@ pub(crate) mod x86 {
     pub(crate) struct Sse2;
     /// 8 lanes of AVX2.
     pub(crate) struct Avx2;
-
-    // Cephes polynomial constants shared with `exp_neg_poly`.
-    const POLY_MIN: f32 = -87.336_54;
-    const POLY_C: [f32; 6] = [
-        1.987_569_1e-4,
-        1.398_199_9e-3,
-        8.333_452e-3,
-        4.166_579_6e-2,
-        1.666_666_5e-1,
-        5.000_000_3e-1,
-    ];
 
     /// The `f64` core of [`super::expf`] on two doubles.
     #[inline(always)]
@@ -631,46 +489,8 @@ pub(crate) mod x86 {
             lanes.iter().map(|&c| c as u64).sum()
         }
         #[inline(always)]
-        unsafe fn exp_neg<const MODE: u8>(u: __m128) -> __m128 {
-            match MODE {
-                EXACT => expf_sse2(_mm_xor_ps(u, _mm_set1_ps(-0.0))),
-                LUT => {
-                    // No gather below AVX2: look each lane up in turn.
-                    let mut lanes = [0.0f32; 4];
-                    // SAFETY: `lanes` holds 4 writable floats.
-                    unsafe { _mm_storeu_ps(lanes.as_mut_ptr(), u) };
-                    let lanes = lanes.map(exp_neg_lut);
-                    // SAFETY: `lanes` holds 4 readable floats.
-                    unsafe { _mm_loadu_ps(lanes.as_ptr()) }
-                }
-                _ => {
-                    let x = _mm_max_ps(_mm_xor_ps(u, _mm_set1_ps(-0.0)), _mm_set1_ps(POLY_MIN));
-                    let s = _mm_add_ps(
-                        _mm_mul_ps(x, _mm_set1_ps(std::f32::consts::LOG2_E)),
-                        _mm_set1_ps(0.5),
-                    );
-                    // floor(s) without SSE4.1: truncate, then subtract 1
-                    // where truncation rounded up. `s` is never -0 here
-                    // (`x·log2e + 0.5` cannot round to -0), so this is
-                    // bitwise `f32::floor`.
-                    let tr = _mm_cvtepi32_ps(_mm_cvttps_epi32(s));
-                    let fx = _mm_sub_ps(tr, _mm_and_ps(_mm_cmpgt_ps(tr, s), _mm_set1_ps(1.0)));
-                    let r = _mm_sub_ps(x, _mm_mul_ps(fx, _mm_set1_ps(0.693_359_4)));
-                    let r = _mm_sub_ps(r, _mm_mul_ps(fx, _mm_set1_ps(-2.121_944_4e-4)));
-                    let z = _mm_mul_ps(r, r);
-                    let mut y = _mm_set1_ps(POLY_C[0]);
-                    for &c in &POLY_C[1..] {
-                        y = _mm_add_ps(_mm_mul_ps(y, r), _mm_set1_ps(c));
-                    }
-                    let y = _mm_add_ps(_mm_add_ps(_mm_mul_ps(y, z), r), _mm_set1_ps(1.0));
-                    let n = _mm_cvttps_epi32(fx);
-                    let two_n = _mm_castsi128_ps(_mm_slli_epi32::<23>(_mm_add_epi32(
-                        n,
-                        _mm_set1_epi32(127),
-                    )));
-                    _mm_mul_ps(y, two_n)
-                }
-            }
+        unsafe fn exp_neg(u: __m128) -> __m128 {
+            expf_sse2(_mm_xor_ps(u, _mm_set1_ps(-0.0)))
         }
     }
 
@@ -739,54 +559,8 @@ pub(crate) mod x86 {
             lanes.iter().map(|&c| c as u64).sum()
         }
         #[inline(always)]
-        unsafe fn exp_neg<const MODE: u8>(u: __m256) -> __m256 {
-            match MODE {
-                EXACT => expf_avx2(_mm256_xor_ps(u, _mm256_set1_ps(-0.0))),
-                LUT => {
-                    let s = _mm256_min_ps(
-                        _mm256_mul_ps(u, _mm256_set1_ps(LUT_SCALE)),
-                        _mm256_set1_ps((LUT_LEN - 1) as f32),
-                    );
-                    let i = _mm256_cvttps_epi32(s);
-                    let frac = _mm256_sub_ps(s, _mm256_cvtepi32_ps(i));
-                    let t = lut().as_ptr();
-                    // SAFETY: `i ∈ [0, LUT_LEN - 1]` (clamped above; a NaN
-                    // lane takes the clamp), and the table has
-                    // `LUT_LEN + 1` entries.
-                    let (a, b) = unsafe {
-                        (
-                            _mm256_i32gather_ps::<4>(t, i),
-                            _mm256_i32gather_ps::<4>(t, _mm256_add_epi32(i, _mm256_set1_epi32(1))),
-                        )
-                    };
-                    _mm256_add_ps(a, _mm256_mul_ps(_mm256_sub_ps(b, a), frac))
-                }
-                _ => {
-                    let x = _mm256_max_ps(
-                        _mm256_xor_ps(u, _mm256_set1_ps(-0.0)),
-                        _mm256_set1_ps(POLY_MIN),
-                    );
-                    let fx = _mm256_floor_ps(_mm256_add_ps(
-                        _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
-                        _mm256_set1_ps(0.5),
-                    ));
-                    let r = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(0.693_359_4)));
-                    let r = _mm256_sub_ps(r, _mm256_mul_ps(fx, _mm256_set1_ps(-2.121_944_4e-4)));
-                    let z = _mm256_mul_ps(r, r);
-                    let mut y = _mm256_set1_ps(POLY_C[0]);
-                    for &c in &POLY_C[1..] {
-                        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(c));
-                    }
-                    let y =
-                        _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), _mm256_set1_ps(1.0));
-                    let n = _mm256_cvttps_epi32(fx);
-                    let two_n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-                        n,
-                        _mm256_set1_epi32(127),
-                    )));
-                    _mm256_mul_ps(y, two_n)
-                }
-            }
+        unsafe fn exp_neg(u: __m256) -> __m256 {
+            expf_avx2(_mm256_xor_ps(u, _mm256_set1_ps(-0.0)))
         }
     }
 }
@@ -796,55 +570,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lut_matches_exp_within_bound() {
-        // Dense sweep across the table domain plus the clamped tail.
-        let mut max_err = 0.0f32;
-        for i in 0..200_000 {
-            let u = i as f32 * (LUT_UMAX * 1.5 / 200_000.0);
-            let err = (exp_neg_lut(u) - (-u).exp()).abs();
-            max_err = max_err.max(err);
-        }
-        assert!(max_err <= 2.5e-6, "LUT max abs error {max_err}");
-        assert_eq!(exp_neg_lut(f32::INFINITY), lut()[LUT_LEN - 1]);
-    }
-
-    #[test]
-    fn poly_matches_exp_within_bound() {
-        let mut max_rel = 0.0f32;
-        for i in 0..200_000 {
-            let u = i as f32 * (40.0 / 200_000.0);
-            let want = (-u).exp();
-            let got = exp_neg_poly(u);
-            let rel = (got - want).abs() / want.max(f32::MIN_POSITIVE);
-            max_rel = max_rel.max(rel);
-        }
-        assert!(max_rel <= 5e-7, "poly max rel error {max_rel}");
-        // Saturated inputs underflow cleanly instead of wrapping.
-        assert!(exp_neg_poly(1e10) >= 0.0);
-        assert!(exp_neg_poly(1e10) < 1e-30);
-        assert!(exp_neg_poly(f32::INFINITY) < 1e-30);
-    }
-
-    #[test]
     fn exact_mode_uses_libm_exp() {
         for diff in [0.0f32, 0.01, -0.3, 2.5] {
             let inv = 1.0 / (2.0 * 0.1 * 0.1);
             let want = (-(diff * diff) * inv).exp();
-            assert_eq!(
-                photometric_weight(diff, inv, WeightMode::Exact).to_bits(),
-                want.to_bits()
-            );
+            assert_eq!(photometric_weight(diff, inv).to_bits(), want.to_bits());
         }
     }
 
     #[test]
-    fn clamped_never_exceeds_detected() {
-        let cfg = TapConfig {
-            mode: WeightMode::Lut,
-            tier: SimdTier::Avx2,
-        }
-        .clamped();
-        assert!(cfg.tier <= detect_tier());
+    fn exact_config_runs_on_the_detected_tier() {
         assert_eq!(TapConfig::exact().tier, detect_tier());
     }
 }

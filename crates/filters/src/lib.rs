@@ -16,10 +16,9 @@
 //!   for the scheduling ablation; supervised, degraded and brownout runs
 //!   with partial-result recovery, typed defect maps, and a repair pass),
 //!   and the per-voxel driver of the convolution and gradient kernels;
-//! * [`fastmath`] — photometric weights behind the [`TapConfig`] knob:
-//!   the bit-exact `expf` port (the bitwise oracle), exponent LUT,
-//!   polynomial exp, and the SIMD lanes of the runtime-dispatched tap
-//!   loop, which gives the same bits on every tier;
+//! * [`fastmath`] — the photometric weight through the bit-exact `expf`
+//!   port, and the SIMD lanes of the runtime-dispatched tap loop, which
+//!   gives the same bits on every tier ([`TapConfig`] picks the tier);
 //! * [`counters`] — simulated cache counters replaying the exact parallel
 //!   work split.
 

@@ -43,7 +43,7 @@ use sfc_harness::{
 };
 
 use crate::bilateral::BilateralParams;
-use crate::fastmath::TapConfig;
+use crate::fastmath::{SimdTier, TapConfig};
 use crate::gaussian::{convolve_voxel, SpatialKernel};
 use crate::pencil_gather::{bilateral_pencil, GatherPlan};
 
@@ -56,9 +56,8 @@ pub struct FilterRun {
     pub pencil_axis: Axis,
     /// Worker threads.
     pub nthreads: usize,
-    /// Photometric weight evaluation + tap-loop tier
-    /// ([`TapConfig::exact()`] is the bitwise-pinned default; see
-    /// [`crate::fastmath`]).
+    /// Photometric weight mode and tap-loop tier ([`TapConfig::exact()`],
+    /// the default; see [`crate::fastmath`]).
     pub weight: TapConfig,
 }
 
@@ -132,9 +131,8 @@ struct PencilKernel<'a, V, LOut> {
     axis: Axis,
     out_layout: LOut,
     out: DisjointSlots<'a, f32>,
-    /// Photometric weight configuration (tier pre-clamped), applied at
-    /// every ladder rung.
-    weight: TapConfig,
+    /// Tap-loop tier, applied at every ladder rung.
+    tier: SimdTier,
     /// Spatial kernel and gather plan per quality-ladder level:
     /// `rungs[0]` is the configured radius, `rungs[L]` the radius reduced
     /// by `L` (built only under the brownout policy — no other policy
@@ -172,7 +170,7 @@ impl<V: Volume3 + Sync, LOut: Layout3> UnitKernel for PencilKernel<'_, V, LOut> 
             self.inv,
             plan,
             &p,
-            self.weight,
+            self.tier,
             |_, _, _, v| {
                 buf.push(v);
                 keep_going()
@@ -289,7 +287,7 @@ where
         axis,
         out_layout: out.layout().clone(),
         out: DisjointSlots::new(out.storage_mut()),
-        weight: run.weight.clamped(),
+        tier: run.weight.tier,
         rungs,
     };
     let plan = WorkPlan::new(pencil_count(dims, axis), schedule);

@@ -53,9 +53,7 @@ use std::cell::RefCell;
 
 use sfc_core::{Axis, Dims3, Pencil, Volume3};
 
-use crate::fastmath::{
-    detect_tier, Lanes, Scalar, SimdTier, TapConfig, WeightMode, EXACT, FAST_EXP, LUT,
-};
+use crate::fastmath::{detect_tier, Lanes, Scalar, SimdTier};
 use crate::gaussian::SpatialKernel;
 
 thread_local! {
@@ -145,12 +143,10 @@ impl GatherPlan {
 /// in along-axis order.
 ///
 /// Every voxel, boundary caps and pencils shorter than the stencil
-/// included, runs the same tap loop over the padded rows. With
-/// `WeightMode::Exact` outputs are bitwise identical to calling
-/// [`crate::bilateral::bilateral_voxel`] per voxel, on every tier; the
-/// `Lut`/`FastExp` modes stay within the tolerance documented in
-/// [`crate::fastmath`], give the same bits on every tier, and count NaN
-/// events identically.
+/// included, runs the same tap loop over the padded rows. Outputs are
+/// bitwise identical to calling [`crate::bilateral::bilateral_voxel`] per
+/// voxel, and NaN events are counted identically, on every tier (`tier` is
+/// clamped to the CPU).
 ///
 /// `write` returns a continue flag: `false` aborts the rest of the pencil
 /// (cooperative cancellation — the supervised policies poll their cancel
@@ -162,7 +158,7 @@ pub(crate) fn bilateral_pencil<V, F>(
     inv_2sr2: f32,
     plan: &GatherPlan,
     p: &Pencil,
-    cfg: TapConfig,
+    tier: SimdTier,
     mut write: F,
 ) -> (bool, u64)
 where
@@ -181,7 +177,7 @@ where
             inv_2sr2,
             n_a: plan.n_a,
         };
-        run_taps(&taps, cfg, &mut |a, block| {
+        run_taps(&taps, tier, &mut |a, block| {
             block.iter().enumerate().all(|(l, &v)| {
                 let (i, j, k) = p.coords(a + l);
                 write(i, j, k, v)
@@ -233,15 +229,14 @@ struct Taps<'a> {
 
 /// Receives the results of voxels `a..a + block.len()` as
 /// `emit(a, block)` and returns whether to go on. The tap loop takes it
-/// as a trait object, so it is compiled once per tier and weight mode, not
-/// once per caller.
+/// as a trait object, so it is compiled once per tier, not once per
+/// caller.
 type Emit<'e> = dyn FnMut(usize, &[f32]) -> bool + 'e;
 
-/// Run the tap loop over the whole pencil on `cfg`'s tier (clamped to the
-/// CPU), handing the results to `emit` block by block, in along-axis
-/// order, until it returns `false`. Returns (every voxel emitted, NaN
-/// events).
-fn run_taps(t: &Taps, cfg: TapConfig, emit: &mut Emit) -> (bool, u64) {
+/// Run the tap loop over the whole pencil on `tier` (clamped to the CPU),
+/// handing the results to `emit` block by block, in along-axis order,
+/// until it returns `false`. Returns (every voxel emitted, NaN events).
+fn run_taps(t: &Taps, tier: SimdTier, emit: &mut Emit) -> (bool, u64) {
     // The loop's loads read `n_a` floats from each tap base and from the
     // center; they must all lie inside the rows.
     assert!(
@@ -251,22 +246,22 @@ fn run_taps(t: &Taps, cfg: TapConfig, emit: &mut Emit) -> (bool, u64) {
             .all(|&b| b + t.n_a <= t.rows.len()),
         "tap table exceeds the gathered rows"
     );
-    match cfg.tier.min(detect_tier()) {
+    match tier.min(detect_tier()) {
         // SAFETY: the tier is available on this CPU (clamped above) and
         // the loads are in bounds (asserted above).
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { x86::taps_avx2(t, cfg.mode, emit) },
+        SimdTier::Avx2 => unsafe { x86::taps_avx2(t, emit) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => unsafe { x86::taps_sse2(t, cfg.mode, emit) },
+        SimdTier::Sse2 => unsafe { x86::taps_sse2(t, emit) },
         // SAFETY: the scalar lanes need no CPU feature; loads as above.
-        _ => unsafe { taps_by_mode::<Scalar>(t, cfg.mode, emit) },
+        _ => unsafe { taps::<Scalar>(t, emit) },
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{taps_by_mode, Emit, Taps, WeightMode};
+    use super::{taps, Emit, Taps};
     use crate::fastmath::x86::{Avx2, Sse2};
 
     /// The tap loop compiled for AVX2.
@@ -275,9 +270,9 @@ mod x86 {
     /// The CPU must support AVX2; `t` passed [`super::run_taps`]' bounds
     /// check.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn taps_avx2(t: &Taps, mode: WeightMode, emit: &mut Emit) -> (bool, u64) {
+    pub(super) unsafe fn taps_avx2(t: &Taps, emit: &mut Emit) -> (bool, u64) {
         // SAFETY: AVX2 is enabled for this function; `t` is the caller's.
-        unsafe { taps_by_mode::<Avx2>(t, mode, emit) }
+        unsafe { taps::<Avx2>(t, emit) }
     }
 
     /// The tap loop compiled for SSE2.
@@ -286,26 +281,9 @@ mod x86 {
     /// The CPU must support SSE2 (every x86_64 does); `t` passed
     /// [`super::run_taps`]' bounds check.
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn taps_sse2(t: &Taps, mode: WeightMode, emit: &mut Emit) -> (bool, u64) {
+    pub(super) unsafe fn taps_sse2(t: &Taps, emit: &mut Emit) -> (bool, u64) {
         // SAFETY: SSE2 is enabled for this function; `t` is the caller's.
-        unsafe { taps_by_mode::<Sse2>(t, mode, emit) }
-    }
-}
-
-/// [`taps`] with the weight mode as a const generic.
-///
-/// # Safety
-/// `S`'s tier must be enabled in the calling function and available, and
-/// `t` must have passed [`run_taps`]' bounds check.
-#[inline(always)]
-unsafe fn taps_by_mode<S: Lanes>(t: &Taps, mode: WeightMode, emit: &mut Emit) -> (bool, u64) {
-    // SAFETY: forwarded from the caller.
-    unsafe {
-        match mode {
-            WeightMode::Exact => taps::<S, EXACT>(t, emit),
-            WeightMode::Lut => taps::<S, LUT>(t, emit),
-            WeightMode::FastExp => taps::<S, FAST_EXP>(t, emit),
-        }
+        unsafe { taps::<Sse2>(t, emit) }
     }
 }
 
@@ -313,9 +291,10 @@ unsafe fn taps_by_mode<S: Lanes>(t: &Taps, mode: WeightMode, emit: &mut Emit) ->
 /// the scalar lane one by one, each emitted in along-axis order.
 ///
 /// # Safety
-/// As [`taps_by_mode`], and `t` passed [`run_taps`]' bounds check.
+/// `S`'s tier must be enabled in the calling function and available, and
+/// `t` must have passed [`run_taps`]' bounds check.
 #[inline(always)]
-unsafe fn taps<S: Lanes, const MODE: u8>(t: &Taps, emit: &mut Emit) -> (bool, u64) {
+unsafe fn taps<S: Lanes>(t: &Taps, emit: &mut Emit) -> (bool, u64) {
     let mut nan_seen = 0u64;
     let mut out = [0.0f32; 8];
     let mut a = 0;
@@ -323,7 +302,7 @@ unsafe fn taps<S: Lanes, const MODE: u8>(t: &Taps, emit: &mut Emit) -> (bool, u6
         // SAFETY: `a + WIDTH <= n_a` (loop condition); `out` holds 8 ≥
         // WIDTH floats; the tier is available (caller).
         let n = unsafe {
-            let (v, n) = block::<S, MODE>(t, a);
+            let (v, n) = block::<S>(t, a);
             S::store(out.as_mut_ptr(), v);
             n
         };
@@ -335,7 +314,7 @@ unsafe fn taps<S: Lanes, const MODE: u8>(t: &Taps, emit: &mut Emit) -> (bool, u6
     }
     while a < t.n_a {
         // SAFETY: `a < n_a`; the scalar lanes need no CPU feature.
-        let (v, n) = unsafe { block::<Scalar, MODE>(t, a) };
+        let (v, n) = unsafe { block::<Scalar>(t, a) };
         nan_seen += n;
         if !emit(a, &[v]) {
             return (false, nan_seen);
@@ -356,7 +335,7 @@ unsafe fn taps<S: Lanes, const MODE: u8>(t: &Taps, emit: &mut Emit) -> (bool, u6
 /// most `rows.len() - n_a` (checked by [`run_taps`]); `S`'s tier is
 /// available.
 #[inline(always)]
-unsafe fn block<S: Lanes, const MODE: u8>(t: &Taps, a: usize) -> (S::V, u64) {
+unsafe fn block<S: Lanes>(t: &Taps, a: usize) -> (S::V, u64) {
     debug_assert!(a + S::WIDTH <= t.n_a);
     // SAFETY: by the contract above every load below reads `WIDTH` floats
     // at `base + a <= base + n_a - WIDTH` inside `rows`.
@@ -376,7 +355,7 @@ unsafe fn block<S: Lanes, const MODE: u8>(t: &Taps, a: usize) -> (S::V, u64) {
             let diff = S::sub(v, center);
             let u = S::mul(S::mul(diff, diff), inv);
             let wg = S::splat(wg);
-            let w = S::select(center_nan, wg, S::mul(wg, S::exp_neg::<MODE>(u)));
+            let w = S::select(center_nan, wg, S::mul(wg, S::exp_neg(u)));
             acc = S::select(tap_nan, acc, S::add(acc, S::mul(w, v)));
             wsum = S::select(tap_nan, wsum, S::add(wsum, w));
         }
@@ -408,13 +387,8 @@ mod tests {
             .collect()
     }
 
-    /// Exact mode on every tier.
-    fn exact_tiers() -> [TapConfig; 3] {
-        [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2].map(|tier| TapConfig {
-            mode: WeightMode::Exact,
-            tier,
-        })
-    }
+    /// Every tier (each clamped to the CPU).
+    const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2];
 
     #[test]
     fn gathered_pencils_match_per_voxel_kernel_bitwise() {
@@ -427,15 +401,14 @@ mod tests {
             let inv = p.inv_two_sigma_range_sq();
             for axis in Axis::ALL {
                 let plan = GatherPlan::new(&kernel, dims, axis);
-                for cfg in exact_tiers() {
+                for tier in TIERS {
                     for pen in pencils(dims, axis) {
-                        bilateral_pencil(&grid, &kernel, inv, &plan, &pen, cfg, |i, j, k, v| {
+                        bilateral_pencil(&grid, &kernel, inv, &plan, &pen, tier, |i, j, k, v| {
                             let want = bilateral_voxel(&grid, &kernel, inv, i, j, k);
                             assert_eq!(
                                 v.to_bits(),
                                 want.to_bits(),
-                                "mismatch at ({i},{j},{k}) axis {axis:?} {:?}",
-                                cfg.tier
+                                "mismatch at ({i},{j},{k}) axis {axis:?} {tier:?}"
                             );
                             true
                         });
@@ -455,18 +428,18 @@ mod tests {
         let kernel = p.spatial_kernel();
         let inv = p.inv_two_sigma_range_sq();
         let plan = GatherPlan::new(&kernel, dims, Axis::X);
-        for cfg in exact_tiers() {
+        for tier in TIERS {
             let mut nan_seen = 0;
             for pen in pencils(dims, Axis::X) {
                 let (completed, n) =
-                    bilateral_pencil(&grid, &kernel, inv, &plan, &pen, cfg, |_, _, _, _| true);
+                    bilateral_pencil(&grid, &kernel, inv, &plan, &pen, tier, |_, _, _, _| true);
                 assert!(completed);
                 nan_seen += n;
             }
             // The NaN voxel is seen once per covering stencil: 27
             // neighbors' stencils include it, plus its own center
             // pre-count.
-            assert_eq!(nan_seen, 28, "{:?}", cfg.tier);
+            assert_eq!(nan_seen, 28, "{tier:?}");
         }
     }
 
@@ -479,10 +452,10 @@ mod tests {
         let kernel = p.spatial_kernel();
         let inv = p.inv_two_sigma_range_sq();
         let plan = GatherPlan::new(&kernel, dims, Axis::X);
-        for cfg in exact_tiers() {
+        for tier in TIERS {
             for pen in pencils(dims, Axis::X) {
                 let mut count = 0;
-                bilateral_pencil(&grid, &kernel, inv, &plan, &pen, cfg, |i, j, k, v| {
+                bilateral_pencil(&grid, &kernel, inv, &plan, &pen, tier, |i, j, k, v| {
                     assert_eq!(
                         v.to_bits(),
                         bilateral_voxel(&grid, &kernel, inv, i, j, k).to_bits()
@@ -508,7 +481,7 @@ mod tests {
         let kernel = p.spatial_kernel();
         let plan = GatherPlan::new(&kernel, dims, Axis::X);
         let pen = pencils(dims, Axis::X).next().expect("a pencil");
-        for cfg in exact_tiers() {
+        for tier in TIERS {
             for stop in [0, 5, 8, 17] {
                 let mut written = 0;
                 let (completed, _) = bilateral_pencil(
@@ -517,14 +490,14 @@ mod tests {
                     p.inv_two_sigma_range_sq(),
                     &plan,
                     &pen,
-                    cfg,
+                    tier,
                     |_, _, _, _| {
                         written += 1;
                         written <= stop
                     },
                 );
                 assert!(!completed);
-                assert_eq!(written, stop + 1, "{:?}", cfg.tier);
+                assert_eq!(written, stop + 1, "{tier:?}");
             }
         }
     }
@@ -544,8 +517,8 @@ mod perf_probe {
     use crate::bilateral::BilateralParams;
     use sfc_core::{pencils, Grid3, StencilOrder, ZOrder3};
 
-    /// ns per tap of the pencil loop (gather included) for every mode and
-    /// tier, on 64-voxel pencils of a 64×8×8 volume:
+    /// ns per tap of the pencil loop (gather included) for every tier, on
+    /// 64-voxel pencils of a 64×8×8 volume:
     /// `cargo test --release -p sfc-filters time_tap_loop_tiers -- --ignored --nocapture`.
     #[test]
     #[ignore]
@@ -564,35 +537,21 @@ mod perf_probe {
             let inv = params.inv_two_sigma_range_sq();
             let plan = GatherPlan::new(&kernel, dims, Axis::X);
             let taps = (dims.len() * kernel.weights().len()) as f64;
-            for mode in [WeightMode::Exact, WeightMode::Lut, WeightMode::FastExp] {
-                for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
-                    let cfg = TapConfig { mode, tier }.clamped();
-                    let rounds = 20;
-                    let start = std::time::Instant::now();
-                    let mut acc = 0.0f32;
-                    for _ in 0..rounds {
-                        for pen in pencils(dims, Axis::X) {
-                            bilateral_pencil(
-                                &grid,
-                                &kernel,
-                                inv,
-                                &plan,
-                                &pen,
-                                cfg,
-                                |_, _, _, v| {
-                                    acc += v;
-                                    true
-                                },
-                            );
-                        }
+            for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+                let tier = tier.min(detect_tier());
+                let rounds = 20;
+                let start = std::time::Instant::now();
+                let mut acc = 0.0f32;
+                for _ in 0..rounds {
+                    for pen in pencils(dims, Axis::X) {
+                        bilateral_pencil(&grid, &kernel, inv, &plan, &pen, tier, |_, _, _, v| {
+                            acc += v;
+                            true
+                        });
                     }
-                    let ns = start.elapsed().as_secs_f64() * 1e9 / (rounds as f64 * taps);
-                    eprintln!(
-                        "r{radius} {}/{}: {ns:.2} ns/tap (acc {acc})",
-                        mode.name(),
-                        cfg.tier.name()
-                    );
                 }
+                let ns = start.elapsed().as_secs_f64() * 1e9 / (rounds as f64 * taps);
+                eprintln!("r{radius} {}: {ns:.2} ns/tap (acc {acc})", tier.name());
             }
         }
     }

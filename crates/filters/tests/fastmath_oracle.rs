@@ -1,18 +1,12 @@
-//! Tolerance-oracle suite for the fast photometric-weight paths, and the
-//! bitwise tier matrix.
+//! Bitwise oracle of the tap loop's SIMD tiers, and the frozen exact
+//! output.
 //!
-//! The exact configuration ([`TapConfig::exact`]) is the bitwise oracle:
-//! these tests run the full `bilateral3d` pipeline under every fast
-//! configuration (LUT / polynomial exp × scalar / detected SIMD tier)
-//! against it and assert
+//! These tests run the full `bilateral3d` pipeline and assert
 //!
-//! * the maximum absolute output error stays inside a documented bound,
-//! * NaN-substitution tallies are *identical* (fast paths may approximate
-//!   weights, never change which taps are defective),
-//! * every tier gives the same bits and NaN tally as the scalar tier, in
-//!   every weight mode, and
-//! * the exact configuration itself stays bit-for-bit frozen (checksum
-//!   pin), so the fast paths can never leak into the reference result.
+//! * every tier gives the same bits and NaN tally as the scalar tier, and
+//!   no NaN voxel reaches the output, and
+//! * the exact configuration ([`TapConfig::exact`]) stays bit-for-bit
+//!   frozen (checksum pin).
 
 use std::sync::{Mutex, PoisonError};
 
@@ -20,15 +14,8 @@ use sfc_core::{
     ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, Layout3, SplitMix64, StencilOrder, ZOrder3,
 };
 use sfc_filters::{
-    bilateral3d, fastmath, nan_events, reset_nan_events, BilateralParams, FilterRun, SimdTier,
-    TapConfig, WeightMode,
+    bilateral3d, nan_events, reset_nan_events, BilateralParams, FilterRun, SimdTier, TapConfig,
 };
-
-/// Output error budget for the fast weight paths, in value units on
-/// unit-range data. The LUT's interpolation error is ~2e-6 per weight and
-/// the polynomial's relative error ~5e-7; after the weighted-average
-/// normalization the end-to-end effect stays far below this.
-const TOL: f32 = 1e-4;
 
 fn values_for(dims: Dims3, seed: u64, nan_every: Option<usize>) -> Vec<f32> {
     (0..dims.len())
@@ -78,106 +65,6 @@ fn filter(dims: Dims3, values: &[f32], run: &FilterRun) -> (Vec<f32>, u64) {
     filter_in::<ZOrder3>(dims, values, run)
 }
 
-fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
-}
-
-/// Every fast configuration worth distinguishing on this machine: both
-/// approximate modes, forced-scalar and widest-detected tier each.
-fn fast_configs() -> Vec<TapConfig> {
-    let mut cfgs = Vec::new();
-    for mode in [WeightMode::Lut, WeightMode::FastExp] {
-        cfgs.push(TapConfig {
-            mode,
-            tier: SimdTier::Scalar,
-        });
-        let detected = TapConfig::with_mode(mode);
-        if detected.tier != SimdTier::Scalar {
-            cfgs.push(detected);
-        }
-    }
-    cfgs
-}
-
-#[test]
-fn lut_covers_full_quantized_range() {
-    // Probe every one of the 4096 quantization cells over [0, 16] at its
-    // midpoint and lower edge, plus the clamped tail, against libm exp.
-    // (Constants mirror fastmath's LUT geometry.)
-    let cells = 4096usize;
-    let umax = 16.0f32;
-    let mut max_err = 0.0f32;
-    for i in 0..cells {
-        for off in [0.0f32, 0.5] {
-            let u = (i as f32 + off) * (umax / cells as f32);
-            let err = (fastmath::exp_neg_lut(u) - (-u).exp()).abs();
-            max_err = max_err.max(err);
-        }
-    }
-    assert!(max_err <= 2.5e-6, "LUT max abs error {max_err}");
-    // Tail: everything past umax clamps to the last cell, still tiny.
-    for u in [umax, 20.0, 1.0e6, f32::INFINITY] {
-        assert!(fastmath::exp_neg_lut(u) <= 1.2e-7, "tail at {u}");
-    }
-    // Polynomial over the same range.
-    let mut max_rel = 0.0f32;
-    for i in 0..10_000 {
-        let u = i as f32 * (umax / 10_000.0);
-        let want = (-u).exp();
-        let rel = (fastmath::exp_neg_poly(u) - want).abs() / want;
-        max_rel = max_rel.max(rel);
-    }
-    assert!(max_rel <= 5e-7, "poly max rel error {max_rel}");
-}
-
-#[test]
-fn fast_modes_match_exact_within_tolerance_r1_r3_r5() {
-    let mut rng = SplitMix64::new(0x5EED_0001);
-    for radius in [1, 3, 5] {
-        let dims = Dims3::new(12, 9, 8);
-        let values = values_for(dims, rng.next_u64(), None);
-        let (want, _) = filter(dims, &values, &run_for(radius, TapConfig::exact()));
-        for cfg in fast_configs() {
-            let (got, _) = filter(dims, &values, &run_for(radius, cfg));
-            let err = max_abs_diff(&want, &got);
-            assert!(
-                err <= TOL,
-                "r{radius} {:?}/{:?}: max abs err {err} > {TOL}",
-                cfg.mode,
-                cfg.tier
-            );
-        }
-    }
-}
-
-#[test]
-fn nan_tallies_identical_across_all_configs() {
-    // Defect accounting is part of the contract: a fast weight path may
-    // perturb values inside tolerance but must see exactly the same NaN
-    // taps as the exact path.
-    let mut rng = SplitMix64::new(0x5EED_0002);
-    for (radius, nan_every) in [(1, 7), (3, 13), (5, 29)] {
-        let dims = Dims3::new(11, 10, 7);
-        let values = values_for(dims, rng.next_u64(), Some(nan_every));
-        let (_, want_nans) = filter(dims, &values, &run_for(radius, TapConfig::exact()));
-        assert!(want_nans > 0, "test vector must actually contain NaN taps");
-        for cfg in fast_configs() {
-            let (out, got_nans) = filter(dims, &values, &run_for(radius, cfg));
-            assert_eq!(
-                got_nans, want_nans,
-                "r{radius} {:?}/{:?} NaN tally",
-                cfg.mode, cfg.tier
-            );
-            for v in out {
-                assert!(v.is_finite(), "NaN leaked into output under {cfg:?}");
-            }
-        }
-    }
-}
-
 #[test]
 fn exact_config_is_bitwise_frozen() {
     // Checksum pin over the exact-mode output bits for a fixed input: the
@@ -198,19 +85,6 @@ fn exact_config_is_bitwise_frozen() {
         hash, 0x724e_6fdd_78f9_f092,
         "exact-mode output bits changed (update only if intentional)"
     );
-}
-
-#[test]
-fn fast_path_agrees_on_hilbert_layout_too() {
-    // The fast tap loops read through the gather plan, which is
-    // layout-sensitive; make sure agreement holds over the Hilbert grid
-    // (non-contiguous pencils) as well as Z-order.
-    let dims = Dims3::new(9, 8, 10);
-    let values = values_for(dims, 0x1357_9BDF, None);
-    let (exact, _) = filter_in::<HilbertOrder3>(dims, &values, &run_for(3, TapConfig::exact()));
-    let (fast, _) = filter_in::<HilbertOrder3>(dims, &values, &run_for(3, TapConfig::fast()));
-    let err = max_abs_diff(&exact, &fast);
-    assert!(err <= TOL, "hilbert r3 max abs err {err}");
 }
 
 /// Unit-range values with NaN voxels (each NaN is also the center of its
@@ -237,32 +111,40 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
-/// Every tier (clamped to the host) against the scalar tier in `mode`:
-/// equal outputs and equal NaN tallies.
-fn assert_tiers_agree<L: Layout3>(dims: Dims3, values: &[f32], run: FilterRun, what: &str) {
+/// Every tier (clamped to the host) against the scalar tier: equal
+/// outputs and equal NaN tallies. With `finite` (`values` holds NaN voxels
+/// but no infinities), every tier's output must also be finite: a NaN
+/// voxel never reaches the output.
+fn assert_tiers_agree<L: Layout3>(
+    dims: Dims3,
+    values: &[f32],
+    run: FilterRun,
+    finite: bool,
+    what: &str,
+) {
     let with_tier = |tier| FilterRun {
-        weight: TapConfig {
-            mode: run.weight.mode,
-            tier,
-        }
-        .clamped(),
+        weight: TapConfig { tier, ..run.weight },
         ..run
     };
+    let assert_finite = |tier: SimdTier, out: &[f32]| {
+        assert!(
+            !finite || out.iter().all(|v| v.is_finite()),
+            "{what} {tier:?}: NaN leaked into the output"
+        );
+    };
     let (want, want_nans) = filter_in::<L>(dims, values, &with_tier(SimdTier::Scalar));
+    assert!(want_nans > 0, "{what}: the input must contain NaN taps");
+    assert_finite(SimdTier::Scalar, &want);
     for tier in [SimdTier::Sse2, SimdTier::Avx2] {
         let (got, nans) = filter_in::<L>(dims, values, &with_tier(tier));
-        let mode = run.weight.mode;
-        assert_eq!(nans, want_nans, "{what} {mode:?}/{tier:?} NaN tally");
-        assert!(
-            same_bits(&got, &want),
-            "{what} {mode:?}/{tier:?} output bits"
-        );
+        assert_eq!(nans, want_nans, "{what} {tier:?} NaN tally");
+        assert!(same_bits(&got, &want), "{what} {tier:?} output bits");
+        assert_finite(tier, &got);
     }
 }
 
 #[test]
-fn every_tier_gives_the_scalar_bits_and_nan_tally_in_every_mode() {
-    let modes = [WeightMode::Exact, WeightMode::Lut, WeightMode::FastExp];
+fn every_tier_gives_the_scalar_bits_and_nan_tally() {
     let mut rng = SplitMix64::new(0x5EED_0003);
     for radius in [1, 3, 5] {
         for n in [1, 2, 2 * radius, 2 * radius + 1, 7, 8, 9, 17] {
@@ -273,14 +155,12 @@ fn every_tier_gives_the_scalar_bits_and_nan_tally_in_every_mode() {
             ] {
                 for infinite in [false, true] {
                     let values = defect_values(dims, rng.next_u64(), infinite);
-                    for mode in modes {
-                        let run = FilterRun {
-                            pencil_axis: axis,
-                            ..run_for(radius, TapConfig::with_mode(mode))
-                        };
-                        let what = format!("r{radius} n{n} {axis:?} inf={infinite}");
-                        assert_tiers_agree::<ZOrder3>(dims, &values, run, &what);
-                    }
+                    let run = FilterRun {
+                        pencil_axis: axis,
+                        ..run_for(radius, TapConfig::exact())
+                    };
+                    let what = format!("r{radius} n{n} {axis:?} inf={infinite}");
+                    assert_tiers_agree::<ZOrder3>(dims, &values, run, !infinite, &what);
                 }
             }
         }
@@ -288,13 +168,12 @@ fn every_tier_gives_the_scalar_bits_and_nan_tally_in_every_mode() {
     // Hilbert pencils, whose gather runs the two-plane table per voxel.
     let dims = Dims3::new(9, 8, 10);
     let values = defect_values(dims, rng.next_u64(), true);
-    for mode in modes {
-        for axis in Axis::ALL {
-            let run = FilterRun {
-                pencil_axis: axis,
-                ..run_for(3, TapConfig::with_mode(mode))
-            };
-            assert_tiers_agree::<HilbertOrder3>(dims, &values, run, &format!("hilbert {axis:?}"));
-        }
+    for axis in Axis::ALL {
+        let run = FilterRun {
+            pencil_axis: axis,
+            ..run_for(3, TapConfig::exact())
+        };
+        let what = format!("hilbert {axis:?}");
+        assert_tiers_agree::<HilbertOrder3>(dims, &values, run, false, &what);
     }
 }

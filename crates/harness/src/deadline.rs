@@ -8,8 +8,8 @@
 //! per-unit output quality for latency instead:
 //!
 //! * a [`DeadlineBudget`] — an optional wall-clock budget for the whole
-//!   run plus the knobs of the per-unit control loop (EWMA smoothing,
-//!   soft-deadline headroom, circuit-breaker threshold, AIMD floor);
+//!   run; the per-unit control loop's EWMA smoothing, soft-deadline
+//!   headroom, circuit-breaker threshold and AIMD floor are constants;
 //! * a `DeadlineController` — the runtime state: an online EWMA of unit
 //!   latency (observed over successes *and* failed attempts, so a stall
 //!   storm raises it), an AIMD limit on effective concurrency (additive
@@ -46,38 +46,27 @@ static OVERRUNS_TOTAL: LazyCounter = LazyCounter::new("deadline.overruns");
 static EWMA_GAUGE: LazyGauge = LazyGauge::new("deadline.ewma_us");
 static WINDOW_GAUGE: LazyGauge = LazyGauge::new("deadline.window");
 
-/// Wall-clock budget and control-loop knobs for a brownout run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Smoothing factor of the online unit-latency EWMA, in `(0, 1]`
+/// (higher = reacts faster to a latency shift).
+const EWMA_ALPHA: f64 = 0.2;
+/// A unit's *soft deadline* is `EWMA × SOFT_DEADLINE_FACTOR`; an attempt
+/// that takes longer counts as an overrun and halves the AIMD concurrency
+/// limit.
+const SOFT_DEADLINE_FACTOR: f64 = 4.0;
+/// Failed attempts after which a unit's circuit breaker trips: further
+/// attempts are admitted straight at degraded quality instead of retrying
+/// the full-quality computation.
+const BREAKER_THRESHOLD: u32 = 2;
+/// Floor of the AIMD effective-concurrency limit.
+const MIN_CONCURRENCY: usize = 1;
+
+/// Wall-clock budget of a brownout run.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeadlineBudget {
     /// Wall-clock budget for the whole run. `None` disables deadline
     /// pressure and shedding — only the circuit breaker can then downgrade
     /// a unit (and only after failed attempts).
     pub budget: Option<Duration>,
-    /// Smoothing factor of the online unit-latency EWMA, in `(0, 1]`
-    /// (higher = reacts faster to a latency shift).
-    pub ewma_alpha: f64,
-    /// A unit's *soft deadline* is `EWMA × soft_deadline_factor`; an
-    /// attempt that takes longer counts as an overrun and halves the AIMD
-    /// concurrency limit.
-    pub soft_deadline_factor: f64,
-    /// Failed attempts after which a unit's circuit breaker trips: further
-    /// attempts are admitted straight at degraded quality instead of
-    /// retrying the full-quality computation.
-    pub breaker_threshold: u32,
-    /// Floor of the AIMD effective-concurrency limit.
-    pub min_concurrency: usize,
-}
-
-impl Default for DeadlineBudget {
-    fn default() -> Self {
-        Self {
-            budget: None,
-            ewma_alpha: 0.2,
-            soft_deadline_factor: 4.0,
-            breaker_threshold: 2,
-            min_concurrency: 1,
-        }
-    }
 }
 
 impl DeadlineBudget {
@@ -87,11 +76,10 @@ impl DeadlineBudget {
         Self::default()
     }
 
-    /// The default control loop under a wall-clock budget.
+    /// The control loop under a wall-clock budget.
     pub fn with_budget(budget: Duration) -> Self {
         Self {
             budget: Some(budget),
-            ..Self::default()
         }
     }
 }
@@ -285,7 +273,7 @@ pub(crate) struct DeadlineController {
     ewma_us: AtomicU64,
     /// Units successfully committed so far.
     committed: AtomicUsize,
-    /// AIMD effective-concurrency limit in `[min_concurrency, nthreads]`.
+    /// AIMD effective-concurrency limit in `[MIN_CONCURRENCY, nthreads]`.
     limit: AtomicUsize,
     /// Units currently holding an admission slot.
     inflight: AtomicUsize,
@@ -349,7 +337,7 @@ impl DeadlineController {
                 sample
             } else {
                 let prev = f64::from_bits(cur);
-                prev + self.cfg.ewma_alpha * (sample - prev)
+                prev + EWMA_ALPHA * (sample - prev)
             };
             match self.ewma_us.compare_exchange_weak(
                 cur,
@@ -369,7 +357,7 @@ impl DeadlineController {
     /// The per-unit soft deadline (`EWMA × headroom`), once an EWMA exists.
     fn soft_deadline(&self) -> Option<Duration> {
         self.ewma()
-            .map(|us| Duration::from_secs_f64(us * self.cfg.soft_deadline_factor / 1e6))
+            .map(|us| Duration::from_secs_f64(us * SOFT_DEADLINE_FACTOR / 1e6))
     }
 
     /// Ladder level demanded by deadline pressure alone: 0 while the
@@ -411,8 +399,8 @@ impl DeadlineController {
                 return Admission::Shed;
             }
         }
-        let tripped = self.max_level > 0
-            && self.failures[unit].load(Ordering::Relaxed) >= self.cfg.breaker_threshold;
+        let tripped =
+            self.max_level > 0 && self.failures[unit].load(Ordering::Relaxed) >= BREAKER_THRESHOLD;
         let pressure = self.pressure_level();
         let level = if tripped { pressure.max(1) } else { pressure };
         let level = level.min(self.max_level);
@@ -501,11 +489,10 @@ impl DeadlineController {
     fn throttle(&self) {
         self.overruns.fetch_add(1, Ordering::Relaxed);
         OVERRUNS_TOTAL.add(1);
-        let floor = self.cfg.min_concurrency.max(1);
         let _ = self
             .limit
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
-                let next = (l / 2).max(floor);
+                let next = (l / 2).max(MIN_CONCURRENCY);
                 (next != l).then_some(next)
             });
         WINDOW_GAUGE.set(self.limit.load(Ordering::Relaxed) as i64);
@@ -563,11 +550,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_failures() {
-        let cfg = DeadlineBudget {
-            breaker_threshold: 2,
-            ..DeadlineBudget::none()
-        };
-        let ctl = DeadlineController::new(&cfg, 10, 2, 3);
+        let ctl = DeadlineController::new(&DeadlineBudget::none(), 10, 2, 3);
         assert_eq!(ctl.admit(7), Admission::Full);
         ctl.on_failed_attempt(7, Duration::from_millis(1));
         assert_eq!(ctl.admit(7), Admission::Full); // 1 < threshold
