@@ -8,15 +8,16 @@
 //! layout-invariance and service tests assert against.
 //!
 //! [`SimdTier`] selects the lane width of the tap loop
-//! (`crate::pencil_gather`): `Scalar` (1 lane) everywhere, `Sse2` (4) and
-//! `Avx2` (8) on x86_64 behind `is_x86_feature_detected!` (no compile-time
-//! features, no new dependencies — `core::arch` is std). The loop
-//! vectorizes *across the voxels of a pencil*: lane `i` computes voxel
-//! `a + i` with the scalar loop's exact sequence of f32 operations in
-//! kernel tap order, so every tier gives the same bits. `Lanes` is the
-//! per-tier primitive set that makes that true: each method performs, per
-//! lane, exactly the scalar operation it is named after, and the weight
-//! method repeats `expf` op for op.
+//! (`crate::pencil_gather`): `Scalar` (1 lane) everywhere, `Sse2` (4),
+//! `Avx2` (8) and `Avx512` (16, AVX-512F) on x86_64 behind
+//! `is_x86_feature_detected!` (no compile-time features, no new
+//! dependencies — `core::arch` is std). The loop vectorizes *across the
+//! voxels of a pencil*: lane `i` computes voxel `a + i` with the scalar
+//! loop's exact sequence of f32 operations in kernel tap order, so every
+//! tier gives the same bits. `Lanes` is the per-tier primitive set that
+//! makes that true: each method performs, per lane, exactly the scalar
+//! operation it is named after, and the weight method repeats `expf` op
+//! for op.
 //!
 //! ## The `expf` port
 //!
@@ -28,10 +29,11 @@
 //! significand bits: `H·x` and `L·x` are then exact (`x` has 24 bits), as
 //! is `H·x − kd`, and only the final add rounds. Computing `r` as
 //! `z − kd` instead rounds twice and differs from libm on two inputs.
-//! The SSE2 (2×f64) and AVX2 (4×f64) lanes run the same operations, so
-//! scalar, SSE2 and AVX2 agree bit for bit; the port equals libm on all
-//! 2^32 inputs on such a host (the `#[ignore]` sweep in this module's
-//! tests checks it).
+//! The SSE2 (2×f64), AVX2 (4×f64) and AVX-512 (8×f64) lanes run the same
+//! operations, so every tier agrees with the scalar port bit for bit; the
+//! port equals libm on all 2^32 inputs on such a host (the `#[ignore]`
+//! sweep in this module's tests checks it, and every tier against the
+//! port on all `x ≤ 0`).
 
 /// How the photometric (range) weight `exp(-diff²/2σ_r²)` is evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +51,8 @@ pub enum SimdTier {
     Sse2,
     /// 8 lanes of AVX2.
     Avx2,
+    /// 16 lanes of AVX-512F.
+    Avx512,
 }
 
 impl SimdTier {
@@ -58,6 +62,7 @@ impl SimdTier {
             Self::Scalar => "scalar",
             Self::Sse2 => "sse2",
             Self::Avx2 => "avx2",
+            Self::Avx512 => "avx512",
         }
     }
 }
@@ -75,6 +80,12 @@ impl WeightMode {
 pub fn detect_tier() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
     {
+        // The AVX-512 tap loop runs its tail's 8-lane step on AVX2.
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx2")
+        {
+            return SimdTier::Avx512;
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
             return SimdTier::Avx2;
         }
@@ -210,6 +221,10 @@ pub(crate) trait Lanes {
     type M: Copy;
     /// Per-lane event counters.
     type N: Copy;
+    /// The lanes that run a pencil's tail, the voxels past the last whole
+    /// block, before the scalar lane takes what is left: AVX2 under
+    /// AVX-512, the scalar lane itself on every other tier.
+    type Tail: Lanes;
 
     /// Load `WIDTH` values from `p`.
     ///
@@ -259,6 +274,7 @@ impl Lanes for Scalar {
     type V = f32;
     type M = bool;
     type N = u64;
+    type Tail = Scalar;
 
     #[inline(always)]
     unsafe fn load(p: *const f32) -> f32 {
@@ -326,14 +342,16 @@ impl Lanes for Scalar {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    //! The SSE2 (4-lane) and AVX2 (8-lane) [`Lanes`]. The weight repeats
-    //! [`expf`](super::expf) op for op; its `f64` part runs two (SSE2) or
-    //! four (AVX2) doubles per register. The table lookup is `vpgatherqq`
-    //! on AVX2 and lane extracts on SSE2.
+    //! The SSE2 (4-lane), AVX2 (8-lane) and AVX-512F (16-lane) [`Lanes`].
+    //! The weight repeats [`expf`](super::expf) op for op; its `f64` part
+    //! runs two (SSE2), four (AVX2) or eight (AVX-512) doubles per
+    //! register. The table lookup is lane extracts on SSE2, `vpgatherqq`
+    //! on AVX2, and on AVX-512 two `vpermt2q` over the table held in four
+    //! registers with a blend on bit 4 of the index.
 
     use super::{
-        Lanes, EXP2F_T, EXP_C0, EXP_C1, EXP_C2, EXP_SHIFT, EXP_UNDERFLOW, INV_LN2_N, INV_LN2_N_HI,
-        INV_LN2_N_LO,
+        Lanes, Scalar, EXP2F_T, EXP_C0, EXP_C1, EXP_C2, EXP_SHIFT, EXP_UNDERFLOW, INV_LN2_N,
+        INV_LN2_N_HI, INV_LN2_N_LO,
     };
     use std::arch::x86_64::*;
 
@@ -341,6 +359,8 @@ pub(crate) mod x86 {
     pub(crate) struct Sse2;
     /// 8 lanes of AVX2.
     pub(crate) struct Avx2;
+    /// 16 lanes of AVX-512F.
+    pub(crate) struct Avx512;
 
     /// The `f64` core of [`super::expf`] on two doubles.
     #[inline(always)]
@@ -370,7 +390,7 @@ pub(crate) mod x86 {
 
     /// [`super::expf`] on 4 lanes with `x ≤ 0` or NaN.
     #[inline(always)]
-    pub(crate) unsafe fn expf_sse2(x: __m128) -> __m128 {
+    unsafe fn expf_sse2(x: __m128) -> __m128 {
         let lo = _mm_cvtpd_ps(exp_core_sse2(_mm_cvtps_pd(x)));
         let hi = _mm_cvtpd_ps(exp_core_sse2(_mm_cvtps_pd(_mm_movehl_ps(x, x))));
         let y = _mm_movelh_ps(lo, hi);
@@ -411,7 +431,7 @@ pub(crate) mod x86 {
 
     /// [`super::expf`] on 8 lanes with `x ≤ 0` or NaN.
     #[inline(always)]
-    pub(crate) unsafe fn expf_avx2(x: __m256) -> __m256 {
+    unsafe fn expf_avx2(x: __m256) -> __m256 {
         let lo = _mm256_cvtpd_ps(exp_core_avx2(_mm256_cvtps_pd(_mm256_castps256_ps128(x))));
         let hi = _mm256_cvtpd_ps(exp_core_avx2(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(
             x,
@@ -424,11 +444,75 @@ pub(crate) mod x86 {
         )
     }
 
+    /// The `f64` core of [`super::expf`] on eight doubles: the operations
+    /// of `exp_core_avx2` in the same order. The table is read with two
+    /// permutes, each picking among 16 entries by the low 4 bits of the
+    /// index, and a blend on bit 4 picks the half.
+    #[inline(always)]
+    unsafe fn exp_core_avx512(xd: __m512d) -> __m512d {
+        let kd = _mm512_add_pd(
+            _mm512_mul_pd(_mm512_set1_pd(INV_LN2_N), xd),
+            _mm512_set1_pd(EXP_SHIFT),
+        );
+        let ki = _mm512_castpd_si512(kd);
+        let kd = _mm512_sub_pd(kd, _mm512_set1_pd(EXP_SHIFT));
+        let r = _mm512_add_pd(
+            _mm512_sub_pd(_mm512_mul_pd(_mm512_set1_pd(INV_LN2_N_HI), xd), kd),
+            _mm512_mul_pd(_mm512_set1_pd(INV_LN2_N_LO), xd),
+        );
+        let table = EXP2F_T.as_ptr().cast::<__m512i>();
+        // SAFETY: `EXP2F_T` holds 32 u64, four vectors of eight.
+        let (t0, t1, t2, t3) = unsafe {
+            (
+                _mm512_loadu_si512(table),
+                _mm512_loadu_si512(table.add(1)),
+                _mm512_loadu_si512(table.add(2)),
+                _mm512_loadu_si512(table.add(3)),
+            )
+        };
+        let lo = _mm512_permutex2var_epi64(t0, ki, t1);
+        let hi = _mm512_permutex2var_epi64(t2, ki, t3);
+        let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+        let t = _mm512_mask_blend_epi64(upper, lo, hi);
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let r2 = _mm512_mul_pd(r, r);
+        let p = _mm512_mul_pd(
+            _mm512_add_pd(
+                _mm512_mul_pd(_mm512_set1_pd(EXP_C0), r),
+                _mm512_set1_pd(EXP_C1),
+            ),
+            r2,
+        );
+        let q = _mm512_add_pd(
+            _mm512_mul_pd(_mm512_set1_pd(EXP_C2), r),
+            _mm512_set1_pd(1.0),
+        );
+        _mm512_mul_pd(_mm512_add_pd(p, q), s)
+    }
+
+    /// [`super::expf`] on 16 lanes with `x ≤ 0` or NaN: each half of the
+    /// lanes widened to eight doubles.
+    #[inline(always)]
+    unsafe fn expf_avx512(x: __m512) -> __m512 {
+        let lo = _mm512_castps512_ps256(x);
+        let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
+        let lo = _mm512_cvtpd_ps(exp_core_avx512(_mm512_cvtps_pd(lo)));
+        let hi = _mm512_cvtpd_ps(exp_core_avx512(_mm512_cvtps_pd(hi)));
+        let y = _mm512_insertf64x4::<1>(
+            _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
+            _mm256_castps_pd(hi),
+        );
+        // Below log(2^-150) (and at -inf) the result is +0.
+        let under = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, _mm512_set1_ps(EXP_UNDERFLOW));
+        _mm512_maskz_mov_ps(!under, _mm512_castpd_ps(y))
+    }
+
     impl Lanes for Sse2 {
         const WIDTH: usize = 4;
         type V = __m128;
         type M = __m128;
         type N = __m128i;
+        type Tail = Scalar;
 
         #[inline(always)]
         unsafe fn load(p: *const f32) -> __m128 {
@@ -499,6 +583,7 @@ pub(crate) mod x86 {
         type V = __m256;
         type M = __m256;
         type N = __m256i;
+        type Tail = Scalar;
 
         #[inline(always)]
         unsafe fn load(p: *const f32) -> __m256 {
@@ -561,6 +646,81 @@ pub(crate) mod x86 {
         #[inline(always)]
         unsafe fn exp_neg(u: __m256) -> __m256 {
             expf_avx2(_mm256_xor_ps(u, _mm256_set1_ps(-0.0)))
+        }
+    }
+
+    impl Lanes for Avx512 {
+        const WIDTH: usize = 16;
+        type V = __m512;
+        type M = __mmask16;
+        type N = __m512i;
+        type Tail = Avx2;
+
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m512 {
+            // SAFETY: the caller guarantees 16 readable floats at `p`.
+            unsafe { _mm512_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            // SAFETY: the caller guarantees 16 writable floats at `p`.
+            unsafe { _mm512_storeu_ps(p, v) }
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m512 {
+            _mm512_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn add(a: __m512, b: __m512) -> __m512 {
+            _mm512_add_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: __m512, b: __m512) -> __m512 {
+            _mm512_sub_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: __m512, b: __m512) -> __m512 {
+            _mm512_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn div(a: __m512, b: __m512) -> __m512 {
+            _mm512_div_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn is_nan(v: __m512) -> __mmask16 {
+            _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v)
+        }
+        #[inline(always)]
+        unsafe fn is_positive(v: __m512) -> __mmask16 {
+            _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, _mm512_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn select(m: __mmask16, a: __m512, b: __m512) -> __m512 {
+            _mm512_mask_blend_ps(m, b, a)
+        }
+        #[inline(always)]
+        unsafe fn no_events() -> __m512i {
+            _mm512_setzero_si512()
+        }
+        #[inline(always)]
+        unsafe fn count(n: __m512i, m: __mmask16) -> __m512i {
+            _mm512_mask_add_epi32(n, m, n, _mm512_set1_epi32(1))
+        }
+        #[inline(always)]
+        unsafe fn total(n: __m512i) -> u64 {
+            let mut lanes = [0i32; 16];
+            // SAFETY: `lanes` holds 64 writable bytes.
+            unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), n) };
+            lanes.iter().map(|&c| c as u64).sum()
+        }
+        #[inline(always)]
+        unsafe fn exp_neg(u: __m512) -> __m512 {
+            // Flip the sign bit; `_mm512_xor_ps` would need AVX512DQ.
+            let sign = _mm512_set1_epi32(i32::MIN);
+            expf_avx512(_mm512_castsi512_ps(_mm512_xor_si512(
+                _mm512_castps_si512(u),
+                sign,
+            )))
         }
     }
 }
@@ -628,45 +788,85 @@ mod expf_tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
+    /// The SIMD tiers, each clamped to the host when it runs.
+    const SIMD_TIERS: [SimdTier; 3] = [SimdTier::Sse2, SimdTier::Avx2, SimdTier::Avx512];
+
+    /// The tiers that [`SIMD_TIERS`] run as on this host, named.
+    fn tiers_run() -> String {
+        let mut ran: Vec<&str> = SIMD_TIERS
+            .iter()
+            .map(|&t| t.min(detect_tier()).name())
+            .collect();
+        ran.dedup();
+        ran.join(" ")
+    }
+
     /// `expf` through the lanes of `tier` (clamped to the host), for
-    /// inputs `x ≤ 0` or NaN — the domain the tap loop feeds it. The
-    /// scalar tier, and the remainder past the last whole vector, run the
-    /// port itself.
+    /// inputs `x ≤ 0` or NaN — the domain the tap loop feeds it — as the
+    /// tap loop calls it: `exp_neg` of the negated input. The inputs past
+    /// the last whole vector run the port itself.
     fn expf_tier(tier: SimdTier, xs: &[f32]) -> Vec<f32> {
-        let mut out: Vec<f32> = xs.iter().map(|&x| expf(x)).collect();
         match tier.min(detect_tier()) {
+            // SAFETY (each arm): the tier is clamped to the detected one.
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => {
-                #[target_feature(enable = "avx2")]
-                unsafe fn run(xs: &[f32], out: &mut [f32]) {
-                    use std::arch::x86_64::{_mm256_loadu_ps, _mm256_storeu_ps};
-                    for (x, o) in xs.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
-                        // SAFETY: 8 floats on each side.
-                        unsafe {
-                            _mm256_storeu_ps(
-                                o.as_mut_ptr(),
-                                x86::expf_avx2(_mm256_loadu_ps(x.as_ptr())),
-                            )
-                        };
-                    }
-                }
-                // SAFETY: the tier was clamped to the detected one.
-                unsafe { run(xs, &mut out) };
-            }
+            SimdTier::Avx512 => unsafe { x86_lanes::avx512(xs) },
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => {
-                use std::arch::x86_64::{_mm_loadu_ps, _mm_storeu_ps};
-                for (x, o) in xs.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
-                    // SAFETY: 4 floats on each side; SSE2 is baseline on
-                    // x86_64.
-                    unsafe {
-                        _mm_storeu_ps(o.as_mut_ptr(), x86::expf_sse2(_mm_loadu_ps(x.as_ptr())))
-                    };
-                }
-            }
-            _ => {}
+            SimdTier::Avx2 => unsafe { x86_lanes::avx2(xs) },
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Sse2 => unsafe { x86_lanes::sse2(xs) },
+            // SAFETY: the scalar lanes need no CPU feature.
+            _ => unsafe { expf_lanes::<Scalar>(xs) },
+        }
+    }
+
+    /// `expf(x)` for each of `xs` as `S::exp_neg(-x)`, `S::WIDTH` lanes at
+    /// a time; the rest run the port.
+    ///
+    /// # Safety
+    /// `S`'s tier must be enabled in the calling function and available.
+    #[inline(always)]
+    unsafe fn expf_lanes<S: Lanes>(xs: &[f32]) -> Vec<f32> {
+        let mut out: Vec<f32> = xs.iter().map(|&x| expf(x)).collect();
+        let neg: Vec<f32> = xs.iter().map(|&x| -x).collect();
+        for (u, o) in neg
+            .chunks_exact(S::WIDTH)
+            .zip(out.chunks_exact_mut(S::WIDTH))
+        {
+            // SAFETY: `WIDTH` floats on each side; the tier is the
+            // caller's.
+            unsafe { S::store(o.as_mut_ptr(), S::exp_neg(S::load(u.as_ptr()))) };
         }
         out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    mod x86_lanes {
+        use super::expf_lanes;
+        use crate::fastmath::x86::{Avx2, Avx512, Sse2};
+
+        /// # Safety
+        /// The CPU must support AVX-512F and AVX2.
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn avx512(xs: &[f32]) -> Vec<f32> {
+            // SAFETY: AVX-512F and AVX2 are enabled for this function.
+            unsafe { expf_lanes::<Avx512>(xs) }
+        }
+
+        /// # Safety
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        pub(super) unsafe fn avx2(xs: &[f32]) -> Vec<f32> {
+            // SAFETY: AVX2 is enabled for this function.
+            unsafe { expf_lanes::<Avx2>(xs) }
+        }
+
+        /// # Safety
+        /// The CPU must support SSE2 (every x86_64 does).
+        #[target_feature(enable = "sse2")]
+        pub(super) unsafe fn sse2(xs: &[f32]) -> Vec<f32> {
+            // SAFETY: SSE2 is enabled for this function.
+            unsafe { expf_lanes::<Sse2>(xs) }
+        }
     }
 
     /// Inputs of `xs` on which some tier differs from the port; only the
@@ -679,7 +879,7 @@ mod expf_tests {
             .collect();
         let want: Vec<f32> = xs.iter().map(|&x| expf(x)).collect();
         let mut bad = Vec::new();
-        for tier in [SimdTier::Sse2, SimdTier::Avx2] {
+        for tier in SIMD_TIERS {
             for ((x, got), want) in xs.iter().zip(expf_tier(tier, &xs)).zip(&want) {
                 if !same(got, *want) {
                     bad.push((tier, *x));
@@ -746,6 +946,7 @@ mod expf_tests {
 
         // x ≤ 0: +0 and the sign-bit half of the patterns (negative
         // values, -0, -inf, negative NaNs), in chunks.
+        eprintln!("expf sweep: SIMD tiers run: {}", tiers_run());
         let chunk = 1u64 << 16;
         let bad: Vec<(SimdTier, f32)> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)

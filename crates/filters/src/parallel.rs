@@ -410,6 +410,8 @@ mod tests {
     use crate::bilateral::{bilateral_reference, bilateral_voxel};
     use sfc_core::{ArrayOrder3, Dims3, StencilOrder, Tiled3, ZOrder3};
     use sfc_harness::{DeadlineBudget, FaultKind, SupervisorConfig};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn test_volume(dims: Dims3) -> Vec<f32> {
@@ -668,6 +670,123 @@ mod tests {
         assert_eq!(outcome.quality.len(), pencil_count(dims, Axis::X));
         assert_eq!(outcome.quality.max_level(), 1);
         assert_eq!(out.to_row_major(), reference.to_row_major());
+    }
+
+    /// The per-voxel kernel over `vol`, serially, as output bits.
+    fn oracle_bits<V: Volume3>(vol: &V, r: &FilterRun) -> Vec<u32> {
+        let kernel = r.params.spatial_kernel();
+        let inv = r.params.inv_two_sigma_range_sq();
+        let oracle = Grid3::<f32, ArrayOrder3>::from_fn(vol.dims(), |i, j, k| {
+            bilateral_voxel(vol, &kernel, inv, i, j, k)
+        });
+        oracle.to_row_major().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(out: &Grid3<f32, ArrayOrder3>) -> Vec<u32> {
+        out.to_row_major().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn back_to_back_calls_on_one_thread_share_no_rows() {
+        // With one thread the caller runs every pencil, and the rows its
+        // thread keeps outlive the call. The second volume's first pencil
+        // needs rows at the same clamped coordinates as the first
+        // volume's last pencil (cross section 4×3, radius 2), and must
+        // not take them from the first volume.
+        let dims = Dims3::new(13, 4, 3);
+        let r = run(2, 1, Axis::X);
+        let first = test_volume(dims);
+        let second: Vec<f32> = first.iter().rev().map(|v| 1.0 - v).collect();
+        for values in [first, second] {
+            let grid = Grid3::<f32, ZOrder3>::from_row_major(dims, &values);
+            let out: Grid3<f32, ArrayOrder3> = bilateral3d(&grid, &r);
+            assert_eq!(bits(&out), oracle_bits(&grid, &r));
+        }
+    }
+
+    /// A grid that counts its row reads.
+    struct CountingGrid {
+        grid: Grid3<f32, ZOrder3>,
+        runs: AtomicUsize,
+    }
+
+    impl Volume3 for CountingGrid {
+        fn dims(&self) -> Dims3 {
+            self.grid.dims()
+        }
+        fn get(&self, i: usize, j: usize, k: usize) -> f32 {
+            self.grid.get(i, j, k)
+        }
+        fn gather_axis_run(&self, i: usize, j: usize, k: usize, axis: Axis, dst: &mut [f32]) {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.grid.gather_axis_run(i, j, k, axis, dst);
+        }
+    }
+
+    /// Row reads of a whole pass under static round-robin: each thread
+    /// reads the distinct clamped rows of each of its pencils that its
+    /// previous pencil did not need.
+    fn expected_row_reads(dims: Dims3, axis: Axis, radius: usize, nthreads: usize) -> usize {
+        let r = radius as isize;
+        let clamp =
+            |x: usize, d: isize, n: usize| (x as isize + d).clamp(0, n as isize - 1) as usize;
+        let rows = |id: usize| -> BTreeSet<[usize; 3]> {
+            let (i, j, k) = pencil(dims, axis, id).coords(0);
+            let mut rows = BTreeSet::new();
+            for d1 in -r..=r {
+                for d2 in -r..=r {
+                    let (di, dj, dk) = match axis {
+                        Axis::X => (0, d1, d2),
+                        Axis::Y => (d1, 0, d2),
+                        Axis::Z => (d1, d2, 0),
+                    };
+                    rows.insert([
+                        clamp(i, di, dims.nx),
+                        clamp(j, dj, dims.ny),
+                        clamp(k, dk, dims.nz),
+                    ]);
+                }
+            }
+            rows
+        };
+        let n = pencil_count(dims, axis);
+        (0..nthreads)
+            .map(|t| {
+                let mut held = BTreeSet::new();
+                let mut reads = 0;
+                for id in (t..n).step_by(nthreads) {
+                    let need = rows(id);
+                    reads += need.difference(&held).count();
+                    held = need;
+                }
+                reads
+            })
+            .sum()
+    }
+
+    #[test]
+    fn a_pass_reads_only_the_rows_its_threads_do_not_hold() {
+        let dims = Dims3::new(9, 8, 7);
+        for (radius, axis) in [(1, Axis::X), (2, Axis::Y), (2, Axis::Z)] {
+            for nthreads in [1, 2] {
+                let vol = CountingGrid {
+                    grid: Grid3::from_row_major(dims, &test_volume(dims)),
+                    runs: AtomicUsize::new(0),
+                };
+                let r = run(radius, nthreads, axis);
+                let out: Grid3<f32, ArrayOrder3> = bilateral3d(&vol, &r);
+                let reads = vol.runs.load(Ordering::Relaxed);
+                let what = format!("r{radius} {axis:?} on {nthreads} threads");
+                assert_eq!(
+                    reads,
+                    expected_row_reads(dims, axis, radius, nthreads),
+                    "{what}"
+                );
+                let w = 2 * radius + 1;
+                assert!(reads < pencil_count(dims, axis) * w * w, "{what}");
+                assert_eq!(bits(&out), oracle_bits(&vol.grid, &r), "{what}");
+            }
+        }
     }
 
     #[test]

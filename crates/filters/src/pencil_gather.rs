@@ -5,10 +5,27 @@
 //! voxel, 1,331 for the paper's r5 configuration. But consecutive voxels
 //! of a pencil share almost their entire neighborhood: the stencil taps of
 //! the whole pencil live in the `(2r+1)²` rows of voxels that run parallel
-//! to it. This module gathers those rows **once per pencil** into a
-//! contiguous row-major scratch buffer (each row read with one
-//! [`sfc_core::Volume3::gather_axis_run`]), after which the per-voxel tap
-//! loop is pure contiguous arithmetic with *zero* index computation.
+//! to it. This module holds those rows in a contiguous row-major scratch
+//! buffer (each row read with one [`sfc_core::Volume3::gather_axis_run`]),
+//! after which the per-voxel tap loop is pure contiguous arithmetic with
+//! *zero* index computation.
+//!
+//! ## Rows kept from pencil to pencil
+//!
+//! A thread's next pencil usually lies next to its last one and needs many
+//! of the same rows: under static round-robin over `T` threads,
+//! `(2r+1)·max(0, 2r+1−T)` of its `(2r+1)²` rows; for a single thread
+//! taking pencils in order, `(2r+1)·2r`. Each thread keeps the rows of its
+//! last pencil and reads from the volume only the rows the new pencil
+//! adds. A row is known by its clamped cross coordinates `(b, c)`, so the
+//! match holds at the faces, from the end of one row of pencils to the
+//! start of the next, and under any pencil order; rows that clamp to the
+//! same `(b, c)` within one pencil are read once as well. Kept rows serve
+//! only the [`GatherPlan`] that gathered them, known by an id no other
+//! plan gets. A plan is made for each filter call and each ladder rung,
+//! and a call borrows its volume immutably throughout, so a kept row
+//! equals a fresh read. While a gather runs the kept rows are marked
+//! invalid, so a panic part-way through leaves none for the next pencil.
 //!
 //! ## Bitwise equivalence
 //!
@@ -18,24 +35,25 @@
 //! sample values, so its outputs are bit-for-bit equal to the per-voxel
 //! path — the `output_is_layout_invariant_bitwise` tests hold unchanged.
 //! Equal footing across layouts is also preserved: every layout's rows
-//! are read through the same `Layout3::index`, once per voxel; only the
-//! (layout-independent) redundancy of re-reading a voxel per tap is
-//! removed.
+//! are read through the same `Layout3::index`, once per voxel of each row
+//! a pencil adds; only the (layout-independent) redundancy of re-reading a
+//! voxel per tap, or per neighboring pencil, is removed.
 //!
 //! ## Padded rows, one loop
 //!
 //! Stencil rows whose *cross* coordinates fall outside the volume are
-//! gathered from the clamped edge row, and every row carries `r` clamped
+//! copies of the clamped edge row, and every row carries `r` clamped
 //! copies of its first and last sample at either end. A tap of voxel `a`
 //! is then always `rows[tap_base[t] + a]`, the value `get_clamped`
 //! serves, so boundary caps and pencils shorter than the stencil run the
 //! same loop as the interior, with no per-tap clamp and no fallback.
 //!
 //! The loop vectorizes across the voxels of the pencil (see
-//! [`crate::fastmath::Lanes`]): a block of `WIDTH` voxels (8 on AVX2, 4
-//! on SSE2, 1 on the scalar tier) loads each tap with one unaligned load
-//! at `tap_base[t] + a`, and lane `i` computes voxel `a + i` exactly as
-//! the scalar loop would; the `n_a mod WIDTH` tail voxels run the scalar
+//! [`crate::fastmath::Lanes`]): a block of `WIDTH` voxels (16 on AVX-512,
+//! 8 on AVX2, 4 on SSE2, 1 on the scalar tier) loads each tap with one
+//! unaligned load at `tap_base[t] + a`, and lane `i` computes voxel
+//! `a + i` exactly as the scalar loop would. On AVX-512 a tail of 8 or
+//! more voxels runs one 8-lane AVX2 block; the voxels left run the scalar
 //! lane. NaN events are accumulated locally and flushed to the shared
 //! counter once per pencil.
 //!
@@ -47,9 +65,11 @@
 //! plan per attempt — a downgraded pencil gathers `(2(r−L)+1)²` rows
 //! instead of `(2r+1)²`, shrinking both the memory traffic and the tap
 //! loop quadratically with the ladder level. The per-thread scratch is
-//! sized by whichever plan ran last and is reused across rungs.
+//! sized by whichever plan ran last and is reused across rungs; a rung
+//! change gathers every row afresh.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sfc_core::{Axis, Dims3, Pencil, Volume3};
 
@@ -57,14 +77,61 @@ use crate::fastmath::{detect_tier, Lanes, Scalar, SimdTier};
 use crate::gaussian::SpatialKernel;
 
 thread_local! {
-    /// Reusable per-thread gather scratch; grown on demand, never shrunk
-    /// within a run, so steady state performs zero allocations.
-    static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's gathered rows, kept from one pencil to the next;
+    /// grown on demand, never shrunk, so steady state performs zero
+    /// allocations.
+    static SCRATCH: RefCell<Window> = const { RefCell::new(Window::new()) };
+}
+
+/// Source of [`GatherPlan`] ids, unique in the process.
+static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Padded rows of one pencil, laid out as [`GatherPlan::tap_base`]
+/// expects, with their clamped cross coordinates: row `db + (2r+1)·dc`
+/// is the volume row at `(bs[db], cs[dc])`.
+struct Rows {
+    data: Vec<f32>,
+    bs: Vec<usize>,
+    cs: Vec<usize>,
+}
+
+/// A thread's scratch: the rows of its last pencil, and a spare buffer
+/// that the next gather swaps in and fills.
+struct Window {
+    /// Id of the plan whose gather filled `last`; `None` before the first
+    /// gather and while one runs.
+    plan: Option<u64>,
+    last: Rows,
+    spare: Rows,
+}
+
+impl Rows {
+    const fn new() -> Self {
+        Self {
+            data: Vec::new(),
+            bs: Vec::new(),
+            cs: Vec::new(),
+        }
+    }
+}
+
+impl Window {
+    const fn new() -> Self {
+        Self {
+            plan: None,
+            last: Rows::new(),
+            spare: Rows::new(),
+        }
+    }
 }
 
 /// Precomputed gather geometry for one `(kernel, dims, pencil axis)`
-/// combination; shared read-only across worker threads.
+/// combination; shared read-only across worker threads. A plan serves the
+/// pencils of one volume: the rows a thread keeps are tagged with the
+/// plan's id, and reused for the next pencil of the same plan.
 pub(crate) struct GatherPlan {
+    /// Process-unique id (see the module docs).
+    id: u64,
     /// Stencil radius.
     radius: usize,
     /// Extent of the pencil axis.
@@ -128,6 +195,9 @@ impl GatherPlan {
             })
             .collect();
         Self {
+            // Relaxed: the id only has to differ from every other plan's;
+            // it publishes no data.
+            id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
             radius: r,
             n_a,
             n_b,
@@ -167,10 +237,10 @@ where
 {
     debug_assert_eq!(p.len, plan.n_a, "pencils span the whole axis");
     let (completed, nan_seen) = SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        gather_rows(vol, plan, p, &mut scratch);
+        let mut window = cell.borrow_mut();
+        gather_rows(vol, plan, p, &mut window);
         let taps = Taps {
-            rows: &scratch,
+            rows: &window.last.data,
             base: &plan.tap_base,
             weights: kernel.weights(),
             center: plan.center,
@@ -188,32 +258,62 @@ where
     (completed, nan_seen)
 }
 
-/// Gather the pencil's `(2r+1)²` neighbor rows into `scratch`, padded
+/// Fill `win.last` with the pencil's `(2r+1)²` neighbor rows, padded
 /// (row `(db+r) + (2r+1)(dc+r)` at offset `row_id * row_len`).
 ///
 /// Cross coordinates that fall outside the volume clamp to the nearest
 /// face, and each row carries `r` copies of its first and last sample at
 /// either end — so every tap of every voxel reads exactly the value the
-/// per-voxel path's `get_clamped` returns, without a branch. (Rows past a
-/// face duplicate the edge row; the redundant reads are the price of one
-/// loop for every voxel.)
-fn gather_rows<V: Volume3>(vol: &V, plan: &GatherPlan, p: &Pencil, scratch: &mut Vec<f32>) {
+/// per-voxel path's `get_clamped` returns, without a branch. A row is
+/// read from `vol` only if neither an earlier row of this pencil nor, under
+/// the same plan, the thread's last pencil has the same clamped cross
+/// coordinates; otherwise it is copied.
+fn gather_rows<V: Volume3>(vol: &V, plan: &GatherPlan, p: &Pencil, win: &mut Window) {
     let r = plan.radius;
     let w = 2 * r + 1;
     let (n_a, row_len) = (plan.n_a, plan.row_len);
-    scratch.resize(w * w * row_len, 0.0);
+    // Invalid until this gather ends: a panic part-way through must not
+    // leave the half-filled rows to the next pencil.
+    let reuse = win.plan.take() == Some(plan.id);
+    std::mem::swap(&mut win.last, &mut win.spare);
+    let (new, old) = (&mut win.last, &win.spare);
+    new.bs.clear();
+    new.bs
+        .extend((0..w).map(|db| (p.a + db).saturating_sub(r).min(plan.n_b - 1)));
+    new.cs.clear();
+    new.cs
+        .extend((0..w).map(|dc| (p.b + dc).saturating_sub(r).min(plan.n_c - 1)));
+    new.data.resize(w * w * row_len, 0.0);
+    let slot = |db: usize, dc: usize| (db + w * dc) * row_len;
+    let find = |keys: &[usize], key: usize| keys.iter().position(|&k| k == key);
     for dc in 0..w {
         for db in 0..w {
-            let b = (p.a + db).saturating_sub(r).min(plan.n_b - 1);
-            let c = (p.b + dc).saturating_sub(r).min(plan.n_c - 1);
+            let (b, c) = (new.bs[db], new.cs[dc]);
+            let dst = slot(db, dc);
+            // The first row of this pencil at the same coordinates.
+            let first = slot(
+                find(&new.bs, b).unwrap_or(db),
+                find(&new.cs, c).unwrap_or(dc),
+            );
+            if first != dst {
+                new.data.copy_within(first..first + row_len, dst);
+                continue;
+            }
+            // The same row of the last pencil.
+            if let (true, Some(ob), Some(oc)) = (reuse, find(&old.bs, b), find(&old.cs, c)) {
+                new.data[dst..dst + row_len]
+                    .copy_from_slice(&old.data[slot(ob, oc)..slot(ob, oc) + row_len]);
+                continue;
+            }
             let (i0, j0, k0) = join_coords(p.axis, 0, b, c);
-            let row = &mut scratch[(db + w * dc) * row_len..][..row_len];
+            let row = &mut new.data[dst..dst + row_len];
             vol.gather_axis_run(i0, j0, k0, p.axis, &mut row[r..r + n_a]);
             let (first, last) = (row[r], row[r + n_a - 1]);
             row[..r].fill(first);
             row[r + n_a..].fill(last);
         }
     }
+    win.plan = Some(plan.id);
 }
 
 /// One pencil's input to the tap loop: the padded rows and the plan's tap
@@ -250,6 +350,9 @@ fn run_taps(t: &Taps, tier: SimdTier, emit: &mut Emit) -> (bool, u64) {
         // SAFETY: the tier is available on this CPU (clamped above) and
         // the loads are in bounds (asserted above).
         #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx512 => unsafe { x86::taps_avx512(t, emit) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 => unsafe { x86::taps_avx2(t, emit) },
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
@@ -262,7 +365,20 @@ fn run_taps(t: &Taps, tier: SimdTier, emit: &mut Emit) -> (bool, u64) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{taps, Emit, Taps};
-    use crate::fastmath::x86::{Avx2, Sse2};
+    use crate::fastmath::x86::{Avx2, Avx512, Sse2};
+
+    /// The tap loop compiled for AVX-512F; `avx512f` implies `avx2`, which
+    /// the tail's 8-lane step runs.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F and AVX2; `t` passed
+    /// [`super::run_taps`]' bounds check.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn taps_avx512(t: &Taps, emit: &mut Emit) -> (bool, u64) {
+        // SAFETY: AVX-512F and AVX2 are enabled for this function; `t` is
+        // the caller's.
+        unsafe { taps::<Avx512>(t, emit) }
+    }
 
     /// The tap loop compiled for AVX2.
     ///
@@ -287,41 +403,51 @@ mod x86 {
     }
 }
 
-/// The tap loop: voxels in blocks of `S::WIDTH`, then the remainder on
-/// the scalar lane one by one, each emitted in along-axis order.
+/// The tap loop: voxels in blocks of `S::WIDTH`, then in blocks of
+/// `S::Tail::WIDTH`, then the remainder on the scalar lane one by one,
+/// each emitted in along-axis order.
 ///
 /// # Safety
-/// `S`'s tier must be enabled in the calling function and available, and
-/// `t` must have passed [`run_taps`]' bounds check.
+/// `S`'s tier (and so `S::Tail`'s) must be enabled in the calling
+/// function and available, and `t` must have passed [`run_taps`]' bounds
+/// check.
 #[inline(always)]
 unsafe fn taps<S: Lanes>(t: &Taps, emit: &mut Emit) -> (bool, u64) {
     let mut nan_seen = 0u64;
-    let mut out = [0.0f32; 8];
     let mut a = 0;
-    while a + S::WIDTH <= t.n_a {
-        // SAFETY: `a + WIDTH <= n_a` (loop condition); `out` holds 8 ≥
+    // SAFETY: the caller's contract, for each tier in turn.
+    let completed = unsafe {
+        blocks::<S>(t, &mut a, &mut nan_seen, emit)
+            && blocks::<S::Tail>(t, &mut a, &mut nan_seen, emit)
+            && blocks::<Scalar>(t, &mut a, &mut nan_seen, emit)
+    };
+    (completed, nan_seen)
+}
+
+/// Filter voxels from `*a` on in blocks of `S::WIDTH` while a whole block
+/// fits, emitting each and advancing `*a`; returns `false` when `emit`
+/// asks to stop.
+///
+/// # Safety
+/// As [`taps`], for `S`.
+#[inline(always)]
+unsafe fn blocks<S: Lanes>(t: &Taps, a: &mut usize, nan_seen: &mut u64, emit: &mut Emit) -> bool {
+    let mut out = [0.0f32; 16];
+    while *a + S::WIDTH <= t.n_a {
+        // SAFETY: `a + WIDTH <= n_a` (loop condition); `out` holds 16 ≥
         // WIDTH floats; the tier is available (caller).
         let n = unsafe {
-            let (v, n) = block::<S>(t, a);
+            let (v, n) = block::<S>(t, *a);
             S::store(out.as_mut_ptr(), v);
             n
         };
-        nan_seen += n;
-        if !emit(a, &out[..S::WIDTH]) {
-            return (false, nan_seen);
+        *nan_seen += n;
+        if !emit(*a, &out[..S::WIDTH]) {
+            return false;
         }
-        a += S::WIDTH;
+        *a += S::WIDTH;
     }
-    while a < t.n_a {
-        // SAFETY: `a < n_a`; the scalar lanes need no CPU feature.
-        let (v, n) = unsafe { block::<Scalar>(t, a) };
-        nan_seen += n;
-        if !emit(a, &[v]) {
-            return (false, nan_seen);
-        }
-        a += 1;
-    }
-    (true, nan_seen)
+    true
 }
 
 /// Filter voxels `a..a + S::WIDTH` of the pencil, one per lane, with the
@@ -370,7 +496,11 @@ unsafe fn block<S: Lanes>(t: &Taps, a: usize) -> (S::V, u64) {
 mod tests {
     use super::*;
     use crate::bilateral::{bilateral_voxel, BilateralParams};
-    use sfc_core::{pencils, Grid3, StencilOrder, Tiled3, ZOrder3};
+    use sfc_core::{pencil, pencil_count, pencils, Grid3, StencilOrder, Tiled3, ZOrder3};
+    use sfc_harness::{Executor, Schedule, WorkPlan};
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
 
     fn params(radius: usize, order: StencilOrder) -> BilateralParams {
         BilateralParams {
@@ -388,7 +518,147 @@ mod tests {
     }
 
     /// Every tier (each clamped to the CPU).
-    const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2];
+    const TIERS: [SimdTier; 4] = [
+        SimdTier::Scalar,
+        SimdTier::Sse2,
+        SimdTier::Avx2,
+        SimdTier::Avx512,
+    ];
+
+    /// The per-voxel kernel at every voxel, row-major.
+    fn oracle<V: Volume3>(vol: &V, kernel: &SpatialKernel, inv: f32) -> Vec<f32> {
+        let d = vol.dims();
+        let mut want = Vec::with_capacity(d.len());
+        for k in 0..d.nz {
+            for j in 0..d.ny {
+                for i in 0..d.nx {
+                    want.push(bilateral_voxel(vol, kernel, inv, i, j, k));
+                }
+            }
+        }
+        want
+    }
+
+    /// Filter pencil `id` and assert every voxel's bits against `want`
+    /// (row-major); returns the voxels written.
+    fn check_pencil<V: Volume3>(
+        vol: &V,
+        (kernel, inv): (&SpatialKernel, f32),
+        plan: &GatherPlan,
+        (axis, id): (Axis, usize),
+        tier: SimdTier,
+        want: &[f32],
+    ) -> usize {
+        let d = vol.dims();
+        let mut written = 0;
+        let pen = pencil(d, axis, id);
+        bilateral_pencil(vol, kernel, inv, plan, &pen, tier, |i, j, k, v| {
+            let w = want[i + d.nx * (j + d.ny * k)];
+            assert_eq!(
+                v.to_bits(),
+                w.to_bits(),
+                "({i},{j},{k}) of pencil {id} along {axis:?} on {tier:?}"
+            );
+            written += 1;
+            true
+        });
+        written
+    }
+
+    #[test]
+    fn kept_rows_give_the_per_voxel_bits_in_every_pencil_order() {
+        // Odd extents, and at r5 a stencil wider than both cross extents,
+        // so rows clamp at every face.
+        let dims = Dims3::new(13, 9, 7);
+        let grid = Grid3::<f32, Tiled3>::from_row_major(dims, &noisy(dims));
+        for radius in [1, 2, 5] {
+            let p = params(radius, StencilOrder::Xyz);
+            let kernel = p.spatial_kernel();
+            let k = (&kernel, p.inv_two_sigma_range_sq());
+            let want = oracle(&grid, &kernel, k.1);
+            for axis in Axis::ALL {
+                let n = pencil_count(dims, axis);
+                for tier in TIERS {
+                    // Through the engine: static round-robin on 1-3
+                    // threads, then a dynamic queue on 2.
+                    for (nthreads, schedule) in [
+                        (1, Schedule::StaticRoundRobin),
+                        (2, Schedule::StaticRoundRobin),
+                        (3, Schedule::StaticRoundRobin),
+                        (2, Schedule::Dynamic),
+                    ] {
+                        let plan = GatherPlan::new(&kernel, dims, axis);
+                        let written = AtomicUsize::new(0);
+                        Executor::new(nthreads).run(&WorkPlan::new(n, schedule), |_, id| {
+                            let w = check_pencil(&grid, k, &plan, (axis, id), tier, &want);
+                            written.fetch_add(w, Ordering::Relaxed);
+                        });
+                        assert_eq!(written.into_inner(), dims.len());
+                    }
+                    // One thread, last pencil first.
+                    let plan = GatherPlan::new(&kernel, dims, axis);
+                    let written: usize = (0..n)
+                        .rev()
+                        .map(|id| check_pencil(&grid, k, &plan, (axis, id), tier, &want))
+                        .sum();
+                    assert_eq!(written, dims.len());
+                }
+            }
+        }
+    }
+
+    /// A grid whose `gather_axis_run` panics once, when armed, on the
+    /// x row at `(j, k)`.
+    struct FaultyRow {
+        grid: Grid3<f32, ZOrder3>,
+        armed: Cell<Option<(usize, usize)>>,
+    }
+
+    impl Volume3 for FaultyRow {
+        fn dims(&self) -> Dims3 {
+            self.grid.dims()
+        }
+        fn get(&self, i: usize, j: usize, k: usize) -> f32 {
+            self.grid.get(i, j, k)
+        }
+        fn gather_axis_run(&self, i: usize, j: usize, k: usize, axis: Axis, dst: &mut [f32]) {
+            if self.armed.get() == Some((j, k)) {
+                self.armed.set(None);
+                panic!("injected fault reading row ({j},{k})");
+            }
+            self.grid.gather_axis_run(i, j, k, axis, dst);
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_gather_leaves_no_rows_for_the_next_pencil() {
+        let dims = Dims3::new(12, 7, 6);
+        let vol = FaultyRow {
+            grid: Grid3::from_row_major(dims, &noisy(dims)),
+            armed: Cell::new(None),
+        };
+        let p = params(1, StencilOrder::Xyz);
+        let kernel = p.spatial_kernel();
+        let k = (&kernel, p.inv_two_sigma_range_sq());
+        let want = oracle(&vol, &kernel, k.1);
+        let plan = GatherPlan::new(&kernel, dims, Axis::X);
+        let check = |id, tier| check_pencil(&vol, k, &plan, (Axis::X, id), tier, &want);
+        for tier in TIERS {
+            // Pencil 30 (rows j 1..=3, k 3..=5) leaves rows unlike the
+            // others' in the buffer that pencil 9 fills after pencil 8.
+            // Pencil 9 (rows j 1..=3, k 0..=2) copies rows j 1 and 2 at
+            // k 0 from pencil 8, then panics reading row (3, 0).
+            check(30, tier);
+            check(8, tier);
+            vol.armed.set(Some((3, 0)));
+            let fault = catch_unwind(AssertUnwindSafe(|| check(9, tier)));
+            assert!(fault.is_err(), "the armed row must panic");
+            // Pencil 10 shares rows j 2 and 3 with pencil 9; none of
+            // pencil 9's may be reused.
+            assert_eq!(check(10, tier), dims.nx, "{tier:?}");
+            assert_eq!(check(9, tier), dims.nx, "{tier:?}");
+        }
+    }
 
     #[test]
     fn gathered_pencils_match_per_voxel_kernel_bitwise() {
@@ -537,7 +807,12 @@ mod perf_probe {
             let inv = params.inv_two_sigma_range_sq();
             let plan = GatherPlan::new(&kernel, dims, Axis::X);
             let taps = (dims.len() * kernel.weights().len()) as f64;
-            for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+            for tier in [
+                SimdTier::Scalar,
+                SimdTier::Sse2,
+                SimdTier::Avx2,
+                SimdTier::Avx512,
+            ] {
                 let tier = tier.min(detect_tier());
                 let rounds = 20;
                 let start = std::time::Instant::now();

@@ -4,9 +4,13 @@
 //! These tests run the full `bilateral3d` pipeline and assert
 //!
 //! * every tier gives the same bits and NaN tally as the scalar tier, and
-//!   no NaN voxel reaches the output, and
+//!   no NaN voxel reaches the output, on pencils long enough for several
+//!   16-lane blocks and every kind of tail, and
 //! * the exact configuration ([`TapConfig::exact`]) stays bit-for-bit
-//!   frozen (checksum pin).
+//!   frozen (two checksum pins).
+//!
+//! A tier the host lacks clamps to the widest one it has, so the tier
+//! test prints the tiers it actually ran (`--nocapture` shows it).
 
 use std::sync::{Mutex, PoisonError};
 
@@ -14,7 +18,8 @@ use sfc_core::{
     ArrayOrder3, Axis, Dims3, Grid3, HilbertOrder3, Layout3, SplitMix64, StencilOrder, ZOrder3,
 };
 use sfc_filters::{
-    bilateral3d, nan_events, reset_nan_events, BilateralParams, FilterRun, SimdTier, TapConfig,
+    bilateral3d, detect_tier, nan_events, reset_nan_events, BilateralParams, FilterRun, SimdTier,
+    TapConfig,
 };
 
 fn values_for(dims: Dims3, seed: u64, nan_every: Option<usize>) -> Vec<f32> {
@@ -87,6 +92,41 @@ fn exact_config_is_bitwise_frozen() {
     );
 }
 
+#[test]
+fn exact_config_is_bitwise_frozen_on_sixteen_lane_pencils() {
+    // A second checksum pin, recorded before the 16-lane tier existed, on
+    // pencils long enough for it: x pencils of 37 voxels (two 16-voxel
+    // blocks, then 5 on the scalar lane) at r1 xyz and z pencils of 40
+    // (two blocks, then one 8-lane block) at r2 zyx, the two
+    // configurations the filter benchmark runs.
+    let dims = Dims3::new(37, 6, 40);
+    let values = values_for(dims, 0x1357_9BDF_2468_ACE0, None);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
+    for (radius, axis, order) in [
+        (1, Axis::X, StencilOrder::Xyz),
+        (2, Axis::Z, StencilOrder::Zyx),
+    ] {
+        let base = run_for(radius, TapConfig::exact());
+        let run = FilterRun {
+            params: BilateralParams {
+                order,
+                ..base.params
+            },
+            pencil_axis: axis,
+            ..base
+        };
+        let (out, _) = filter(dims, &values, &run);
+        for v in out {
+            hash ^= u64::from(v.to_bits());
+            hash = hash.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    assert_eq!(
+        hash, 0xcd05_d6d2_f7b7_2867,
+        "exact-mode output bits changed (update only if intentional)"
+    );
+}
+
 /// Unit-range values with NaN voxels (each NaN is also the center of its
 /// own output), plus `+inf` and `-inf` voxels when `infinite`.
 fn defect_values(dims: Dims3, seed: u64, infinite: bool) -> Vec<f32> {
@@ -110,6 +150,9 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
             .zip(b)
             .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
+
+/// The SIMD tiers, each clamped to the host when it runs.
+const SIMD_TIERS: [SimdTier; 3] = [SimdTier::Sse2, SimdTier::Avx2, SimdTier::Avx512];
 
 /// Every tier (clamped to the host) against the scalar tier: equal
 /// outputs and equal NaN tallies. With `finite` (`values` holds NaN voxels
@@ -135,7 +178,7 @@ fn assert_tiers_agree<L: Layout3>(
     let (want, want_nans) = filter_in::<L>(dims, values, &with_tier(SimdTier::Scalar));
     assert!(want_nans > 0, "{what}: the input must contain NaN taps");
     assert_finite(SimdTier::Scalar, &want);
-    for tier in [SimdTier::Sse2, SimdTier::Avx2] {
+    for tier in SIMD_TIERS {
         let (got, nans) = filter_in::<L>(dims, values, &with_tier(tier));
         assert_eq!(nans, want_nans, "{what} {tier:?} NaN tally");
         assert!(same_bits(&got, &want), "{what} {tier:?} output bits");
@@ -145,9 +188,21 @@ fn assert_tiers_agree<L: Layout3>(
 
 #[test]
 fn every_tier_gives_the_scalar_bits_and_nan_tally() {
+    let mut ran: Vec<&str> = SIMD_TIERS
+        .iter()
+        .map(|&t| t.min(detect_tier()).name())
+        .collect();
+    ran.dedup();
+    eprintln!("tap-loop oracle: SIMD tiers run: {}", ran.join(" "));
     let mut rng = SplitMix64::new(0x5EED_0003);
     for radius in [1, 3, 5] {
-        for n in [1, 2, 2 * radius, 2 * radius + 1, 7, 8, 9, 17] {
+        // 24, 31, 32, 33 and 40 run several 16-lane blocks and each kind
+        // of tail: an 8-lane block, then the scalar lane, or either alone.
+        let long = [24, 31, 32, 33, 40];
+        for n in [1, 2, 2 * radius, 2 * radius + 1, 7, 8, 9, 17]
+            .into_iter()
+            .chain(long)
+        {
             for (axis, dims) in [
                 (Axis::X, Dims3::new(n, 3, 2)),
                 (Axis::Y, Dims3::new(3, n, 2)),

@@ -118,7 +118,9 @@ impl TransferFunction {
         self.table[index]
     }
 
-    /// The whole table, for lanes that gather several entries at once.
+    /// The whole table, for lanes that gather several entries at once
+    /// (the x86_64 ray packets).
+    #[cfg(target_arch = "x86_64")]
     pub(crate) fn entries(&self) -> &[Rgba; Self::RESOLUTION] {
         &self.table
     }
