@@ -7,8 +7,7 @@
 //! first runs the *real* kernel once through the execution engine under a
 //! selectable [`ExecPolicy`] (`--fault-policy degraded|supervised|brownout`,
 //! default `degraded`) with a seeded random [`FaultPlan`], then prints the
-//! [`RunReport`](sfc_harness::RunReport), the
-//! [`DefectMap`](sfc_harness::DefectMap), and the
+//! [`RunReport`](sfc_harness::RunReport) and the per-unit
 //! [`QualityMap`](sfc_harness::QualityMap) so the degraded-mode machinery
 //! is exercised (and readable) end to end before the simulated sweep
 //! starts. Under `--fault-policy brownout`, `--deadline-ms N` arms the
@@ -83,7 +82,7 @@ fn demo_policy(
     }
 }
 
-/// Print the supervised-run report and the defect map.
+/// Print the supervised-run report and the quality map.
 fn print_outcome(what: &str, unit: &str, nunits: usize, outcome: &DegradedOutcome) {
     let r = &outcome.report;
     eprintln!(
@@ -95,8 +94,7 @@ fn print_outcome(what: &str, unit: &str, nunits: usize, outcome: &DegradedOutcom
         r.replacements,
         r.wall_time.as_secs_f64() * 1e3,
     );
-    eprintln!("fault demo [{what}]: defects: {}", outcome.defects);
-    eprintln!("fault demo [{what}]: quality: {}", outcome.quality);
+    eprintln!("fault demo [{what}]: units: {}", outcome.quality);
     if outcome.output_is_whole() {
         if outcome.quality.is_full_quality() {
             eprintln!(

@@ -7,7 +7,7 @@
 //! modeled by interleaving their pencil streams round-robin).
 
 use sfc_core::{pencil, pencil_count, Axis, Grid3, Layout3};
-use sfc_harness::{items_for_thread, EventCounter, UnitCounters};
+use sfc_harness::{items_for_thread, LazyCounter};
 use sfc_memsim::{
     assign_threads_to_cores, interleave_round_robin, run_multicore, CoreSim, Platform,
     SimReport, TracedGrid,
@@ -17,15 +17,14 @@ use crate::bilateral::{bilateral_voxel, BilateralParams};
 
 /// Process-wide count of NaN voxels the bilateral kernel has encountered
 /// and excluded (photometric weight forced to 0). Monotonic; reset
-/// explicitly between measurements. Shared [`UnitCounters`] sink batched
-/// once per pencil; registered in the metrics plane as
-/// `filters.nan_events`.
-static NAN_EVENTS: EventCounter = EventCounter::new("filters.nan_events");
+/// explicitly between measurements. Added to once per pencil, not per
+/// voxel; registered in the metrics plane as `filters.nan_events`.
+static NAN_EVENTS: LazyCounter = LazyCounter::new("filters.nan_events");
 
 /// NaN voxels excluded by the bilateral kernel since the last
 /// [`reset_nan_events`].
 pub fn nan_events() -> u64 {
-    NAN_EVENTS.total()
+    NAN_EVENTS.value()
 }
 
 /// Reset the NaN event counter (call before a measured run).
@@ -34,7 +33,7 @@ pub fn reset_nan_events() {
 }
 
 pub(crate) fn record_nan_events(n: u64) {
-    NAN_EVENTS.record_unit(n);
+    NAN_EVENTS.add(n);
 }
 
 /// Simulate the cache behaviour of a bilateral-filter run.

@@ -14,7 +14,8 @@
 //!   execution-engine kernel under every policy (plain runs with the
 //!   paper's static round-robin pencil assignment or a dynamic schedule
 //!   for the scheduling ablation; supervised, degraded and brownout runs
-//!   with partial-result recovery, typed defect maps, and a repair pass),
+//!   through the engine's one supervised pipeline, with partial-result
+//!   recovery, a per-pencil quality map, and a repair pass),
 //!   and the per-voxel driver of the convolution and gradient kernels;
 //! * [`fastmath`] — the photometric weight through the bit-exact `expf`
 //!   port, and the SIMD lanes of the runtime-dispatched tap loop, which

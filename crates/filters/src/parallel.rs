@@ -18,24 +18,26 @@
 //!   the `_into` variants are thin wrappers over this, and
 //!   [`bilateral3d_dynamic`] hands the pencils out from a dynamic queue
 //!   instead;
-//! * [`ExecPolicy::Supervised`] — panic isolation, watchdog deadlines with
-//!   cooperative cancellation, bounded retries, buffered per-pencil commit
-//!   (an abandoned attempt never leaves a half-written pencil);
-//! * [`ExecPolicy::Degraded`] — supervision plus the engine's three-phase
-//!   pipeline: post-run validation scan (non-finite + optional plausible
-//!   output range) and a single-threaded faults-off repair pass;
-//! * [`ExecPolicy::Brownout`] — the degraded pipeline under a wall-clock
-//!   deadline, with a quality ladder: under pressure a pencil is
+//! * the supervised, degraded and brownout policies — the engine's one
+//!   supervised pipeline on the policy's own threads and schedule: panic
+//!   isolation, watchdog deadlines with cooperative cancellation, bounded
+//!   retries and buffered per-pencil commit (an abandoned attempt never
+//!   leaves a half-written pencil); from `Degraded` on, a post-run
+//!   validation scan (non-finite + optional plausible output range) and a
+//!   single-threaded faults-off repair pass; under `Brownout`, a
+//!   wall-clock deadline with a quality ladder: under pressure a pencil is
 //!   recomputed with a reduced stencil radius (`r → r−1 → … → 1`, see
-//!   [`FilterRun::brownout_params`]), and every such downgrade is
-//!   recorded in the outcome's
-//!   [`QualityMap`](sfc_harness::QualityMap).
+//!   [`FilterRun::brownout_params`]).
 //!
-//! The kernel is deterministic, so a repaired pencil is bitwise identical
-//! to what a fault-free run would have produced: a run whose map ends
-//! [`DefectMap::is_whole`](sfc_harness::DefectMap::is_whole) has *exactly*
-//! the fault-free output. The per-voxel kernels (plain convolution,
-//! gradient magnitude, separable passes) share the simpler `drive` loop.
+//! Every pencil that failed, was repaired or was computed at a reduced
+//! radius is an entry of the outcome's
+//! [`QualityMap`](sfc_harness::QualityMap). The kernel is deterministic,
+//! so a repaired pencil is bitwise identical to what a fault-free run
+//! would have produced: a run whose map ends
+//! [`is_whole`](sfc_harness::QualityMap::is_whole) at full quality has
+//! *exactly* the fault-free output. The per-voxel kernels (plain
+//! convolution, gradient magnitude, separable passes) share the simpler
+//! `drive` loop.
 
 use sfc_core::{pencil, pencil_count, Axis, Dims3, Grid3, Layout3, SfcError, SfcResult, Volume3};
 use sfc_harness::{
@@ -245,18 +247,7 @@ where
     LOut: Layout3,
 {
     run.validate()?;
-    let (nthreads, schedule) = match policy {
-        ExecPolicy::Plain => (run.nthreads, plain_schedule),
-        ExecPolicy::Supervised(cfg) => (cfg.nthreads, cfg.schedule),
-        ExecPolicy::Degraded(p) => (p.supervisor.nthreads, p.supervisor.schedule),
-        ExecPolicy::Brownout(p) => (p.supervisor.nthreads, p.supervisor.schedule),
-    };
-    if nthreads == 0 {
-        return Err(SfcError::InvalidParameter {
-            name: "nthreads",
-            reason: format!("the {} policy needs at least one thread", policy.label()),
-        });
-    }
+    let (nthreads, schedule) = policy.threads_and_schedule(run.nthreads, plain_schedule)?;
     if vol.dims() != out.dims() {
         return Err(SfcError::ShapeMismatch {
             what: "bilateral3d",
@@ -267,13 +258,9 @@ where
     let dims = vol.dims();
     let axis = run.pencil_axis;
     // The ladder's coarser rungs exist only under the brownout policy;
-    // other stacks never consult them, so their construction cost is not
-    // paid on their path.
-    let depth = match policy {
-        ExecPolicy::Brownout(_) => run.brownout_depth(),
-        _ => 0,
-    };
-    let rungs = (0..=depth)
+    // other policies never consult them, so their construction cost is
+    // not paid on their path.
+    let rungs = (0..=policy.ladder_depth(run.brownout_depth()))
         .map(|level| {
             let spatial = run.brownout_params(level).spatial_kernel();
             let plan = GatherPlan::new(&spatial, dims, axis);
@@ -532,7 +519,7 @@ mod tests {
         let policy = ExecPolicy::degraded(cfg(4), Some((0.0, 1.0)));
         let outcome =
             try_bilateral3d_with_policy(&grid, &mut out, &r, &policy, &FaultPlan::none()).unwrap();
-        assert!(outcome.defects.is_clean());
+        assert!(outcome.quality.entries().is_empty());
         assert!(outcome.output_is_whole());
         assert_eq!(out.to_row_major(), reference.to_row_major());
     }
@@ -553,8 +540,8 @@ mod tests {
         let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
         let policy = ExecPolicy::degraded(cfg(3), Some((0.0, 1.0)));
         let outcome = try_bilateral3d_with_policy(&grid, &mut out, &r, &policy, &faults).unwrap();
-        assert_eq!(outcome.defects.units(), vec![0, 2, 4, 5]);
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert_eq!(outcome.quality.defective_units(), vec![0, 2, 4, 5]);
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
         assert_eq!(out.to_row_major(), reference.to_row_major());
     }
 
@@ -569,7 +556,7 @@ mod tests {
         let mut out = Grid3::<f32, ArrayOrder3>::new(dims);
         let policy = ExecPolicy::degraded(cfg(2), None);
         let outcome = try_bilateral3d_with_policy(&grid, &mut out, &r, &policy, &faults).unwrap();
-        assert_eq!(outcome.defects.units(), vec![1]);
+        assert_eq!(outcome.quality.defective_units(), vec![1]);
         assert!(outcome.output_is_whole());
     }
 
@@ -639,7 +626,7 @@ mod tests {
             &FaultPlan::none(),
         )
         .unwrap();
-        assert!(outcome.defects.is_clean());
+        assert!(outcome.quality.entries().is_empty());
         assert_eq!(outcome.report.completed, pencil_count(dims, Axis::X));
         assert_eq!(out.to_row_major(), oracle.to_row_major());
     }
@@ -666,8 +653,11 @@ mod tests {
         );
         let outcome =
             try_bilateral3d_with_policy(&grid, &mut out, &r2, &policy, &FaultPlan::none()).unwrap();
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
-        assert_eq!(outcome.quality.len(), pencil_count(dims, Axis::X));
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
+        assert_eq!(
+            outcome.quality.downgraded_units().len(),
+            pencil_count(dims, Axis::X)
+        );
         assert_eq!(outcome.quality.max_level(), 1);
         assert_eq!(out.to_row_major(), reference.to_row_major());
     }
@@ -810,7 +800,7 @@ mod tests {
         .unwrap();
         // Supervised-only: the failed pencil is in the map but nothing is
         // repaired, so the output is not whole.
-        assert_eq!(outcome.defects.units(), vec![3]);
+        assert_eq!(outcome.quality.defective_units(), vec![3]);
         assert!(!outcome.output_is_whole());
     }
 }

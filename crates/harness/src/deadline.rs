@@ -1,6 +1,7 @@
-//! Deadline-aware admission control and the brownout quality record.
+//! Deadline-aware admission control for the brownout stage of the
+//! supervised pipeline.
 //!
-//! The supervised/degraded layers (PR 3–4) keep a run *correct* under
+//! Supervision and the validate/repair phase keep a run *correct* under
 //! faults, but nothing bounds its *wall-clock* behaviour: a timeout storm
 //! or an oversubscribed machine makes a sweep run arbitrarily long at
 //! full quality. This module provides the control-plane vocabulary for
@@ -16,11 +17,9 @@
 //!   +1 per on-time unit, halved when a unit overruns its soft deadline
 //!   `EWMA × headroom`), a per-unit failed-attempt counter (the circuit
 //!   breaker), and the admission decision combining them;
-//! * a [`QualityMap`] — the mirror of
-//!   [`DefectMap`](crate::degrade::DefectMap) for *quality*: every unit
-//!   that was computed below full quality is recorded with its ladder
-//!   level and a [`DowngradeReason`], so callers can see exactly what the
-//!   deadline bought and what it cost.
+//! * a [`DowngradeReason`] — why a unit was computed below full quality,
+//!   as the run's [`QualityMap`](crate::QualityMap) records it beside the
+//!   unit's ladder level.
 //!
 //! The invariant the engine builds on: with no budget and no failures the
 //! controller admits every unit at level 0 (full quality), so a brownout
@@ -38,7 +37,7 @@ use crate::supervise::CancelToken;
 // Process-wide mirrors of the per-run controller state, on the metrics
 // plane: every controller folds its events into these as they happen
 // (one relaxed atomic each), so brownout decisions are observable
-// across runs, not only in per-run QualityMaps.
+// across runs, not only in per-run quality maps.
 static SHED_TOTAL: LazyCounter = LazyCounter::new("deadline.shed");
 static DOWNGRADES_TOTAL: LazyCounter = LazyCounter::new("deadline.downgrades");
 static BREAKER_TOTAL: LazyCounter = LazyCounter::new("deadline.breaker_trips");
@@ -108,138 +107,6 @@ impl fmt::Display for DowngradeReason {
             DowngradeReason::Breaker => write!(f, "breaker"),
             DowngradeReason::Shed => write!(f, "shed"),
         }
-    }
-}
-
-/// One unit computed below full quality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QualityEntry {
-    /// Unit index (pencil id, tile id, …).
-    pub unit: usize,
-    /// Ladder level the committed output was computed at (1 = one rung
-    /// below full quality; 0 never appears in the map).
-    pub level: u8,
-    /// What forced the downgrade.
-    pub reason: DowngradeReason,
-}
-
-/// A typed record of quality downgrades for one brownout run — the
-/// quality-plane mirror of [`DefectMap`](crate::degrade::DefectMap):
-/// where a defect map says which units are *untrustworthy*, a quality map
-/// says which units are *valid but coarser than asked for*. At most one
-/// entry per unit (the level of the committed output), sorted by unit.
-#[derive(Debug, Clone, Default)]
-pub struct QualityMap {
-    unit_kind: &'static str,
-    nunits: usize,
-    entries: Vec<QualityEntry>,
-}
-
-impl QualityMap {
-    /// An all-full-quality map over `nunits` units of `unit_kind`.
-    pub fn new(unit_kind: &'static str, nunits: usize) -> Self {
-        Self {
-            unit_kind,
-            nunits,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Record that `unit`'s committed output was computed at `level`.
-    /// Level 0 clears the entry instead (the unit is back at full
-    /// quality, e.g. after a full-quality repair); re-recording a unit
-    /// replaces its previous entry — the map describes the *final* bytes.
-    pub fn record(&mut self, unit: usize, level: u8, reason: DowngradeReason) {
-        if level == 0 {
-            self.clear(unit);
-            return;
-        }
-        match self.entries.binary_search_by_key(&unit, |e| e.unit) {
-            Ok(at) => self.entries[at] = QualityEntry { unit, level, reason },
-            Err(at) => self.entries.insert(at, QualityEntry { unit, level, reason }),
-        }
-    }
-
-    /// Remove `unit`'s entry (its final output is full quality).
-    pub fn clear(&mut self, unit: usize) {
-        if let Ok(at) = self.entries.binary_search_by_key(&unit, |e| e.unit) {
-            self.entries.remove(at);
-        }
-    }
-
-    /// True when every unit was computed at full quality.
-    pub fn is_full_quality(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of downgraded units.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no unit was downgraded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total number of units in the run.
-    pub fn nunits(&self) -> usize {
-        self.nunits
-    }
-
-    /// What a unit is ("pencil", "tile").
-    pub fn unit_kind(&self) -> &'static str {
-        self.unit_kind
-    }
-
-    /// The downgraded unit indices, sorted ascending.
-    pub fn units(&self) -> Vec<usize> {
-        self.entries.iter().map(|e| e.unit).collect()
-    }
-
-    /// The ladder level `unit` was committed at (`None` = full quality).
-    pub fn level_of(&self, unit: usize) -> Option<u8> {
-        self.entries
-            .binary_search_by_key(&unit, |e| e.unit)
-            .ok()
-            .map(|at| self.entries[at].level)
-    }
-
-    /// Whether `unit` was downgraded.
-    pub fn contains(&self, unit: usize) -> bool {
-        self.level_of(unit).is_some()
-    }
-
-    /// All entries, sorted by unit.
-    pub fn entries(&self) -> &[QualityEntry] {
-        &self.entries
-    }
-
-    /// The deepest ladder level in the map (0 for a full-quality map).
-    pub fn max_level(&self) -> u8 {
-        self.entries.iter().map(|e| e.level).max().unwrap_or(0)
-    }
-}
-
-impl fmt::Display for QualityMap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_full_quality() {
-            return write!(f, "full quality ({} {}s)", self.nunits, self.unit_kind);
-        }
-        write!(
-            f,
-            "{} of {} {}s downgraded: ",
-            self.entries.len(),
-            self.nunits,
-            self.unit_kind
-        )?;
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                write!(f, "; ")?;
-            }
-            write!(f, "{} {}: level {} ({})", self.unit_kind, e.unit, e.level, e.reason)?;
-        }
-        Ok(())
     }
 }
 
@@ -513,29 +380,6 @@ impl DeadlineController {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quality_map_records_sorts_and_replaces() {
-        let mut q = QualityMap::new("tile", 64);
-        assert!(q.is_full_quality() && q.is_empty());
-        assert_eq!(q.to_string(), "full quality (64 tiles)");
-        q.record(9, 2, DowngradeReason::Pressure);
-        q.record(3, 1, DowngradeReason::Breaker);
-        q.record(9, 3, DowngradeReason::Shed); // replaces the first entry
-        assert_eq!(q.units(), vec![3, 9]);
-        assert_eq!(q.level_of(9), Some(3));
-        assert_eq!(q.level_of(4), None);
-        assert!(q.contains(3) && !q.contains(4));
-        assert_eq!(q.max_level(), 3);
-        assert_eq!(q.len(), 2);
-        let s = q.to_string();
-        assert!(s.contains("tile 3: level 1 (breaker)"), "{s}");
-        assert!(s.contains("tile 9: level 3 (shed)"), "{s}");
-        q.record(9, 0, DowngradeReason::Pressure); // level 0 clears
-        assert_eq!(q.units(), vec![3]);
-        q.clear(3);
-        assert!(q.is_full_quality());
-    }
 
     #[test]
     fn no_budget_and_no_failures_admits_full_quality() {

@@ -12,26 +12,27 @@
 //!   loop in the workspace. Every parallel kernel path (the bilateral and
 //!   raycast kernels under every policy, the per-voxel filter drivers, the
 //!   cache-simulator core sweep) funnels through `scoped_workers`;
-//! * a stack of [`ExecPolicy`] layers — [`ExecPolicy::Plain`] (run to
-//!   completion, panics propagate), [`ExecPolicy::Supervised`] (panic
+//! * an [`ExecPolicy`] — [`ExecPolicy::Plain`] (the paper's engine: run to
+//!   completion on the plan's dealing, panics propagate), or one of the
+//!   three policies the one supervised pipeline serves, each adding a
+//!   stage to the one before: [`ExecPolicy::Supervised`] (panic
 //!   isolation, watchdog timeouts with cooperative cancellation, bounded
-//!   retry with exponential backoff), [`ExecPolicy::Degraded`]
-//!   (supervised execution with buffered per-unit commit, a typed
-//!   [`DefectMap`] over units, a post-run validation scan, and a
-//!   single-threaded faults-off repair pass), and [`ExecPolicy::Brownout`]
-//!   (the degraded pipeline under deadline-aware admission control: an
-//!   EWMA/AIMD [`DeadlineController`](crate::deadline) adapts effective
-//!   concurrency, a per-unit circuit breaker stops retrying chronically
-//!   failing units at full quality, and kernels with a quality ladder
+//!   retry with exponential backoff, buffered per-unit commit),
+//!   [`ExecPolicy::Degraded`] (plus a post-run validation scan and a
+//!   single-threaded faults-off repair pass) and [`ExecPolicy::Brownout`]
+//!   (plus deadline-aware admission control: an EWMA/AIMD
+//!   [`DeadlineController`](crate::deadline) adapts effective concurrency,
+//!   a per-unit circuit breaker stops retrying chronically failing units
+//!   at full quality, and kernels with a quality ladder
 //!   ([`UnitKernel::max_level`] above 0) are asked for coarser — but
-//!   valid — output under pressure, every downgrade recorded in a
-//!   [`QualityMap`]).
+//!   valid — output under pressure).
 //!
-//! Kernels plug in through the [`UnitKernel`] trait (compute a unit at a
-//! quality level into a buffer, commit it, read it back for validation),
-//! write their output through [`DisjointSlots`], and batch their NaN
-//! tallies through the [`UnitCounters`] sink trait (one shared-atomic
-//! update per unit, not per voxel).
+//! Every run returns a [`DegradedOutcome`] whose [`QualityMap`] records,
+//! per unit, the defects found (each marked repaired or not) and the
+//! ladder level of the committed bytes. Kernels plug in through the
+//! [`UnitKernel`] trait (compute a unit at a quality level into a buffer,
+//! commit it, read it back for validation) and write their output through
+//! [`DisjointSlots`].
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -42,8 +43,8 @@ use std::time::{Duration, Instant};
 
 use sfc_core::{SfcError, SfcResult};
 
-use crate::deadline::{Admission, DeadlineBudget, DeadlineController, DowngradeReason, QualityMap};
-use crate::degrade::{scan_unit, DefectMap, DegradedOutcome};
+use crate::deadline::{Admission, DeadlineBudget, DeadlineController, DowngradeReason};
+use crate::degrade::{scan_unit, DegradedOutcome, QualityMap};
 use crate::faults::FaultPlan;
 use crate::metrics::{self, LazyCounter, Log2Histogram};
 use crate::supervise::{CancelToken, ItemFailure, RunReport, SupervisorConfig};
@@ -422,24 +423,19 @@ impl Executor {
         }
     }
 
-    /// Execute a [`UnitKernel`] under a policy stack. Every policy uses the
+    /// Execute a [`UnitKernel`] under a policy. Every policy uses the
     /// kernel's buffered compute/commit cycle:
     ///
     /// * [`ExecPolicy::Plain`] — every unit computed at full quality and
-    ///   committed, panics propagate, `faults` is ignored (fault injection
-    ///   requires supervision); the outcome is a clean [`DefectMap`].
-    /// * [`ExecPolicy::Supervised`] — supervised execution with buffered
-    ///   commit; failed units become [`DefectMap`] entries, no validation
-    ///   scan or repair.
-    /// * [`ExecPolicy::Degraded`] — the full three-phase pipeline:
-    ///   supervised execution, post-run validation scan (non-finite +
-    ///   optional plausibility range over every committed unit), and a
-    ///   single-threaded faults-off repair pass that re-computes each
-    ///   defective unit and marks it repaired when its rescan is clean.
-    /// * [`ExecPolicy::Brownout`] — the degraded pipeline under deadline
-    ///   admission control; a kernel without a quality ladder
-    ///   ([`UnitKernel::max_level`] 0) can only be shed past the budget to
-    ///   the repair pass, never coarsened.
+    ///   committed on the plan's dealing, panics propagate, `faults` is
+    ///   ignored (fault injection requires supervision); the outcome's map
+    ///   is empty.
+    /// * every other policy — the one supervised pipeline, with the stages
+    ///   the policy switches on: supervised execution with buffered
+    ///   per-unit commit, failed units recorded in the outcome's
+    ///   [`QualityMap`]; [`ExecPolicy::Degraded`] adds the validation scan
+    ///   and repair pass, and [`ExecPolicy::Brownout`] the deadline
+    ///   controller on top.
     pub fn execute<K: UnitKernel>(
         &self,
         plan: &WorkPlan,
@@ -448,8 +444,10 @@ impl Executor {
         faults: &FaultPlan,
     ) -> DegradedOutcome {
         let nunits = plan.nunits;
-        let outcome = match policy {
-            ExecPolicy::Plain => {
+        let outcome = match policy.supervisor() {
+            // `Plain`: the plan's own dealing, no queue, lock or
+            // `catch_unwind` per unit.
+            None => {
                 let start = Instant::now();
                 let latency = unit_latency(kernel.unit_kind());
                 self.run(plan, |_tid, unit| {
@@ -464,96 +462,74 @@ impl Executor {
                     wall_time: start.elapsed(),
                     ..RunReport::default()
                 };
-                DegradedOutcome::full_quality(report, DefectMap::new(kernel.unit_kind(), nunits))
+                DegradedOutcome {
+                    report,
+                    quality: QualityMap::new(kernel.unit_kind(), nunits),
+                }
             }
-            ExecPolicy::Supervised(cfg) => {
-                let report = self.supervised_commit_phase(plan, cfg, kernel, faults);
-                let defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, &report);
-                DegradedOutcome::full_quality(report, defects)
-            }
-            ExecPolicy::Degraded(policy) => {
-                let report = self.supervised_commit_phase(plan, &policy.supervisor, kernel, faults);
-                let (defects, _) =
-                    validate_and_repair(kernel, nunits, &report, policy.output_range, || 0);
-                DegradedOutcome::full_quality(report, defects)
-            }
-            ExecPolicy::Brownout(policy) => self.run_brownout(plan, policy, kernel, faults),
+            Some(cfg) => self.run_pipeline(plan, cfg, policy, kernel, faults),
         };
         record_outcome_metrics(&outcome);
         outcome
     }
 
-    /// Phase 1 of the supervised/degraded pipelines: compute each unit
-    /// into a local buffer under supervision, check the cancel token, then
-    /// commit — an abandoned attempt never leaves a half-written unit.
-    fn supervised_commit_phase<K: UnitKernel>(
-        &self,
-        plan: &WorkPlan,
-        cfg: &SupervisorConfig,
-        kernel: &K,
-        faults: &FaultPlan,
-    ) -> RunReport {
-        let latency = unit_latency(kernel.unit_kind());
-        self.run_supervised(plan, cfg, |_tid, unit, token| {
-            faults.fire_cancellable(unit, token)?;
-            let t0 = Instant::now();
-            let mut buf = Vec::new();
-            let done = kernel.compute(unit, 0, &mut buf, &mut || !token.is_cancelled());
-            if !done {
-                return Err(SfcError::Cancelled { item: unit });
-            }
-            token.bail(unit)?;
-            if faults.corrupts(unit) {
-                K::poison(&mut buf);
-            }
-            kernel.commit(unit, &buf);
-            latency.record_duration_us(t0.elapsed());
-            Ok(())
-        })
-    }
-
-    /// The brownout pipeline: the degraded execute/validate/repair cycle
-    /// with a [`DeadlineController`] deciding, per attempt, whether a unit
-    /// runs at full quality, at a coarser ladder level, or is shed past
-    /// the hard deadline straight to the repair pass.
+    /// The supervised pipeline every policy but `Plain` runs, in two
+    /// stages:
     ///
-    /// Control flow per attempt: the admission decision is taken *before*
-    /// the AIMD concurrency slot is acquired, so once the budget is
-    /// exhausted the remaining queue drains at memory speed instead of
+    /// 1. **Execute** (every policy): each unit is computed into a local
+    ///    buffer under supervision, the cancel token is checked, then the
+    ///    buffer is committed — an abandoned attempt never leaves a
+    ///    half-written unit. Units that exhaust their retries become
+    ///    `Failed` defects in the outcome's [`QualityMap`]. Under
+    ///    [`ExecPolicy::Brownout`] a [`DeadlineController`] decides, per
+    ///    attempt, whether the unit runs at full quality, at a coarser
+    ///    ladder level, or is shed past the hard deadline straight to the
+    ///    repair pass; the other policies admit every attempt at full
+    ///    quality with no concurrency gate.
+    /// 2. **Validate and repair** ([`ExecPolicy::Degraded`] and
+    ///    [`ExecPolicy::Brownout`]; see [`validate_and_repair`]).
+    ///
+    /// Control flow per brownout attempt: the admission decision is taken
+    /// *before* the AIMD concurrency slot is acquired, so once the budget
+    /// is exhausted the remaining queue drains at memory speed instead of
     /// serializing through the gate. A cancelled attempt (watchdog fired
     /// its token) never commits — the token is checked after compute — so
-    /// at most one attempt's bytes land per unit in practice; the
-    /// [`QualityMap`] records levels in commit order (last write wins).
+    /// at most one attempt's bytes land per unit in practice; the map
+    /// records levels in commit order (last write wins).
     ///
     /// With no budget and no failures every unit is admitted at level 0 —
     /// full quality, the level every other policy computes at — so a
     /// pressure-free brownout run equals a plain run byte for byte.
-    fn run_brownout<K: UnitKernel>(
+    fn run_pipeline<K: UnitKernel>(
         &self,
         plan: &WorkPlan,
-        policy: &BrownoutPolicy,
+        cfg: &SupervisorConfig,
+        policy: &ExecPolicy,
         kernel: &K,
         faults: &FaultPlan,
     ) -> DegradedOutcome {
         let nunits = plan.nunits;
-        let ctl = DeadlineController::new(&policy.deadline, nunits, self.nthreads, kernel.max_level());
+        let ctl = policy.deadline().map(|budget| {
+            DeadlineController::new(budget, nunits, self.nthreads, kernel.max_level())
+        });
+        let ctl = ctl.as_ref();
         let latency = unit_latency(kernel.unit_kind());
-        let downgrades: Mutex<Vec<(usize, u8, DowngradeReason)>> = Mutex::new(Vec::new());
+        let quality = Mutex::new(QualityMap::new(kernel.unit_kind(), nunits));
 
-        let report = self.run_supervised(plan, &policy.supervisor, |_tid, unit, token| {
-            let admission = ctl.admit(unit);
+        let report = self.run_supervised(plan, cfg, |_tid, unit, token| {
+            let admission = ctl.map_or(Admission::Full, |ctl| ctl.admit(unit));
             let level = match admission {
                 // Past the hard deadline: shed without burning an
                 // admission slot or a fault roll. `Cancelled` is not
-                // retryable, so the unit goes straight to the defect map
-                // and is recomputed (coarsely) by the repair pass.
+                // retryable, so the unit goes straight to the map and is
+                // recomputed (coarsely) by the repair pass.
                 Admission::Shed => return Err(SfcError::Cancelled { item: unit }),
                 Admission::Full => 0,
                 Admission::Degraded { level, .. } => level,
             };
             let attempt = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _slot = ctl.acquire(unit, token)?;
+                let _slot = ctl.map(|ctl| ctl.acquire(unit, token)).transpose()?;
                 faults.fire_cancellable(unit, token)?;
                 let mut buf = Vec::new();
                 let done = kernel.compute(unit, level, &mut buf, &mut || !token.is_cancelled());
@@ -566,135 +542,137 @@ impl Executor {
                 }
                 kernel.commit(unit, &buf);
                 if let Admission::Degraded { level, reason } = admission {
-                    let mut log = lock(&downgrades);
-                    log.push((unit, level, reason));
+                    lock(&quality).record_level(unit, level, reason);
                 }
                 Ok(())
             }));
-            match outcome {
-                Ok(Ok(())) => {
-                    let elapsed = attempt.elapsed();
-                    latency.record_duration_us(elapsed);
-                    ctl.on_success(elapsed);
-                    Ok(())
-                }
-                Ok(Err(err)) => {
-                    ctl.on_failed_attempt(unit, attempt.elapsed());
-                    Err(err)
-                }
-                Err(payload) => {
-                    // Feed the breaker/EWMA, then let the supervised
-                    // worker loop account the panic as usual.
-                    ctl.on_failed_attempt(unit, attempt.elapsed());
-                    std::panic::resume_unwind(payload)
-                }
+            // Feed the controller (its breaker and EWMA see failed
+            // attempts too), then hand a panic on to the supervised worker
+            // loop, which accounts it as usual.
+            let elapsed = attempt.elapsed();
+            let committed = matches!(outcome, Ok(Ok(())));
+            if committed {
+                latency.record_duration_us(elapsed);
             }
+            match ctl {
+                Some(ctl) if committed => ctl.on_success(elapsed),
+                Some(ctl) => ctl.on_failed_attempt(unit, elapsed),
+                None => {}
+            }
+            outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
         });
 
-        let mut quality = QualityMap::new(kernel.unit_kind(), nunits);
-        for (unit, level, reason) in unwrap_lock(downgrades) {
-            quality.record(unit, level, reason);
-        }
-        let (defects, repair_level) =
-            validate_and_repair(kernel, nunits, &report, policy.output_range, || {
-                ctl.repair_level()
+        let mut quality = unwrap_lock(quality);
+        quality.record_failures(&report);
+        if let Some(output_range) = policy.validation() {
+            validate_and_repair(kernel, &mut quality, output_range, || {
+                ctl.map_or(0, DeadlineController::repair_level)
             });
-        for unit in defects.units() {
-            quality.record(unit, repair_level, DowngradeReason::Shed); // level 0 clears
         }
-        DegradedOutcome {
-            report,
-            defects,
-            quality,
-        }
+        DegradedOutcome { report, quality }
     }
 }
 
-/// Phases 2 and 3 of the degraded and brownout pipelines.
+/// The validate/repair stage of the supervised pipeline.
 ///
-/// Phase 2 turns the run's failures into typed defects and scans every
-/// unit that committed (non-finite values, plus `output_range` when set);
-/// failed units hold placeholder data and are already in the map.
+/// The scan reads back every unit that committed and records non-finite
+/// values, plus values outside `output_range` when set; failed units hold
+/// placeholder data and are already in the map.
 ///
-/// Phase 3 recomputes each defective unit single-threaded with faults off
-/// at the ladder level `repair_level` names — asked once, after the scan:
-/// the brownout pipeline repairs at full quality while its budget holds
-/// and at the deepest rung once it is exhausted, since recomputing shed
-/// units at full quality would blow the very deadline that shed them. The
-/// fresh buffer is committed and rescanned (not read back: the rescan
-/// judges the recomputation itself). Returns the map and the repair level.
+/// The repair pass then recomputes each defective unit single-threaded
+/// with faults off at the ladder level `repair_level` names — asked once,
+/// after the scan: the brownout pipeline repairs at full quality while its
+/// budget holds and at the deepest rung once it is exhausted, since
+/// recomputing shed units at full quality would blow the very deadline
+/// that shed them. The fresh buffer is committed and rescanned (not read
+/// back: the rescan judges the recomputation itself). A clean rescan marks
+/// the unit's defects repaired; a bad one (e.g. NaN input) adds its own.
+/// Either way the unit's bytes are now at the repair level.
 fn validate_and_repair<K: UnitKernel>(
     kernel: &K,
-    nunits: usize,
-    report: &RunReport,
+    quality: &mut QualityMap,
     output_range: Option<(f32, f32)>,
     repair_level: impl FnOnce() -> u8,
-) -> (DefectMap, u8) {
+) {
     let components = |values: &[K::Value], comps: &mut Vec<f32>| {
         comps.clear();
         for &v in values {
             K::components(v, &mut |c| comps.push(c));
         }
     };
-    let mut defects = DefectMap::from_run_report(kernel.unit_kind(), nunits, report);
-    let failed = defects.units();
+    let failed = quality.defective_units();
     let mut values = Vec::new();
     let mut comps = Vec::new();
-    for unit in 0..nunits {
+    for unit in 0..quality.nunits() {
         if failed.binary_search(&unit).is_ok() {
             continue;
         }
         values.clear();
         kernel.read_back(unit, &mut values);
         components(&values, &mut comps);
-        scan_unit(&mut defects, unit, comps.iter().copied(), output_range);
+        scan_unit(quality, unit, comps.iter().copied(), output_range);
     }
 
     let level = repair_level();
-    for unit in defects.units() {
+    for unit in quality.defective_units() {
         kernel.compute(unit, level, &mut values, &mut || true);
         kernel.commit(unit, &values);
         components(&values, &mut comps);
-        let mut rescan = DefectMap::new(kernel.unit_kind(), nunits);
-        if scan_unit(&mut rescan, unit, comps.iter().copied(), output_range) {
-            defects.merge(rescan); // genuinely bad data (e.g. NaN input)
-        } else {
-            defects.mark_repaired(unit);
+        if !scan_unit(quality, unit, comps.iter().copied(), output_range) {
+            quality.mark_repaired(unit);
         }
+        quality.record_level(unit, level, DowngradeReason::Shed); // level 0 clears
     }
-    (defects, level)
 }
 
 // ---------------------------------------------------------------------------
 // Policies
 // ---------------------------------------------------------------------------
 
-/// Stackable execution-policy layers (see [`Executor::execute`]).
+/// The policy an [`Executor::execute`] call runs under: `Plain`, or one of
+/// the three policies the supervised pipeline serves, each adding a stage
+/// to the one before.
 #[derive(Debug, Clone)]
 pub enum ExecPolicy {
-    /// Run to completion; worker panics propagate; no fault injection.
+    /// Run to completion on the plan's dealing; worker panics propagate;
+    /// no fault injection.
     Plain,
     /// Supervised execution: panic isolation, watchdog timeouts with
-    /// cooperative cancellation, bounded retry with backoff.
+    /// cooperative cancellation, bounded retry with backoff, buffered
+    /// per-unit commit.
     Supervised(SupervisorConfig),
-    /// Supervised execution plus the validate/repair pipeline.
-    Degraded(DegradedPolicy),
+    /// Supervised execution plus the validate/repair stage.
+    Degraded {
+        /// Supervision parameters for the execute stage.
+        supervisor: SupervisorConfig,
+        /// Optional inclusive plausibility interval the validation scan
+        /// enforces on finite output components.
+        output_range: Option<(f32, f32)>,
+    },
     /// The degraded pipeline under deadline-aware admission control: a
     /// wall-clock [`DeadlineBudget`], AIMD concurrency adaptation, a
     /// per-unit circuit breaker, and the kernel's quality ladder
     /// ([`UnitKernel::max_level`]). With no budget and no failures this is
     /// bitwise-identical to [`ExecPolicy::Plain`].
-    Brownout(BrownoutPolicy),
+    Brownout {
+        /// Supervision parameters for the execute stage.
+        supervisor: SupervisorConfig,
+        /// Wall-clock budget of the deadline controller.
+        deadline: DeadlineBudget,
+        /// Optional inclusive plausibility interval the validation scan
+        /// enforces on finite output components.
+        output_range: Option<(f32, f32)>,
+    },
 }
 
 impl ExecPolicy {
     /// The full graceful-degradation stack with an optional inclusive
     /// plausibility range for finite output components.
     pub fn degraded(supervisor: SupervisorConfig, output_range: Option<(f32, f32)>) -> Self {
-        ExecPolicy::Degraded(DegradedPolicy {
+        ExecPolicy::Degraded {
             supervisor,
             output_range,
-        })
+        }
     }
 
     /// The deadline-aware brownout stack.
@@ -703,11 +681,11 @@ impl ExecPolicy {
         deadline: DeadlineBudget,
         output_range: Option<(f32, f32)>,
     ) -> Self {
-        ExecPolicy::Brownout(BrownoutPolicy {
+        ExecPolicy::Brownout {
             supervisor,
             deadline,
             output_range,
-        })
+        }
     }
 
     /// Human-readable policy name for logs and demo banners.
@@ -715,32 +693,72 @@ impl ExecPolicy {
         match self {
             ExecPolicy::Plain => "plain",
             ExecPolicy::Supervised(_) => "supervised",
-            ExecPolicy::Degraded(_) => "degraded",
-            ExecPolicy::Brownout(_) => "brownout",
+            ExecPolicy::Degraded { .. } => "degraded",
+            ExecPolicy::Brownout { .. } => "brownout",
         }
     }
-}
 
-/// Configuration of the [`ExecPolicy::Degraded`] stack.
-#[derive(Debug, Clone)]
-pub struct DegradedPolicy {
-    /// Supervision parameters for the execute phase.
-    pub supervisor: SupervisorConfig,
-    /// Optional inclusive plausibility interval the validation scan
-    /// enforces on finite output components.
-    pub output_range: Option<(f32, f32)>,
-}
+    /// The thread count and schedule a run under this policy uses:
+    /// `Plain` takes the driver's own (`nthreads`, `schedule`), every
+    /// supervised policy its [`SupervisorConfig`]'s.
+    ///
+    /// # Errors
+    /// [`SfcError::InvalidParameter`] when that thread count is zero.
+    pub fn threads_and_schedule(
+        &self,
+        nthreads: usize,
+        schedule: Schedule,
+    ) -> SfcResult<(usize, Schedule)> {
+        let (nthreads, schedule) = match self.supervisor() {
+            None => (nthreads, schedule),
+            Some(cfg) => (cfg.nthreads, cfg.schedule),
+        };
+        if nthreads == 0 {
+            return Err(SfcError::InvalidParameter {
+                name: "nthreads",
+                reason: format!("the {} policy needs at least one thread", self.label()),
+            });
+        }
+        Ok((nthreads, schedule))
+    }
 
-/// Configuration of the [`ExecPolicy::Brownout`] stack.
-#[derive(Debug, Clone)]
-pub struct BrownoutPolicy {
-    /// Supervision parameters for the execute phase.
-    pub supervisor: SupervisorConfig,
-    /// Wall-clock budget and control-loop knobs.
-    pub deadline: DeadlineBudget,
-    /// Optional inclusive plausibility interval the validation scan
-    /// enforces on finite output components.
-    pub output_range: Option<(f32, f32)>,
+    /// How many coarser ladder rungs a kernel should build under this
+    /// policy: its full `depth` under `Brownout`, the only policy that
+    /// computes below full quality, and none otherwise.
+    pub fn ladder_depth(&self, depth: u8) -> u8 {
+        match self {
+            ExecPolicy::Brownout { .. } => depth,
+            _ => 0,
+        }
+    }
+
+    /// The supervision parameters (`None` for `Plain`).
+    fn supervisor(&self) -> Option<&SupervisorConfig> {
+        match self {
+            ExecPolicy::Plain => None,
+            ExecPolicy::Supervised(supervisor)
+            | ExecPolicy::Degraded { supervisor, .. }
+            | ExecPolicy::Brownout { supervisor, .. } => Some(supervisor),
+        }
+    }
+
+    /// The deadline controller's budget (`Brownout` only).
+    fn deadline(&self) -> Option<&DeadlineBudget> {
+        match self {
+            ExecPolicy::Brownout { deadline, .. } => Some(deadline),
+            _ => None,
+        }
+    }
+
+    /// Whether the pipeline's validate/repair stage runs, and with which
+    /// plausibility range (`Degraded` and `Brownout` only).
+    fn validation(&self) -> Option<Option<(f32, f32)>> {
+        match self {
+            ExecPolicy::Degraded { output_range, .. }
+            | ExecPolicy::Brownout { output_range, .. } => Some(*output_range),
+            _ => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -765,7 +783,7 @@ pub trait UnitKernel: Sync {
     /// Element type of a unit's buffer (a voxel value, a pixel, …).
     type Value: Copy + Send;
 
-    /// The unit noun used in defect maps ("pencil", "tile", …).
+    /// The unit noun used in quality maps ("pencil", "tile", …).
     fn unit_kind(&self) -> &'static str;
 
     /// Deepest quality-ladder level; the default 0 means no ladder (the
@@ -809,52 +827,6 @@ pub trait UnitKernel: Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
-
-/// A sink for per-unit event tallies (NaN substitutions, excluded voxels).
-/// Kernels count locally while computing a unit and flush **once per
-/// unit**, so the shared atomic is touched per pencil/tile, not per voxel.
-pub trait UnitCounters: Sync {
-    /// Add one unit's event count (no-op for zero).
-    fn record_unit(&self, events: u64);
-    /// Total events recorded since the last [`UnitCounters::reset`].
-    fn total(&self) -> u64;
-    /// Reset to zero (call before a measured run).
-    fn reset(&self);
-}
-
-/// The standard process-wide [`UnitCounters`] sink: a named counter in
-/// the [`metrics`] registry (registered lazily on first touch), so every
-/// kernel event tally is visible on the one metrics plane. Recording
-/// stays a single relaxed atomic add; const-constructible so crates keep
-/// their counters in `static`s.
-#[derive(Debug)]
-pub struct EventCounter(LazyCounter);
-
-impl EventCounter {
-    /// A counter registered in the global metrics registry as `name`
-    /// (stable dotted path, e.g. `filters.nan_events`).
-    pub const fn new(name: &'static str) -> Self {
-        Self(LazyCounter::new(name))
-    }
-}
-
-impl UnitCounters for EventCounter {
-    fn record_unit(&self, events: u64) {
-        self.0.add(events);
-    }
-
-    fn total(&self) -> u64 {
-        self.0.value()
-    }
-
-    fn reset(&self) {
-        self.0.reset();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Engine metrics
 // ---------------------------------------------------------------------------
 
@@ -873,16 +845,18 @@ fn unit_latency(unit_kind: &str) -> &'static Log2Histogram {
     metrics::histogram(&format!("engine.unit_latency_us.{unit_kind}"))
 }
 
-/// Fold a finished run's report, defect map, and quality map into the
-/// engine's registry counters. Called once per policy pipeline.
+/// Fold a finished run's report and quality map into the engine's
+/// registry counters. Called once per [`Executor::execute`].
 fn record_outcome_metrics(outcome: &DegradedOutcome) {
     UNITS_COMPLETED.add(outcome.report.completed as u64);
     UNITS_FAILED.add(outcome.report.failed.len() as u64);
     UNITS_RETRIED.add(outcome.report.retried as u64);
-    DEFECTS.add(outcome.defects.len() as u64);
-    let unrepaired = outcome.defects.unrepaired_units().len();
-    UNITS_REPAIRED.add(outcome.defects.units().len().saturating_sub(unrepaired) as u64);
-    UNITS_DOWNGRADED.add(outcome.quality.len() as u64);
+    let entries = outcome.quality.entries();
+    let defective = entries.iter().filter(|e| !e.defects.is_empty());
+    DEFECTS.add(defective.clone().map(|e| e.defects.len()).sum::<usize>() as u64);
+    let repaired = defective.filter(|e| e.defects.iter().all(|d| d.repaired));
+    UNITS_REPAIRED.add(repaired.count() as u64);
+    UNITS_DOWNGRADED.add(entries.iter().filter(|e| e.level > 0).count() as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -1364,7 +1338,7 @@ mod tests {
             &kernel,
             &FaultPlan::none(),
         );
-        assert!(outcome.defects.is_clean());
+        assert!(outcome.quality.entries().is_empty());
         assert_eq!(outcome.report.completed, 9);
         assert_eq!(*kernel.out.lock().unwrap(), expected_output(9, 4));
     }
@@ -1382,8 +1356,8 @@ mod tests {
             &kernel,
             &faults,
         );
-        assert_eq!(outcome.defects.units(), vec![1, 4, 6]);
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert_eq!(outcome.quality.defective_units(), vec![1, 4, 6]);
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
         assert_eq!(*kernel.out.lock().unwrap(), expected_output(12, 5));
     }
 
@@ -1397,7 +1371,7 @@ mod tests {
             &kernel,
             &FaultPlan::none(),
         );
-        assert_eq!(outcome.defects.unrepaired_units(), vec![2]);
+        assert_eq!(outcome.quality.unrepaired_units(), vec![2]);
         assert!(!outcome.output_is_whole());
     }
 
@@ -1405,8 +1379,8 @@ mod tests {
     fn supervised_policy_records_failures_without_scanning() {
         let kernel = ToyKernel::new(8, 2);
         // CorruptOutput poisons the committed buffer but supervised-only
-        // execution does not scan, so the defect map stays empty while a
-        // panic fault is still recorded from the run report.
+        // execution does not scan, so the unit stays out of the map while
+        // a panic fault is still recorded from the run report.
         let faults = FaultPlan::none()
             .with(3, FaultKind::CorruptOutput)
             .with(5, FaultKind::Panic);
@@ -1420,7 +1394,8 @@ mod tests {
             &kernel,
             &faults,
         );
-        assert_eq!(outcome.defects.units(), vec![5]);
+        assert_eq!(outcome.quality.defective_units(), vec![5]);
+        assert_eq!(outcome.quality.unrepaired_units(), vec![5]);
         assert_eq!(outcome.report.completed, 7);
         assert_eq!(ExecPolicy::Plain.label(), "plain");
     }
@@ -1441,8 +1416,7 @@ mod tests {
             &kernel,
             &FaultPlan::none(),
         );
-        assert!(outcome.defects.is_clean());
-        assert!(outcome.quality.is_full_quality(), "{}", outcome.quality);
+        assert!(outcome.quality.entries().is_empty(), "{}", outcome.quality);
         assert_eq!(outcome.report.completed, 10);
         assert_eq!(*kernel.out.lock().unwrap(), expected_output(10, 4));
     }
@@ -1462,14 +1436,17 @@ mod tests {
             &kernel,
             &FaultPlan::none(),
         );
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
-        assert_eq!(outcome.quality.units(), (0..6).collect::<Vec<_>>());
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
+        assert_eq!(
+            outcome.quality.downgraded_units(),
+            (0..6).collect::<Vec<_>>()
+        );
         assert_eq!(outcome.quality.max_level(), 2);
         assert!(outcome
             .quality
             .entries()
             .iter()
-            .all(|e| e.reason == DowngradeReason::Shed));
+            .all(|e| e.reason == Some(DowngradeReason::Shed)));
         let want: Vec<f32> = expected_output(6, 3).iter().map(|v| v + 2000.0).collect();
         assert_eq!(*kernel.out.lock().unwrap(), want);
     }
@@ -1491,10 +1468,17 @@ mod tests {
             &kernel,
             &faults,
         );
-        assert!(outcome.defects.is_clean(), "{}", outcome.defects);
-        assert_eq!(outcome.quality.units(), vec![3]);
-        assert_eq!(outcome.quality.level_of(3), Some(1));
-        assert_eq!(outcome.quality.entries()[0].reason, DowngradeReason::Breaker);
+        assert!(
+            outcome.quality.defective_units().is_empty(),
+            "{}",
+            outcome.quality
+        );
+        assert_eq!(outcome.quality.downgraded_units(), vec![3]);
+        assert_eq!(outcome.quality.entries()[0].level, 1);
+        assert_eq!(
+            outcome.quality.entries()[0].reason,
+            Some(DowngradeReason::Breaker)
+        );
         // Everything but unit 3 is full quality; unit 3 carries the
         // level-1 offset.
         let mut want = expected_output(8, 2);
@@ -1508,7 +1492,7 @@ mod tests {
     fn plain_kernel_under_brownout_policy_sheds_only() {
         // A kernel without a ladder (max_level 0) has no downgraded
         // levels, so even a blown budget yields full-quality repairs and
-        // an empty quality map.
+        // no downgraded unit.
         let kernel = ToyKernel::new(5, 2);
         let outcome = Executor::new(2).execute(
             &WorkPlan::dynamic(5),
@@ -1520,7 +1504,7 @@ mod tests {
             &kernel,
             &FaultPlan::none(),
         );
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
         assert!(outcome.quality.is_full_quality());
         assert_eq!(*kernel.out.lock().unwrap(), expected_output(5, 2));
         assert_eq!(
@@ -1530,16 +1514,53 @@ mod tests {
     }
 
     #[test]
-    fn event_counter_batches_and_resets() {
-        static COUNTER: EventCounter = EventCounter::new("engine.test_events");
+    fn policies_pick_threads_schedule_and_ladder() {
+        let dynamic = Schedule::Dynamic;
+        let plain = ExecPolicy::Plain;
+        assert_eq!(
+            plain.threads_and_schedule(3, dynamic).unwrap(),
+            (3, dynamic)
+        );
+        assert_eq!(plain.ladder_depth(4), 0);
+        let cfg = SupervisorConfig {
+            schedule: Schedule::StaticRoundRobin,
+            ..quick_cfg(5)
+        };
+        let policies = [
+            ExecPolicy::Supervised(cfg.clone()),
+            ExecPolicy::degraded(cfg.clone(), None),
+            ExecPolicy::brownout(cfg, DeadlineBudget::none(), None),
+        ];
+        for policy in &policies {
+            assert_eq!(
+                policy.threads_and_schedule(3, dynamic).unwrap(),
+                (5, Schedule::StaticRoundRobin),
+                "{}",
+                policy.label()
+            );
+        }
+        let depths: Vec<u8> = policies.iter().map(|p| p.ladder_depth(4)).collect();
+        assert_eq!(depths, [0, 0, 4]);
+        let err = ExecPolicy::degraded(quick_cfg(0), None)
+            .threads_and_schedule(3, dynamic)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid parameter `nthreads`: the degraded policy needs at least one thread"
+        );
+    }
+
+    #[test]
+    fn lazy_counter_batches_and_resets() {
+        static COUNTER: LazyCounter = LazyCounter::new("engine.test_events");
         COUNTER.reset();
         Executor::new(4).run(&WorkPlan::dynamic(100), |_tid, unit| {
-            COUNTER.record_unit(u64::from(unit % 3 == 0)); // 34 units
+            COUNTER.add(u64::from(unit % 3 == 0)); // 34 units
         });
-        assert_eq!(COUNTER.total(), 34);
-        COUNTER.record_unit(0);
-        assert_eq!(COUNTER.total(), 34);
+        assert_eq!(COUNTER.value(), 34);
+        COUNTER.add(0);
+        assert_eq!(COUNTER.value(), 34);
         COUNTER.reset();
-        assert_eq!(COUNTER.total(), 0);
+        assert_eq!(COUNTER.value(), 0);
     }
 }

@@ -1,7 +1,6 @@
 //! The workspace's one metrics plane: a process-wide registry of typed
 //! [`Counter`]/[`Gauge`]/[`Log2Histogram`] handles, [`Snapshot`]s with
-//! merge/delta semantics, an interval [`Sampler`] that folds polled
-//! sources into the registry, and a Prometheus text-format encoder
+//! merge/delta semantics, and a Prometheus text-format encoder
 //! (rezolus-style; see DESIGN.md §11).
 //!
 //! # Hot-path cost contract
@@ -24,9 +23,8 @@
 //! exports as `sfc_server_cache_hits_total`.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `b >= 1`
@@ -686,93 +684,6 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Sampler
-// ---------------------------------------------------------------------------
-
-/// A polled metrics source: called on every sampler tick to fold derived
-/// state (controller windows, cache residency, queue depths) into
-/// registry gauges/counters.
-pub type SampleFn = Box<dyn Fn(&Registry) + Send>;
-
-/// An interval sampler thread (rezolus-style): every `interval` it runs
-/// each source against the registry. Stopped by [`Sampler::stop`] or
-/// drop; the final tick runs on stop so a scrape right after shutdown
-/// still sees fresh polled values.
-pub struct Sampler {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Sampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sampler")
-            .field("running", &self.handle.is_some())
-            .finish()
-    }
-}
-
-impl Sampler {
-    /// Spawn a sampler over the [`global`] registry.
-    pub fn spawn(interval: Duration, sources: Vec<SampleFn>) -> Sampler {
-        Self::spawn_on(global(), interval, sources)
-    }
-
-    /// Spawn a sampler folding `sources` into `registry` every
-    /// `interval`. The thread wakes in small slices so stop latency is
-    /// bounded by ~10 ms, not by the interval.
-    pub fn spawn_on(
-        registry: &'static Registry,
-        interval: Duration,
-        sources: Vec<SampleFn>,
-    ) -> Sampler {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("sfc-metrics-sampler".into())
-            .spawn(move || {
-                let tick = |reg: &Registry| {
-                    for s in &sources {
-                        s(reg);
-                    }
-                };
-                let slice = Duration::from_millis(10).min(interval.max(Duration::from_millis(1)));
-                loop {
-                    tick(registry);
-                    let mut slept = Duration::ZERO;
-                    while slept < interval {
-                        if flag.load(Ordering::Relaxed) {
-                            tick(registry); // final fold before exit
-                            return;
-                        }
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                }
-            })
-            .ok();
-        Sampler { stop, handle }
-    }
-
-    /// Stop the sampler and join its thread (runs one final tick).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Sampler {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Prometheus text format
 // ---------------------------------------------------------------------------
 
@@ -1049,19 +960,5 @@ mod tests {
         assert!(validate_prometheus_text(bad).is_err());
         // Missing +Inf.
         assert!(validate_prometheus_text("h_bucket{le=\"1\"} 5\n").is_err());
-    }
-
-    #[test]
-    fn sampler_folds_sources_on_an_interval() {
-        // Use the global registry under a test-unique name.
-        let src: SampleFn = Box::new(|reg: &Registry| {
-            reg.gauge("test.sampler.tick").set(7);
-            reg.counter("test.sampler.polls").add(1);
-        });
-        let sampler = Sampler::spawn(Duration::from_millis(5), vec![src]);
-        std::thread::sleep(Duration::from_millis(30));
-        sampler.stop();
-        assert_eq!(gauge("test.sampler.tick").value(), 7);
-        assert!(counter("test.sampler.polls").value() >= 2);
     }
 }

@@ -5,7 +5,7 @@
 //! with a tenant id over a line-oriented TCP protocol ([`protocol`]);
 //! admission is tenant-fair deficit round-robin with bounded queues and
 //! in-flight quotas ([`scheduler`]); execution runs every request
-//! through the engine's brownout stack with panic isolation, watchdog
+//! through the engine's brownout policy with panic isolation, watchdog
 //! timeouts, deadline budgets, and run-scoped cancellation
 //! ([`service`]); identical queued requests coalesce behind a shared
 //! layout-aware volume cache ([`cache`]); and the front end detects

@@ -418,10 +418,10 @@ pub enum RespHeader {
 }
 
 /// The success header's fields — the request's execution report in
-/// numbers, including the brownout/shed decisions
-/// ([`downgraded`](OkHeader::downgraded), [`max_level`](OkHeader::max_level),
-/// [`shed_units`](OkHeader::shed_units)) mirrored from the engine's
-/// `QualityMap`.
+/// numbers. `failed`, `downgraded`, `max_level`, `shed_units` and `whole`
+/// are counted from the engine outcome's one per-unit `QualityMap` (its
+/// defects and the ladder level of each unit's committed bytes) and the
+/// run report beside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OkHeader {
     /// Binary body length in bytes.
@@ -432,7 +432,7 @@ pub struct OkHeader {
     pub failed: usize,
     /// Retry attempts scheduled.
     pub retried: usize,
-    /// Units committed below full quality (QualityMap entries).
+    /// Units committed below full quality (`QualityMap::downgraded_units`).
     pub downgraded: usize,
     /// Deepest brownout ladder level in the committed output.
     pub max_level: u8,

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use sfc_core::{ArrayOrder3, Axis, Dims3, Grid3, SfcResult, StencilOrder};
 use sfc_datagen::save_volume;
 use sfc_filters::{try_bilateral3d_with_policy, BilateralParams, FilterRun};
-use sfc_harness::metrics::{self, Registry, Sampler, Snapshot};
+use sfc_harness::metrics::{self, Snapshot};
 use sfc_harness::{
     CancelToken, DeadlineBudget, DegradedOutcome, DowngradeReason, ExecPolicy, Executor,
     FaultPlan, Journal, JournalRecovery, LazyCounter, Schedule, SupervisorConfig,
@@ -141,10 +141,6 @@ static EXPIRED_TOTAL: LazyCounter = LazyCounter::new("server.expired");
 /// process (whether or not they hit the dedup cache).
 static RETRY_ARRIVALS: LazyCounter = LazyCounter::new("server.retry_arrivals");
 
-/// How often the service's [`Sampler`] folds polled state (active
-/// requests, cache residency, scheduler totals) into the global registry.
-const SAMPLE_INTERVAL: Duration = Duration::from_millis(100);
-
 /// The multi-tenant volume service: scheduler + lanes + cache + journal.
 pub struct Service {
     cfg: ServiceConfig,
@@ -160,7 +156,6 @@ pub struct Service {
     next_id: AtomicU64,
     save_seq: AtomicU64,
     panics: AtomicU64,
-    sampler: Mutex<Option<Sampler>>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -203,7 +198,6 @@ impl Service {
             next_id: AtomicU64::new(0),
             save_seq: AtomicU64::new(0),
             panics: AtomicU64::new(0),
-            sampler: Mutex::new(None),
             cfg,
         });
         let mut threads = Vec::new();
@@ -266,24 +260,11 @@ impl Service {
         ] {
             let _ = metrics::counter(name);
         }
-        {
-            // Interval sampler: folds this instance's polled state into
-            // the process-wide registry so an out-of-band scrape of the
-            // global registry stays fresh between requests. Holds a Weak
-            // reference — the sampler never keeps a drained service alive.
-            let weak = Arc::downgrade(&svc);
-            let source: metrics::SampleFn = Box::new(move |reg: &Registry| {
-                if let Some(s) = weak.upgrade() {
-                    s.fold_into(reg);
-                }
-            });
-            *lock(&svc.sampler) = Some(Sampler::spawn(SAMPLE_INTERVAL, vec![source]));
-        }
         Ok(svc)
     }
 
-    /// This instance's polled state as `server.*` name → value pairs
-    /// (the single source both the sampler and the snapshot overlay use).
+    /// This instance's polled state as `server.*` name → value pairs, which
+    /// [`Service::metrics_snapshot`] overlays on the global registry.
     fn server_gauges(&self) -> [(&'static str, i64); 17] {
         let s = self.sched.stats();
         let c = self.cache.stats();
@@ -306,17 +287,6 @@ impl Service {
             ("server.panics", self.panics.load(Ordering::Relaxed) as i64),
             ("server.dedup.resident", self.dedup.resident() as i64),
         ]
-    }
-
-    /// Write this instance's polled state into `reg` under `server.*`
-    /// names (the sampler's source). Best-effort, last-writer-wins when
-    /// several services share the process; exact per-instance values come
-    /// from [`Service::metrics_snapshot`], which overlays the snapshot
-    /// directly and never races another instance.
-    fn fold_into(&self, reg: &Registry) {
-        for (name, v) in self.server_gauges() {
-            reg.gauge(name).set(v);
-        }
     }
 
     /// One coherent snapshot of the whole metrics plane: the global
@@ -554,14 +524,14 @@ impl Service {
             .quality
             .entries()
             .iter()
-            .filter(|e| e.reason == DowngradeReason::Shed)
+            .filter(|e| e.reason == Some(DowngradeReason::Shed))
             .count();
         let header = OkHeader {
             bytes: body.len(),
             completed: outcome.report.completed,
             failed: outcome.report.failed.len(),
             retried: outcome.report.retried,
-            downgraded: outcome.quality.len(),
+            downgraded: outcome.quality.downgraded_units().len(),
             max_level: outcome.quality.max_level(),
             shed_units,
             whole: outcome.output_is_whole(),
@@ -607,7 +577,7 @@ impl Service {
             req.seed,
             outcome.report.completed,
             outcome.report.failed.len(),
-            outcome.quality.len(),
+            outcome.quality.downgraded_units().len(),
             u8::from(outcome.output_is_whole()),
             coalesced,
         );
@@ -648,10 +618,6 @@ impl Service {
         }
         self.sched.stop();
         self.running.store(false, Ordering::Relaxed);
-        // Stop the sampler (its final tick folds the post-drain state).
-        if let Some(sampler) = lock(&self.sampler).take() {
-            sampler.stop();
-        }
         let threads = std::mem::take(&mut *lock(&self.threads));
         for t in threads {
             let _ = t.join();

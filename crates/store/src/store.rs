@@ -20,8 +20,8 @@
 //! checksum mismatches are re-read (a flipped bit in transit vanishes on
 //! retry), persistent rot is repaired from the journal, and a brick that
 //! cannot be recovered at all is served as quiet-NaN poison so the
-//! NaN-safe kernels and the `ExecPolicy::Degraded` validation scan turn
-//! it into typed `DefectMap` entries instead of an abort.
+//! NaN-safe kernels and the degraded policy's validation scan turn it
+//! into typed defects in the outcome's `QualityMap` instead of an abort.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

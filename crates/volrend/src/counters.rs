@@ -16,7 +16,7 @@
 //! changes throughput, never the simulated counters.
 
 use sfc_core::{image_tiles, Grid3, Layout3};
-use sfc_harness::{items_for_thread, EventCounter, UnitCounters};
+use sfc_harness::{items_for_thread, LazyCounter};
 use sfc_memsim::{
     assign_threads_to_cores, interleave_round_robin, run_multicore, CoreSim, Platform,
     SimReport, TracedGrid,
@@ -28,14 +28,14 @@ use crate::transfer::TransferFunction;
 
 /// Process-wide count of NaN voxel taps the trilinear sampler has
 /// substituted with `0.0`. Monotonic; reset explicitly between
-/// measurements. Shared [`UnitCounters`] sink batched once per tile/ray;
-/// registered in the metrics plane as `volrend.nan_samples`.
-static NAN_SAMPLES: EventCounter = EventCounter::new("volrend.nan_samples");
+/// measurements. Added to once per tile or ray, not per sample; registered
+/// in the metrics plane as `volrend.nan_samples`.
+static NAN_SAMPLES: LazyCounter = LazyCounter::new("volrend.nan_samples");
 
 /// NaN voxel taps substituted by the sampler since the last
 /// [`reset_nan_samples`].
 pub fn nan_samples() -> u64 {
-    NAN_SAMPLES.total()
+    NAN_SAMPLES.value()
 }
 
 /// Reset the NaN sample counter (call before a measured run).
@@ -44,7 +44,7 @@ pub fn reset_nan_samples() {
 }
 
 pub(crate) fn record_nan_samples(n: u64) {
-    NAN_SAMPLES.record_unit(n);
+    NAN_SAMPLES.add(n);
 }
 
 /// Simulate the cache behaviour of rendering one frame with `nthreads`

@@ -522,7 +522,7 @@ fn frame_renderers_match_the_libm_reference_per_pixel() {
             .expect("valid options");
         let (coarse, outcome) =
             render_with_policy(&vol, cam, &tf, &opts, &brownout, &none).expect("valid options");
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
         let lit = render_lit(&vol, cam, &tf, &opts, &light);
         for y in 0..cam.height() {
             for x in 0..cam.width() {

@@ -24,21 +24,22 @@
 //! * [`ExecPolicy::Plain`] — `opts.nthreads` threads scheduled by
 //!   `opts.schedule`, panics propagate; [`render`] is a thin wrapper over
 //!   this;
-//! * [`ExecPolicy::Supervised`] — panic isolation, watchdog deadlines with
-//!   cooperative cancellation, bounded retries, buffered per-tile commit
-//!   (an abandoned attempt never leaves a half-written tile);
-//! * [`ExecPolicy::Degraded`] — supervision plus the engine's validation
-//!   scan (non-finite pixel components, optional plausibility range) and
-//!   single-threaded faults-off repair pass;
-//! * [`ExecPolicy::Brownout`] — the degraded pipeline under a wall-clock
-//!   deadline, with a quality ladder: under pressure a tile is rendered
-//!   with a doubled ray step and a lower early-termination threshold per
-//!   rung ([`RenderOpts::brownout`]), every downgrade recorded in the
-//!   outcome's [`QualityMap`](sfc_harness::QualityMap).
+//! * the supervised, degraded and brownout policies — the engine's one
+//!   supervised pipeline on the policy's own threads and schedule: panic
+//!   isolation, watchdog deadlines with cooperative cancellation, bounded
+//!   retries and buffered per-tile commit (an abandoned attempt never
+//!   leaves a half-written tile); from `Degraded` on, a validation scan
+//!   (non-finite pixel components, optional plausibility range) and a
+//!   single-threaded faults-off repair pass; under `Brownout`, a
+//!   wall-clock deadline with a quality ladder: under pressure a tile is
+//!   rendered with a doubled ray step and a lower early-termination
+//!   threshold per rung ([`RenderOpts::brownout`]).
 //!
+//! Every tile that failed, was repaired or was rendered at a coarser rung
+//! is an entry of the outcome's [`QualityMap`](sfc_harness::QualityMap).
 //! Raycasting is deterministic, so a run whose map ends
-//! [`is_whole`](sfc_harness::DefectMap::is_whole) is pixel-for-pixel
-//! identical to a fault-free render.
+//! [`is_whole`](sfc_harness::QualityMap::is_whole) at full quality is
+//! pixel-for-pixel identical to a fault-free render.
 
 use sfc_core::{image_tiles, SfcError, SfcResult, TileRect, Volume3};
 use sfc_harness::{
@@ -454,28 +455,14 @@ pub fn render_with_policy<V: Volume3 + Sync>(
     faults: &FaultPlan,
 ) -> SfcResult<(Image, DegradedOutcome)> {
     opts.validate()?;
-    let (nthreads, schedule) = match policy {
-        ExecPolicy::Plain => (opts.nthreads, opts.schedule),
-        ExecPolicy::Supervised(cfg) => (cfg.nthreads, cfg.schedule),
-        ExecPolicy::Degraded(p) => (p.supervisor.nthreads, p.supervisor.schedule),
-        ExecPolicy::Brownout(p) => (p.supervisor.nthreads, p.supervisor.schedule),
-    };
-    if nthreads == 0 {
-        return Err(SfcError::InvalidParameter {
-            name: "nthreads",
-            reason: format!("the {} policy needs at least one thread", policy.label()),
-        });
-    }
+    let (nthreads, schedule) = policy.threads_and_schedule(opts.nthreads, opts.schedule)?;
     let (w, h) = (cam.width(), cam.height());
     let tiles = image_tiles(w, h, opts.tile, opts.tile);
     let bbox = Aabb::of_dims(vol.dims());
     // The ladder's coarser rungs exist only under the brownout policy. The
     // coarsened step is clamped to the volume diagonal so even the deepest
     // rung marches at least one sample through the box.
-    let depth = match policy {
-        ExecPolicy::Brownout(_) => RenderOpts::BROWNOUT_DEPTH,
-        _ => 0,
-    };
+    let depth = policy.ladder_depth(RenderOpts::BROWNOUT_DEPTH);
     let max_step = bbox.diagonal();
     let t_max = cam.max_exit_param(&bbox);
     let mut rungs = Vec::with_capacity(usize::from(depth) + 1);
@@ -746,7 +733,7 @@ mod tests {
         let policy = ExecPolicy::degraded(cfg(4), Some((0.0, 1.0)));
         let (img, outcome) =
             render_with_policy(&vol, &cam, &tf, &o, &policy, &FaultPlan::none()).unwrap();
-        assert!(outcome.defects.is_clean());
+        assert!(outcome.quality.entries().is_empty());
         assert_eq!(img.pixels(), reference.pixels());
     }
 
@@ -764,8 +751,8 @@ mod tests {
             .with(7, FaultKind::FailFirst(9));
         let policy = ExecPolicy::degraded(cfg(3), Some((0.0, 1.0)));
         let (img, outcome) = render_with_policy(&vol, &cam, &tf, &o, &policy, &faults).unwrap();
-        assert_eq!(outcome.defects.units(), vec![0, 3, 5, 7]);
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
+        assert_eq!(outcome.quality.defective_units(), vec![0, 3, 5, 7]);
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
         assert_eq!(img.pixels(), reference.pixels());
     }
 
@@ -787,8 +774,8 @@ mod tests {
         );
         let (img, outcome) =
             render_with_policy(&vol, &cam, &tf, &o, &policy, &FaultPlan::none()).unwrap();
-        assert!(outcome.output_is_whole(), "{}", outcome.defects);
-        assert_eq!(outcome.quality.len(), 9);
+        assert!(outcome.output_is_whole(), "{}", outcome.quality);
+        assert_eq!(outcome.quality.downgraded_units().len(), 9);
         assert_eq!(outcome.quality.max_level(), RenderOpts::BROWNOUT_DEPTH);
         assert_eq!(img.pixels(), reference.pixels());
     }
@@ -803,8 +790,7 @@ mod tests {
         let policy = ExecPolicy::brownout(cfg(2), DeadlineBudget::none(), Some((0.0, 1.0)));
         let (img, outcome) =
             render_with_policy(&vol, &cam, &tf, &o, &policy, &FaultPlan::none()).unwrap();
-        assert!(outcome.defects.is_clean());
-        assert!(outcome.quality.is_full_quality(), "{}", outcome.quality);
+        assert!(outcome.quality.entries().is_empty(), "{}", outcome.quality);
         assert_eq!(img.pixels(), reference.pixels());
     }
 
@@ -1059,7 +1045,7 @@ mod tests {
         let (img, outcome) =
             render_with_policy(&vol, &cam, &tf, &o, &ExecPolicy::Plain, &FaultPlan::none())
                 .unwrap();
-        assert!(outcome.defects.is_clean());
+        assert!(outcome.quality.entries().is_empty());
         assert_eq!(outcome.report.completed, 4); // 32/16 = 2x2 tiles
         for y in 0..32 {
             for x in 0..32 {
@@ -1208,7 +1194,7 @@ mod tests {
             &faults,
         )
         .unwrap();
-        assert_eq!(outcome.defects.units(), vec![4]);
+        assert_eq!(outcome.quality.defective_units(), vec![4]);
         assert!(!outcome.output_is_whole());
     }
 }

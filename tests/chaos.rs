@@ -2,7 +2,7 @@
 //! datagen → bilateral → render → checkpoint pipeline runs under
 //! randomized fault plans across several seeds. The contract under test:
 //! every run terminates (no hang, no abort) in either **bitwise-correct
-//! output** or a **typed, readable report** (`RunReport` + `DefectMap`),
+//! output** or a **typed, readable report** (`RunReport` + `QualityMap`),
 //! and no persistent artifact is ever torn — a simulated `kill -9`
 //! mid-checkpoint loses at most the record being written and never a
 //! completed cell.
@@ -122,7 +122,7 @@ fn degraded_bilateral_ends_whole_or_typed_across_seeds() {
         // ...and every pencil outside the unrepaired set is bitwise
         // identical to the fault-free reference. (The input is finite and
         // repair disables injection, so in practice the map ends whole.)
-        let unrepaired = outcome.defects.unrepaired_units();
+        let unrepaired = outcome.quality.unrepaired_units();
         for pid in 0..n_pencils {
             if unrepaired.binary_search(&pid).is_ok() {
                 continue;
@@ -138,7 +138,7 @@ fn degraded_bilateral_ends_whole_or_typed_across_seeds() {
         assert!(
             outcome.output_is_whole(),
             "seed {seed:#x}: finite input must repair to whole, got {}",
-            outcome.defects
+            outcome.quality
         );
     }
 }
@@ -181,7 +181,7 @@ fn degraded_render_ends_whole_or_typed_across_seeds() {
         assert!(
             outcome.output_is_whole(),
             "seed {seed:#x}: finite input must repair to whole, got {}",
-            outcome.defects
+            outcome.quality
         );
         let same = img
             .pixels()
@@ -273,7 +273,7 @@ fn brownout_render_meets_its_deadline_under_a_timeout_storm_across_seeds() {
             "seed {seed:#x}: every tile accounted"
         );
         assert!(
-            !outcome.quality.is_empty(),
+            !outcome.quality.is_full_quality(),
             "seed {seed:#x}: a timeout storm past the budget must downgrade \
              at least one tile, got {}",
             outcome.quality
@@ -281,7 +281,7 @@ fn brownout_render_meets_its_deadline_under_a_timeout_storm_across_seeds() {
         assert!(
             outcome.output_is_whole(),
             "seed {seed:#x}: shed tiles must be repaired (coarse, not missing), got {}",
-            outcome.defects
+            outcome.quality
         );
     }
 }
@@ -337,7 +337,7 @@ fn checkpoint_survives_kill_dash_nine_mid_write_across_seeds() {
 fn nan_input_degrades_with_unrepaired_typed_defects_not_a_crash() {
     // One deliberately unrepairable scenario: NaN-contaminated *input*
     // survives repair (repair re-runs the same kernel on the same data),
-    // so the defect map must honestly end non-whole — and nothing panics.
+    // so the quality map must honestly end non-whole — and nothing panics.
     let seed = chaos_seeds()[0];
     let dims = Dims3::new(8, 6, 5);
     let mut values = mri_phantom(dims, seed, PhantomParams::default());
@@ -364,7 +364,7 @@ fn nan_input_degrades_with_unrepaired_typed_defects_not_a_crash() {
     // whichever way the scan lands it must be internally consistent.
     if !outcome.output_is_whole() {
         assert!(
-            !outcome.defects.unrepaired_units().is_empty(),
+            !outcome.quality.unrepaired_units().is_empty(),
             "non-whole outcome must name its unrepaired units"
         );
     }
