@@ -10,8 +10,11 @@
 //! [`RunReport`](sfc_harness::RunReport) and the per-unit
 //! [`QualityMap`](sfc_harness::QualityMap) so the degraded-mode machinery
 //! is exercised (and readable) end to end before the simulated sweep
-//! starts. Under `--fault-policy brownout`, `--deadline-ms N` arms the
-//! wall-clock budget of the deadline controller.
+//! starts. The run deals its units to `--fault-threads` workers (default
+//! 4), and a unit's retries run on the worker it was dealt to, so each
+//! stalled unit holds one worker through all of its timed-out attempts.
+//! Under `--fault-policy brownout`, `--deadline-ms N` arms the wall-clock
+//! budget of the deadline controller.
 //!
 //! Independently of the fault demo, `--nan-rate R` contaminates a
 //! deterministic random fraction of the *input* voxels with NaN before
@@ -87,11 +90,10 @@ fn print_outcome(what: &str, unit: &str, nunits: usize, outcome: &DegradedOutcom
     let r = &outcome.report;
     eprintln!(
         "fault demo [{what}]: {}/{nunits} {unit}s completed, {} failed, \
-         {} retries, {} replacement workers, {:.1} ms",
+         {} retries, {:.1} ms",
         r.completed,
         r.failed.len(),
         r.retried,
-        r.replacements,
         r.wall_time.as_secs_f64() * 1e3,
     );
     eprintln!("fault demo [{what}]: units: {}", outcome.quality);

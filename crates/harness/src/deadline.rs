@@ -9,13 +9,12 @@
 //! per-unit output quality for latency instead:
 //!
 //! * a [`DeadlineBudget`] — an optional wall-clock budget for the whole
-//!   run; the per-unit control loop's EWMA smoothing, soft-deadline
-//!   headroom, circuit-breaker threshold and AIMD floor are constants;
+//!   run; the EWMA smoothing and the circuit-breaker threshold are
+//!   constants;
 //! * a `DeadlineController` — the runtime state: an online EWMA of unit
 //!   latency (observed over successes *and* failed attempts, so a stall
-//!   storm raises it), an AIMD limit on effective concurrency (additive
-//!   +1 per on-time unit, halved when a unit overruns its soft deadline
-//!   `EWMA × headroom`), a per-unit failed-attempt counter (the circuit
+//!   storm raises it) that projects the work left over the run's threads
+//!   against the budget, a per-unit failed-attempt counter (the circuit
 //!   breaker), and the admission decision combining them;
 //! * a [`DowngradeReason`] — why a unit was computed below full quality,
 //!   as the run's [`QualityMap`](crate::QualityMap) records it beside the
@@ -29,10 +28,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use sfc_core::{SfcError, SfcResult};
-
 use crate::metrics::{LazyCounter, LazyGauge};
-use crate::supervise::CancelToken;
 
 // Process-wide mirrors of the per-run controller state, on the metrics
 // plane: every controller folds its events into these as they happen
@@ -41,23 +37,15 @@ use crate::supervise::CancelToken;
 static SHED_TOTAL: LazyCounter = LazyCounter::new("deadline.shed");
 static DOWNGRADES_TOTAL: LazyCounter = LazyCounter::new("deadline.downgrades");
 static BREAKER_TOTAL: LazyCounter = LazyCounter::new("deadline.breaker_trips");
-static OVERRUNS_TOTAL: LazyCounter = LazyCounter::new("deadline.overruns");
 static EWMA_GAUGE: LazyGauge = LazyGauge::new("deadline.ewma_us");
-static WINDOW_GAUGE: LazyGauge = LazyGauge::new("deadline.window");
 
 /// Smoothing factor of the online unit-latency EWMA, in `(0, 1]`
 /// (higher = reacts faster to a latency shift).
 const EWMA_ALPHA: f64 = 0.2;
-/// A unit's *soft deadline* is `EWMA × SOFT_DEADLINE_FACTOR`; an attempt
-/// that takes longer counts as an overrun and halves the AIMD concurrency
-/// limit.
-const SOFT_DEADLINE_FACTOR: f64 = 4.0;
 /// Failed attempts after which a unit's circuit breaker trips: further
 /// attempts are admitted straight at degraded quality instead of retrying
 /// the full-quality computation.
 const BREAKER_THRESHOLD: u32 = 2;
-/// Floor of the AIMD effective-concurrency limit.
-const MIN_CONCURRENCY: usize = 1;
 
 /// Wall-clock budget of a brownout run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -87,15 +75,15 @@ impl DeadlineBudget {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DowngradeReason {
     /// Deadline pressure: the projected completion of the remaining units
-    /// (EWMA × remaining / effective concurrency) exceeded the remaining
+    /// (EWMA × remaining / thread count) exceeded the remaining
     /// budget, so healthy units were coarsened to catch up.
     Pressure,
     /// The unit's circuit breaker tripped after repeated failed attempts;
     /// it was admitted straight at degraded quality instead of retried at
     /// full quality.
     Breaker,
-    /// The unit arrived after the hard deadline and was shed from the
-    /// admission queue; the repair pass recomputed it at the deepest
+    /// The unit's attempt came after the hard deadline and was shed
+    /// without computing; the repair pass recomputed it at the deepest
     /// ladder level.
     Shed,
 }
@@ -140,25 +128,8 @@ pub(crate) struct DeadlineController {
     ewma_us: AtomicU64,
     /// Units successfully committed so far.
     committed: AtomicUsize,
-    /// AIMD effective-concurrency limit in `[MIN_CONCURRENCY, nthreads]`.
-    limit: AtomicUsize,
-    /// Units currently holding an admission slot.
-    inflight: AtomicUsize,
-    /// Soft-deadline overruns observed (each one halves `limit`).
-    overruns: AtomicUsize,
-    /// Units shed past the hard deadline.
-    shed: AtomicUsize,
     /// Per-unit failed-attempt counts (the circuit breaker's memory).
     failures: Vec<AtomicU32>,
-}
-
-/// RAII admission slot: holding one counts against the AIMD limit.
-pub(crate) struct SlotGuard<'a>(&'a DeadlineController);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.0.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 const EWMA_UNSET: u64 = u64::MAX;
@@ -170,19 +141,14 @@ impl DeadlineController {
         nthreads: usize,
         max_level: u8,
     ) -> Self {
-        let nthreads = nthreads.max(1);
         Self {
             cfg: *cfg,
             start: Instant::now(),
             nunits,
-            nthreads,
+            nthreads: nthreads.max(1),
             max_level,
             ewma_us: AtomicU64::new(EWMA_UNSET),
             committed: AtomicUsize::new(0),
-            limit: AtomicUsize::new(nthreads),
-            inflight: AtomicUsize::new(0),
-            overruns: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
             failures: (0..nunits).map(|_| AtomicU32::new(0)).collect(),
         }
     }
@@ -221,15 +187,10 @@ impl DeadlineController {
         }
     }
 
-    /// The per-unit soft deadline (`EWMA × headroom`), once an EWMA exists.
-    fn soft_deadline(&self) -> Option<Duration> {
-        self.ewma()
-            .map(|us| Duration::from_secs_f64(us * SOFT_DEADLINE_FACTOR / 1e6))
-    }
-
     /// Ladder level demanded by deadline pressure alone: 0 while the
-    /// projected completion of the remaining units fits the remaining
-    /// budget, then one level per doubling of the overshoot ratio.
+    /// projected completion of the remaining units on the run's threads
+    /// fits the remaining budget, then one level per doubling of the
+    /// overshoot ratio.
     fn pressure_level(&self) -> u8 {
         let Some(budget) = self.cfg.budget else {
             return 0;
@@ -245,8 +206,7 @@ impl DeadlineController {
             .nunits
             .saturating_sub(self.committed.load(Ordering::Relaxed))
             .max(1);
-        let concurrency = self.limit.load(Ordering::Relaxed).max(1);
-        let projected_us = ewma_us * remaining_units as f64 / concurrency as f64;
+        let projected_us = ewma_us * remaining_units as f64 / self.nthreads as f64;
         let ratio = projected_us / (remaining.as_secs_f64() * 1e6);
         if ratio <= 1.0 {
             0
@@ -256,12 +216,10 @@ impl DeadlineController {
         }
     }
 
-    /// Decide what to do with `unit` before an attempt runs. Called before
-    /// the admission slot is acquired so a shed unit never waits for one.
+    /// Decide what to do with `unit` before an attempt runs.
     pub(crate) fn admit(&self, unit: usize) -> Admission {
         if let Some(budget) = self.cfg.budget {
             if self.start.elapsed() >= budget {
-                self.shed.fetch_add(1, Ordering::Relaxed);
                 SHED_TOTAL.add(1);
                 return Admission::Shed;
             }
@@ -289,80 +247,19 @@ impl DeadlineController {
         }
     }
 
-    /// Block until an admission slot is free (effective concurrency below
-    /// the AIMD limit), or until the attempt's cancel token fires. The
-    /// hard deadline is re-checked on every poll: a storm can throttle the
-    /// limit to 1 and park admitted units here, and without the re-check
-    /// each of them would still burn a full watchdog period *serially*
-    /// after the budget is already gone.
-    pub(crate) fn acquire<'a>(
-        &'a self,
-        unit: usize,
-        token: &CancelToken,
-    ) -> SfcResult<SlotGuard<'a>> {
-        loop {
-            token.bail(unit)?;
-            if let Some(budget) = self.cfg.budget {
-                if self.start.elapsed() >= budget {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    SHED_TOTAL.add(1);
-                    return Err(SfcError::Cancelled { item: unit });
-                }
-            }
-            let cur = self.inflight.load(Ordering::Acquire);
-            if cur < self.limit.load(Ordering::Acquire)
-                && self
-                    .inflight
-                    .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                return Ok(SlotGuard(self));
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// Account a successful commit: fold the latency into the EWMA, bump
-    /// the completion count, and run the AIMD step (additive +1 on an
-    /// on-time unit, multiplicative halving on a soft-deadline overrun).
+    /// Account a successful commit: fold the latency into the EWMA and
+    /// bump the completion count.
     pub(crate) fn on_success(&self, elapsed: Duration) {
-        let soft = self.soft_deadline();
         self.observe(elapsed);
         self.committed.fetch_add(1, Ordering::Relaxed);
-        match soft {
-            Some(soft) if elapsed > soft => self.throttle(),
-            _ => {
-                let cap = self.nthreads;
-                let _ = self
-                    .limit
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
-                        (l < cap).then_some(l + 1)
-                    });
-                WINDOW_GAUGE.set(self.limit.load(Ordering::Relaxed) as i64);
-            }
-        }
     }
 
     /// Account a failed attempt (error, panic, timeout): feed the circuit
-    /// breaker, fold the burnt wall-clock into the EWMA so storms raise
-    /// it, and halve the concurrency limit.
+    /// breaker and fold the burnt wall-clock into the EWMA, so storms
+    /// raise it.
     pub(crate) fn on_failed_attempt(&self, unit: usize, elapsed: Duration) {
         self.failures[unit].fetch_add(1, Ordering::Relaxed);
         self.observe(elapsed);
-        self.throttle();
-    }
-
-    /// Multiplicative decrease of the AIMD limit.
-    fn throttle(&self) {
-        self.overruns.fetch_add(1, Ordering::Relaxed);
-        OVERRUNS_TOTAL.add(1);
-        let _ = self
-            .limit
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |l| {
-                let next = (l / 2).max(MIN_CONCURRENCY);
-                (next != l).then_some(next)
-            });
-        WINDOW_GAUGE.set(self.limit.load(Ordering::Relaxed) as i64);
     }
 
     /// Ladder level for the faults-off repair pass: full quality while the
@@ -442,50 +339,6 @@ mod tests {
             } => assert!(level >= 1),
             other => panic!("expected pressure downgrade, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn aimd_halves_on_failure_and_recovers_additively() {
-        let ctl = DeadlineController::new(&DeadlineBudget::none(), 100, 8, 2);
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 8);
-        ctl.on_failed_attempt(0, Duration::from_millis(10));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 4);
-        ctl.on_failed_attempt(1, Duration::from_millis(10));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 2);
-        // Fast (on-time) completions recover the limit one step at a time.
-        ctl.on_success(Duration::from_millis(1));
-        ctl.on_success(Duration::from_millis(1));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 4);
-        for _ in 0..10 {
-            ctl.on_success(Duration::from_millis(1));
-        }
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 8); // capped at nthreads
-    }
-
-    #[test]
-    fn soft_deadline_overrun_throttles() {
-        let ctl = DeadlineController::new(&DeadlineBudget::none(), 100, 4, 2);
-        ctl.on_success(Duration::from_millis(2)); // establishes EWMA ≈ 2 ms
-        // 2 ms EWMA × factor 4 = 8 ms soft deadline; 100 ms blows it.
-        ctl.on_success(Duration::from_millis(100));
-        assert_eq!(ctl.limit.load(Ordering::Relaxed), 2);
-        assert_eq!(ctl.overruns.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn slots_gate_effective_concurrency() {
-        let ctl = DeadlineController::new(&DeadlineBudget::none(), 10, 2, 0);
-        let token = CancelToken::new();
-        let a = ctl.acquire(0, &token).unwrap();
-        let _b = ctl.acquire(1, &token).unwrap();
-        assert_eq!(ctl.inflight.load(Ordering::Relaxed), 2);
-        // Both slots taken: a cancelled waiter bails instead of spinning.
-        let blocked = CancelToken::new();
-        blocked.cancel();
-        assert!(ctl.acquire(2, &blocked).is_err());
-        drop(a);
-        assert_eq!(ctl.inflight.load(Ordering::Relaxed), 1);
-        let _c = ctl.acquire(3, &token).unwrap();
     }
 
     #[test]

@@ -263,8 +263,8 @@ impl fmt::Display for QualityMap {
 /// kernels so callers handle both uniformly.
 #[derive(Debug)]
 pub struct DegradedOutcome {
-    /// The supervised pool's execution report (retries, replacements,
-    /// per-item failures, wall time).
+    /// The supervised run's execution report (retries, per-item
+    /// failures, wall time).
     pub report: RunReport,
     /// Per-unit defects (repaired entries are historical) and quality
     /// downgrades (only [`ExecPolicy::Brownout`] computes below full
@@ -394,7 +394,6 @@ mod tests {
                 },
             ],
             retried: 2,
-            replacements: 0,
             wall_time: Duration::from_millis(1),
         };
         let mut m = QualityMap::new("tile", 10);

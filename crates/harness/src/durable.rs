@@ -101,9 +101,9 @@ pub fn write_atomic_with(
     attempt
 }
 
-/// Fixed per-record header: payload length (`u32` LE) + FNV-1a 64 of the
-/// payload (`u64` LE).
-const RECORD_HEADER: usize = 4 + 8;
+/// Fixed per-record header of a [`Journal`]: payload length (`u32` LE) +
+/// FNV-1a 64 of the payload (`u64` LE).
+pub const RECORD_HEADER: usize = 4 + 8;
 
 /// What [`Journal::open`] found on disk.
 #[derive(Debug, Default)]

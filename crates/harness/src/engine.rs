@@ -8,22 +8,24 @@
 //!
 //! * a [`WorkPlan`] — how many units there are and which [`Schedule`]
 //!   hands them to threads;
-//! * an [`Executor`] — owns the **single** `std::thread::scope` worker
-//!   loop in the workspace. Every parallel kernel path (the bilateral and
-//!   raycast kernels under every policy, the per-voxel filter drivers, the
-//!   cache-simulator core sweep) funnels through `scoped_workers`;
+//! * an [`Executor`] — deals a plan's units to its threads. Every parallel
+//!   kernel path (the bilateral and raycast kernels under every policy,
+//!   the per-voxel filter drivers, the cache-simulator core sweep) runs on
+//!   [`Executor::run`]'s dealing, and `scoped_workers` is the one place
+//!   worker threads are started;
 //! * an [`ExecPolicy`] — [`ExecPolicy::Plain`] (the paper's engine: run to
 //!   completion on the plan's dealing, panics propagate), or one of the
-//!   three policies the one supervised pipeline serves, each adding a
-//!   stage to the one before: [`ExecPolicy::Supervised`] (panic
-//!   isolation, watchdog timeouts with cooperative cancellation, bounded
-//!   retry with exponential backoff, buffered per-unit commit),
-//!   [`ExecPolicy::Degraded`] (plus a post-run validation scan and a
-//!   single-threaded faults-off repair pass) and [`ExecPolicy::Brownout`]
-//!   (plus deadline-aware admission control: an EWMA/AIMD
-//!   [`DeadlineController`](crate::deadline) adapts effective concurrency,
-//!   a per-unit circuit breaker stops retrying chronically failing units
-//!   at full quality, and kernels with a quality ladder
+//!   three policies the one supervised pipeline serves on that same
+//!   dealing, each adding a stage to the one before:
+//!   [`ExecPolicy::Supervised`] (panic isolation, in-place bounded retry
+//!   with exponential backoff, watchdog timeouts with cooperative
+//!   cancellation, buffered per-unit commit), [`ExecPolicy::Degraded`]
+//!   (plus a post-run validation scan and a single-threaded faults-off
+//!   repair pass) and [`ExecPolicy::Brownout`] (plus deadline-aware
+//!   admission: an EWMA [`DeadlineController`](crate::deadline) projects
+//!   the work left against the budget, sheds units past it, and a
+//!   per-unit circuit breaker stops retrying chronically failing units at
+//!   full quality; kernels with a quality ladder
 //!   ([`UnitKernel::max_level`] above 0) are asked for coarser — but
 //!   valid — output under pressure).
 //!
@@ -34,11 +36,10 @@
 //! commit it, read it back for validation) and write their output through
 //! [`DisjointSlots`].
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sfc_core::{SfcError, SfcResult};
@@ -99,24 +100,6 @@ impl WorkPlan {
     /// Number of work units.
     pub fn nunits(&self) -> usize {
         self.nunits
-    }
-
-    /// Initial claim order for a supervised queue. A dynamic plan offers
-    /// `0..nunits`; a static plan offers the concatenated per-thread
-    /// round-robin batches of [`Executor::run`], so the first claims
-    /// reproduce the static split while retries can still rebalance.
-    pub fn initial_order(&self, nthreads: usize) -> Vec<usize> {
-        match self.schedule {
-            Schedule::Dynamic => (0..self.nunits).collect(),
-            Schedule::StaticRoundRobin => {
-                let nthreads = nthreads.max(1);
-                let mut order = Vec::with_capacity(self.nunits);
-                for tid in 0..nthreads {
-                    order.extend(items_for_thread(self.nunits, nthreads, tid));
-                }
-                order
-            }
-        }
     }
 }
 
@@ -200,40 +183,26 @@ impl<'a, T> DisjointSlots<'a, T> {
 // The one thread scope
 // ---------------------------------------------------------------------------
 
-/// Spawn `nthreads` workers running `worker(tid)` inside the workspace's
-/// single `std::thread::scope`, plus an optional monitor thread (the
-/// supervised watchdog). The monitor receives a `respawn` callback that
-/// starts replacement workers inside the same scope — that is how a
-/// wedged worker's capacity is restored without a second scope anywhere.
-fn scoped_workers<W, M>(nthreads: usize, worker: &W, monitor: Option<M>)
+/// Spawn `nthreads` workers running `worker(tid)` inside one
+/// `std::thread::scope` and join them: the one place the workspace starts
+/// worker threads.
+fn scoped_workers<W>(nthreads: usize, worker: &W)
 where
     W: Fn(usize) + Sync,
-    M: FnOnce(&dyn Fn(usize)) + Send,
 {
     std::thread::scope(|s| {
         for tid in 0..nthreads {
             s.spawn(move || worker(tid));
         }
-        if let Some(monitor) = monitor {
-            s.spawn(move || {
-                let respawn = |tid: usize| {
-                    s.spawn(move || worker(tid));
-                };
-                monitor(&respawn);
-            });
-        }
     });
 }
-
-/// Placeholder monitor type for callers that do not supervise.
-type NoMonitor = fn(&dyn Fn(usize));
 
 // ---------------------------------------------------------------------------
 // Poison-tolerant locking
 // ---------------------------------------------------------------------------
 //
-// Every mutex in this module guards plain bookkeeping data (queues, defect
-// logs, heartbeat slots) that is consistent at every point a panic can
+// Every mutex in this module guards plain bookkeeping data (failure and
+// defect logs, heartbeat slots) that is consistent at every point a panic can
 // unwind through — the engine's own panic isolation catches kernel panics
 // *outside* any lock, but a `commit` implementation can still panic while
 // a sibling holds a lock, and a long-running service must not turn one
@@ -296,29 +265,21 @@ impl Executor {
             return;
         }
         match plan.schedule {
-            Schedule::StaticRoundRobin => scoped_workers(
-                nthreads,
-                &|tid| {
-                    for unit in items_for_thread(n, nthreads, tid) {
-                        worker(tid, unit);
-                    }
-                },
-                None::<NoMonitor>,
-            ),
+            Schedule::StaticRoundRobin => scoped_workers(nthreads, &|tid| {
+                for unit in items_for_thread(n, nthreads, tid) {
+                    worker(tid, unit);
+                }
+            }),
             Schedule::Dynamic => {
                 let next = AtomicUsize::new(0);
                 let next = &next;
-                scoped_workers(
-                    nthreads,
-                    &|tid| loop {
-                        let unit = next.fetch_add(1, Ordering::Relaxed);
-                        if unit >= n {
-                            break;
-                        }
-                        worker(tid, unit);
-                    },
-                    None::<NoMonitor>,
-                );
+                scoped_workers(nthreads, &|tid| loop {
+                    let unit = next.fetch_add(1, Ordering::Relaxed);
+                    if unit >= n {
+                        break;
+                    }
+                    worker(tid, unit);
+                });
             }
         }
     }
@@ -351,74 +312,61 @@ impl Executor {
 
     /// Run `worker(tid, unit, token)` under supervision: per-unit panic
     /// isolation, bounded retry with exponential backoff, and — when
-    /// `cfg.timeout` is set — a watchdog that expires overdue attempts,
-    /// fires their cancel token, and respawns replacement workers. Returns
-    /// a [`RunReport`]; never panics because of worker behaviour.
+    /// `cfg.timeout` is set — a watchdog that expires overdue attempts.
+    /// Returns a [`RunReport`]; never panics because of worker behaviour.
     ///
-    /// The executor's thread count and the plan's schedule supersede the
-    /// `nthreads`/`schedule` fields of `cfg`. A unit may be attempted more
-    /// than once (on retry), but each *attempt's* outcome is accounted
-    /// exactly once (per-unit epoch CAS), and each unit contributes exactly
-    /// one unit to `completed + failed.len()`.
+    /// Units are dealt exactly as [`Executor::run`] deals them (the
+    /// executor's thread count and the plan's schedule supersede the
+    /// `nthreads`/`schedule` fields of `cfg`), and the thread a unit is
+    /// dealt to runs all of its attempts in place, sleeping the backoff
+    /// on the run's cancel token between them. With no timeout this *is*
+    /// `run`; with one, a single watchdog thread runs beside the workers.
+    /// Each unit contributes exactly one unit to `completed +
+    /// failed.len()`.
     ///
-    /// A cooperative worker polls its per-attempt token
-    /// (`token.bail(unit)?`) and abandons a wedged unit once the watchdog
-    /// fires it, releasing its thread back to the pool; its `Cancelled`
-    /// return is discarded because the watchdog already claimed the
-    /// attempt's outcome as a [`SfcError::Timeout`].
+    /// The watchdog marks an attempt that overstays the timeout and fires
+    /// its per-attempt token; a cooperative worker polls it
+    /// (`token.bail(unit)?`) and returns early, and the worker records a
+    /// marked attempt as [`SfcError::Timeout`] whatever it returned.
     pub fn run_supervised<F>(&self, plan: &WorkPlan, cfg: &SupervisorConfig, worker: F) -> RunReport
     where
         F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + Sync,
     {
         let start = Instant::now();
-        let nitems = plan.nunits;
-        if nitems == 0 {
-            return RunReport::default();
-        }
-
-        let queue: VecDeque<Entry> = plan
-            .initial_order(self.nthreads)
-            .into_iter()
-            .map(|item| Entry {
-                item,
-                attempt: 0,
-                not_before: start,
-            })
-            .collect();
-        let shared = Shared {
+        let nslots = cfg.timeout.map_or(0, |_| self.nthreads);
+        let sup = Supervision {
             worker: &worker,
-            cfg: cfg.clone(),
-            nitems,
-            queue: Mutex::new(queue),
-            cv: Condvar::new(),
-            epoch: (0..nitems).map(|_| AtomicU32::new(0)).collect(),
-            heartbeats: Mutex::new(Vec::new()),
-            accounted: AtomicUsize::new(0),
+            cfg,
+            slots: (0..nslots).map(|_| Mutex::new(None)).collect(),
             completed: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
-            replacements: AtomicUsize::new(0),
             failures: Mutex::new(Vec::new()),
-            done: AtomicBool::new(false),
-            next_tid: AtomicUsize::new(self.nthreads),
         };
-
-        {
-            let sh = &shared;
-            scoped_workers(
-                self.nthreads,
-                &|tid| sh.worker_loop(tid),
-                cfg.timeout
-                    .map(|limit| move |respawn: &dyn Fn(usize)| watchdog_loop(sh, respawn, limit)),
-            );
+        let units = |tid, unit| sup.run_unit(tid, unit);
+        match cfg.timeout {
+            None => self.run(plan, units),
+            Some(limit) => {
+                let done = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    let watchdog = s.spawn(|| sup.watchdog(limit, &done));
+                    // Stop the watchdog however the run ends, so the scope
+                    // can join it.
+                    let ran = catch_unwind(AssertUnwindSafe(|| self.run(plan, units)));
+                    done.store(true, Ordering::Release);
+                    watchdog.thread().unpark();
+                    if let Err(payload) = ran {
+                        std::panic::resume_unwind(payload);
+                    }
+                });
+            }
         }
 
-        let mut failed = unwrap_lock(shared.failures);
+        let mut failed = unwrap_lock(sup.failures);
         failed.sort_by_key(|f| f.item);
         RunReport {
-            completed: shared.completed.load(Ordering::Relaxed),
+            completed: sup.completed.into_inner(),
             failed,
-            retried: shared.retried.load(Ordering::Relaxed),
-            replacements: shared.replacements.load(Ordering::Relaxed),
+            retried: sup.retried.into_inner(),
             wall_time: start.elapsed(),
         }
     }
@@ -485,17 +433,14 @@ impl Executor {
     ///    attempt, whether the unit runs at full quality, at a coarser
     ///    ladder level, or is shed past the hard deadline straight to the
     ///    repair pass; the other policies admit every attempt at full
-    ///    quality with no concurrency gate.
+    ///    quality.
     /// 2. **Validate and repair** ([`ExecPolicy::Degraded`] and
     ///    [`ExecPolicy::Brownout`]; see [`validate_and_repair`]).
     ///
-    /// Control flow per brownout attempt: the admission decision is taken
-    /// *before* the AIMD concurrency slot is acquired, so once the budget
-    /// is exhausted the remaining queue drains at memory speed instead of
-    /// serializing through the gate. A cancelled attempt (watchdog fired
-    /// its token) never commits — the token is checked after compute — so
-    /// at most one attempt's bytes land per unit in practice; the map
-    /// records levels in commit order (last write wins).
+    /// A cancelled attempt (watchdog fired its token) never commits — the
+    /// token is checked after compute — so at most one attempt's bytes
+    /// land per unit in practice; the map records levels in commit order
+    /// (last write wins).
     ///
     /// With no budget and no failures every unit is admitted at level 0 —
     /// full quality, the level every other policy computes at — so a
@@ -519,8 +464,8 @@ impl Executor {
         let report = self.run_supervised(plan, cfg, |_tid, unit, token| {
             let admission = ctl.map_or(Admission::Full, |ctl| ctl.admit(unit));
             let level = match admission {
-                // Past the hard deadline: shed without burning an
-                // admission slot or a fault roll. `Cancelled` is not
+                // Past the hard deadline: shed without computing or
+                // burning a fault roll. `Cancelled` is not
                 // retryable, so the unit goes straight to the map and is
                 // recomputed (coarsely) by the repair pass.
                 Admission::Shed => return Err(SfcError::Cancelled { item: unit }),
@@ -529,7 +474,6 @@ impl Executor {
             };
             let attempt = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let _slot = ctl.map(|ctl| ctl.acquire(unit, token)).transpose()?;
                 faults.fire_cancellable(unit, token)?;
                 let mut buf = Vec::new();
                 let done = kernel.compute(unit, level, &mut buf, &mut || !token.is_cancelled());
@@ -547,8 +491,8 @@ impl Executor {
                 Ok(())
             }));
             // Feed the controller (its breaker and EWMA see failed
-            // attempts too), then hand a panic on to the supervised worker
-            // loop, which accounts it as usual.
+            // attempts too), then hand a panic on to the supervised
+            // attempt, which records it as usual.
             let elapsed = attempt.elapsed();
             let committed = matches!(outcome, Ok(Ok(())));
             if committed {
@@ -650,8 +594,8 @@ pub enum ExecPolicy {
         output_range: Option<(f32, f32)>,
     },
     /// The degraded pipeline under deadline-aware admission control: a
-    /// wall-clock [`DeadlineBudget`], AIMD concurrency adaptation, a
-    /// per-unit circuit breaker, and the kernel's quality ladder
+    /// wall-clock [`DeadlineBudget`], hard-deadline shedding, a per-unit
+    /// circuit breaker, and the kernel's quality ladder
     /// ([`UnitKernel::max_level`]). With no budget and no failures this is
     /// bitwise-identical to [`ExecPolicy::Plain`].
     Brownout {
@@ -860,166 +804,112 @@ fn record_outcome_metrics(outcome: &DegradedOutcome) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised machinery (moved here from supervise.rs so the watchdog's
-// replacement workers spawn inside the same single thread scope)
+// Supervised execution
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    item: usize,
-    attempt: u32,
-    not_before: Instant,
+/// An attempt in progress, as its worker's heartbeat slot shows it to the
+/// watchdog.
+struct Attempt {
+    started: Instant,
+    token: CancelToken,
+    /// The timeout the attempt overstayed, once the watchdog marked it.
+    overdue: Option<Duration>,
 }
 
-/// Per-worker heartbeat: what the worker is running, since when, and the
-/// cancel token the watchdog fires if the attempt overstays its deadline.
-#[derive(Default)]
-struct Heartbeat {
-    current: Mutex<Option<(usize, u32, Instant, CancelToken)>>,
-}
-
-struct Shared<'a, F> {
+/// What one supervised run's workers and watchdog share.
+struct Supervision<'a, F> {
     worker: &'a F,
-    cfg: SupervisorConfig,
-    nitems: usize,
-    queue: Mutex<VecDeque<Entry>>,
-    cv: Condvar,
-    /// Per-item attempt epoch: an attempt's outcome (completion, error, or
-    /// watchdog timeout) is claimed by CAS-ing `attempt -> attempt + 1`,
-    /// so a wedged worker finishing late can never double-account.
-    epoch: Vec<AtomicU32>,
-    heartbeats: Mutex<Vec<Arc<Heartbeat>>>,
-    accounted: AtomicUsize,
+    cfg: &'a SupervisorConfig,
+    /// One heartbeat slot per worker thread, indexed by `tid`; empty when
+    /// no timeout is armed.
+    slots: Vec<Mutex<Option<Attempt>>>,
     completed: AtomicUsize,
     retried: AtomicUsize,
-    replacements: AtomicUsize,
     failures: Mutex<Vec<ItemFailure>>,
-    done: AtomicBool,
-    next_tid: AtomicUsize,
 }
 
-impl<F> Shared<'_, F>
+impl<F> Supervision<'_, F>
 where
     F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + Sync,
 {
-    fn next_entry(&self) -> Option<Entry> {
-        let mut q = lock(&self.queue);
+    /// Run `unit`'s attempts on thread `tid` until one succeeds, one fails
+    /// with an error that is not retryable, or the retries are spent, and
+    /// record the outcome.
+    fn run_unit(&self, tid: usize, unit: usize) {
+        let mut attempts = 0u32;
         loop {
-            if self.done.load(Ordering::Acquire) {
-                return None;
-            }
-            if self.cfg.cancel.is_cancelled() {
-                // Run-scoped cancellation: ignore backoff holds so the
-                // queue drains at memory speed (each entry is accounted
-                // as `Cancelled` by the worker loop without running).
-                return q.pop_front();
-            }
-            let now = Instant::now();
-            if let Some(pos) = q.iter().position(|e| e.not_before <= now) {
-                return q.remove(pos);
-            }
-            // Nothing ready: sleep until the earliest backoff expires, or a
-            // bounded interval if the queue is empty (another worker may
-            // still fail and requeue, or the run may finish).
-            let wait = q
-                .iter()
-                .map(|e| e.not_before.saturating_duration_since(now))
-                .min()
-                .unwrap_or(Duration::from_millis(20))
-                .max(Duration::from_micros(100));
-            q = self
-                .cv
-                .wait_timeout(q, wait)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
-    }
-
-    fn account_one(&self) {
-        let n = self.accounted.fetch_add(1, Ordering::AcqRel) + 1;
-        if n == self.nitems {
-            self.done.store(true, Ordering::Release);
-            self.cv.notify_all();
-        }
-    }
-
-    fn success(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.account_one();
-    }
-
-    fn failure(&self, entry: Entry, error: SfcError) {
-        let attempts = entry.attempt + 1;
-        if entry.attempt < self.cfg.max_retries && error.is_retryable() {
-            self.retried.fetch_add(1, Ordering::Relaxed);
-            let factor = 1u32 << entry.attempt.min(16);
-            let delay = self.cfg.backoff_base.saturating_mul(factor);
-            let mut q = lock(&self.queue);
-            q.push_back(Entry {
-                item: entry.item,
-                attempt: attempts,
-                not_before: Instant::now() + delay,
-            });
-            drop(q);
-            self.cv.notify_all();
-        } else {
-            lock(&self.failures).push(ItemFailure {
-                item: entry.item,
-                attempts,
-                error,
-            });
-            self.account_one();
-        }
-    }
-
-    fn worker_loop(&self, tid: usize) {
-        let hb = Arc::new(Heartbeat::default());
-        lock(&self.heartbeats).push(hb.clone());
-        while let Some(entry) = self.next_entry() {
-            if self.cfg.cancel.is_cancelled() {
-                // Claim the attempt (the watchdog may race us) and account
-                // the unit as cancelled without running it.
-                if self.epoch[entry.item]
-                    .compare_exchange(
-                        entry.attempt,
-                        entry.attempt + 1,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    self.failure(entry, SfcError::Cancelled { item: entry.item });
+            attempts += 1;
+            let error = match self.attempt(tid, unit) {
+                Ok(()) => {
+                    self.completed.fetch_add(1, Ordering::Relaxed);
+                    return;
                 }
-                continue;
+                Err(error) => error,
+            };
+            if attempts > self.cfg.max_retries || !error.is_retryable() {
+                lock(&self.failures).push(ItemFailure {
+                    item: unit,
+                    attempts,
+                    error,
+                });
+                return;
             }
-            let token = self.cfg.cancel.child();
-            *lock(&hb.current) = Some((entry.item, entry.attempt, Instant::now(), token.clone()));
-            let result =
-                catch_unwind(AssertUnwindSafe(|| (self.worker)(tid, entry.item, &token)));
-            *lock(&hb.current) = None;
-            // Claim this attempt's outcome; if the watchdog already timed
-            // it out, the late result is discarded.
-            if self.epoch[entry.item]
-                .compare_exchange(
-                    entry.attempt,
-                    entry.attempt + 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_err()
-            {
-                continue;
-            }
-            match result {
-                Ok(Ok(())) => self.success(),
-                Ok(Err(e)) => self.failure(entry, e),
-                Err(payload) => self.failure(
-                    entry,
-                    SfcError::WorkerPanic {
-                        item: entry.item,
-                        payload: panic_payload_string(&payload),
-                    },
-                ),
+            self.retried.fetch_add(1, Ordering::Relaxed);
+            // A cancelled run ends the wait early, and the next attempt
+            // records the cancellation.
+            let factor = 1u32 << (attempts - 1).min(16);
+            let backoff = self.cfg.backoff_base.saturating_mul(factor);
+            let _ = self.cfg.cancel.sleep_cancellable(unit, backoff);
+        }
+    }
+
+    /// One attempt: refused once the run is cancelled, a panic caught as
+    /// [`SfcError::WorkerPanic`], and an attempt the watchdog marked
+    /// overdue a [`SfcError::Timeout`] whatever it returned.
+    fn attempt(&self, tid: usize, unit: usize) -> SfcResult<()> {
+        self.cfg.cancel.bail(unit)?;
+        let Some(slot) = self.slots.get(tid) else {
+            return self.call(tid, unit, &self.cfg.cancel);
+        };
+        let token = self.cfg.cancel.child();
+        *lock(slot) = Some(Attempt {
+            started: Instant::now(),
+            token: token.clone(),
+            overdue: None,
+        });
+        let result = self.call(tid, unit, &token);
+        match lock(slot).take().and_then(|attempt| attempt.overdue) {
+            Some(limit) => Err(SfcError::Timeout { item: unit, limit }),
+            None => result,
+        }
+    }
+
+    fn call(&self, tid: usize, unit: usize, token: &CancelToken) -> SfcResult<()> {
+        catch_unwind(AssertUnwindSafe(|| (self.worker)(tid, unit, token))).unwrap_or_else(
+            |payload| {
+                Err(SfcError::WorkerPanic {
+                    item: unit,
+                    payload: panic_payload_string(&payload),
+                })
+            },
+        )
+    }
+
+    /// Every `watchdog_poll` until `done`: mark each attempt that has run
+    /// for `limit` or longer and fire its token.
+    fn watchdog(&self, limit: Duration, done: &AtomicBool) {
+        while !done.load(Ordering::Acquire) {
+            std::thread::park_timeout(self.cfg.watchdog_poll);
+            let now = Instant::now();
+            for slot in &self.slots {
+                if let Some(attempt) = lock(slot).as_mut() {
+                    if attempt.overdue.is_none()
+                        && now.saturating_duration_since(attempt.started) >= limit
+                    {
+                        attempt.overdue = Some(limit);
+                        attempt.token.cancel();
+                    }
+                }
             }
         }
     }
@@ -1035,67 +925,11 @@ pub(crate) fn panic_payload_string(payload: &Box<dyn std::any::Any + Send>) -> S
     }
 }
 
-fn watchdog_loop<F>(sh: &Shared<'_, F>, respawn: &dyn Fn(usize), limit: Duration)
-where
-    F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + Sync,
-{
-    loop {
-        {
-            let q = lock(&sh.queue);
-            if sh.done.load(Ordering::Acquire) {
-                return;
-            }
-            // Waking on the queue condvar lets run completion end the
-            // watchdog immediately instead of after one more poll.
-            let _ = sh
-                .cv
-                .wait_timeout(q, sh.cfg.watchdog_poll)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        if sh.done.load(Ordering::Acquire) {
-            return;
-        }
-        let now = Instant::now();
-        let slots: Vec<_> = lock(&sh.heartbeats).clone();
-        for hb in slots {
-            let current = lock(&hb.current).clone();
-            let Some((item, attempt, started, token)) = current else {
-                continue;
-            };
-            if now.saturating_duration_since(started) < limit {
-                continue;
-            }
-            // Claim the overdue attempt; if the worker finished in the
-            // meantime its own CAS won and this is a no-op.
-            if sh.epoch[item]
-                .compare_exchange(attempt, attempt + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            // Ask the wedged worker to abandon the unit; a cooperative
-            // closure returns promptly and its thread rejoins the pool.
-            token.cancel();
-            sh.failure(
-                Entry {
-                    item,
-                    attempt,
-                    not_before: now,
-                },
-                SfcError::Timeout { item, limit },
-            );
-            // The wedged worker may never come back: restore pool capacity.
-            sh.replacements.fetch_add(1, Ordering::Relaxed);
-            let tid = sh.next_tid.fetch_add(1, Ordering::Relaxed);
-            respawn(tid);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultKind;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -1110,21 +944,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn static_plan_order_matches_pool_split() {
-        let plan = WorkPlan::static_round_robin(10);
-        let order = plan.initial_order(3);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..10).collect::<Vec<_>>());
-        assert_eq!(order[..4], [0, 3, 6, 9]);
-        let concat: Vec<usize> = (0..3)
-            .flat_map(|tid| items_for_thread(10, 3, tid))
-            .collect();
-        assert_eq!(order, concat);
-        assert_eq!(WorkPlan::dynamic(5).initial_order(4), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -1246,6 +1065,8 @@ mod tests {
         unit_len: usize,
         always_bad: Vec<usize>,
         depth: u8,
+        /// The thread that last committed each unit.
+        committed_on: Mutex<Vec<Option<std::thread::ThreadId>>>,
     }
 
     impl ToyKernel {
@@ -1255,6 +1076,7 @@ mod tests {
                 unit_len,
                 always_bad: Vec::new(),
                 depth: 0,
+                committed_on: Mutex::new(vec![None; nunits]),
             }
         }
     }
@@ -1295,6 +1117,7 @@ mod tests {
         fn commit(&self, unit: usize, buf: &[f32]) {
             let mut out = self.out.lock().unwrap();
             out[unit * self.unit_len..(unit + 1) * self.unit_len].copy_from_slice(buf);
+            self.committed_on.lock().unwrap()[unit] = Some(std::thread::current().id());
         }
 
         fn read_back(&self, unit: usize, buf: &mut Vec<f32>) {
@@ -1398,6 +1221,98 @@ mod tests {
         assert_eq!(outcome.quality.unrepaired_units(), vec![5]);
         assert_eq!(outcome.report.completed, 7);
         assert_eq!(ExecPolicy::Plain.label(), "plain");
+    }
+
+    #[test]
+    fn every_policy_deals_static_units_round_robin() {
+        // Fault-free, unit `u` runs on thread `u % nthreads` under every
+        // policy, as `Plain` does: the supervised policies deal the plan
+        // exactly as `Executor::run` does.
+        let (nunits, nthreads) = (30, 3);
+        let cfg = SupervisorConfig {
+            schedule: Schedule::StaticRoundRobin,
+            ..quick_cfg(nthreads)
+        };
+        let policies = [
+            ExecPolicy::Plain,
+            ExecPolicy::Supervised(cfg.clone()),
+            ExecPolicy::degraded(cfg.clone(), None),
+            ExecPolicy::brownout(cfg, DeadlineBudget::none(), None),
+        ];
+        for policy in &policies {
+            let kernel = ladder_toy(nunits, 2, 2);
+            let outcome = Executor::new(nthreads).execute(
+                &WorkPlan::static_round_robin(nunits),
+                policy,
+                &kernel,
+                &FaultPlan::none(),
+            );
+            assert!(outcome.quality.entries().is_empty(), "{}", outcome.quality);
+            let threads: Vec<_> = kernel.committed_on.lock().unwrap().clone();
+            for (unit, thread) in threads.iter().enumerate() {
+                assert_eq!(
+                    *thread,
+                    threads[unit % nthreads],
+                    "{}: unit {unit}",
+                    policy.label()
+                );
+            }
+            let first: HashSet<_> = threads[..nthreads].iter().collect();
+            assert_eq!(first.len(), nthreads, "{}: {first:?}", policy.label());
+        }
+    }
+
+    #[test]
+    fn timed_out_attempts_retry_in_place_on_the_dealt_threads() {
+        // Units 1 and 4 stall far past the timeout on every attempt. Each
+        // attempt is marked, its token fired and the stall released; the
+        // worker retries in place, so no thread beyond the `nthreads`
+        // dealt ones ever runs a unit.
+        let nthreads = 2;
+        let stall = FaultKind::Stall(Duration::from_secs(30));
+        let faults = FaultPlan::none().with(1, stall).with(4, stall);
+        let cfg = SupervisorConfig {
+            nthreads,
+            timeout: Some(Duration::from_millis(20)),
+            max_retries: 1,
+            watchdog_poll: Duration::from_millis(2),
+            backoff_base: Duration::from_millis(1),
+            ..SupervisorConfig::default()
+        };
+        let calls = Mutex::new(Vec::new());
+        let start = Instant::now();
+        let report = Executor::new(nthreads).run_supervised(
+            &WorkPlan::static_round_robin(8),
+            &cfg,
+            |tid, unit, token| {
+                calls
+                    .lock()
+                    .unwrap()
+                    .push((tid, unit, std::thread::current().id()));
+                faults.fire_cancellable(unit, token)
+            },
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "stalls were released"
+        );
+        let calls = calls.into_inner().unwrap();
+        assert!(calls.iter().all(|&(tid, ..)| tid < nthreads), "{calls:?}");
+        let threads: HashSet<_> = calls.iter().map(|c| c.2).collect();
+        assert!(threads.len() <= nthreads, "{threads:?}");
+        for unit in [1, 4] {
+            let on: Vec<_> = calls.iter().filter(|c| c.1 == unit).collect();
+            assert_eq!(on.len(), 2, "unit {unit}: {on:?}");
+            assert!(on.iter().all(|c| c.0 == unit % nthreads), "{on:?}");
+        }
+        assert_eq!(report.completed, 6);
+        assert_eq!(report.retried, 2);
+        let failed: Vec<_> = report.failed.iter().map(|f| (f.item, f.attempts)).collect();
+        assert_eq!(failed, [(1, 2), (4, 2)]);
+        assert!(report
+            .failed
+            .iter()
+            .all(|f| matches!(f.error, SfcError::Timeout { .. })));
     }
 
     fn ladder_toy(nunits: usize, unit_len: usize, depth: u8) -> ToyKernel {

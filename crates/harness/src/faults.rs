@@ -1,8 +1,8 @@
 //! Deterministic fault injection for exercising the supervised pool and
 //! the typed error paths.
 //!
-//! A [`FaultPlan`] decorates a worker closure with scripted failures —
-//! panics, stalls, transient errors — keyed by item index, so tests can
+//! A [`FaultPlan`] scripts failures — panics, stalls, transient errors —
+//! keyed by item index, fired at the top of each attempt, so tests can
 //! assert exactly which items fail, retry, and recover. An [`IoFaultPlan`]
 //! does the same for *file operations*: threaded through a [`FaultyFile`]
 //! wrapper it injects I/O errors, torn writes, silent bit flips, and
@@ -43,8 +43,8 @@ pub enum FaultKind {
     Invalid,
     /// Let the item complete, but have the engine poison its output with
     /// NaN and out-of-range values afterwards (tests the post-run
-    /// validation scan + repair path; [`FaultPlan::fire`] is a no-op for
-    /// this kind — the engine consults [`FaultPlan::corrupts`]).
+    /// validation scan + repair path; [`FaultPlan::fire_cancellable`] is a
+    /// no-op for this kind — the engine consults [`FaultPlan::corrupts`]).
     CorruptOutput,
     /// An I/O operation fails outright with an injected [`std::io::Error`]
     /// (tests bounded retry-with-backoff on reads and temp-file cleanup on
@@ -216,35 +216,20 @@ impl FaultPlan {
         matches!(self.faults.get(&item), Some((FaultKind::CorruptOutput, _)))
     }
 
-    /// Fire the fault scripted for `item`, if any. Call at the top of a
-    /// worker closure; panics, sleeps, or returns `Err` according to the
-    /// plan and the per-item attempt count.
-    pub fn fire(&self, item: usize) -> SfcResult<()> {
-        self.fire_inner(item, None)
-    }
-
-    /// Like [`FaultPlan::fire`], but a stalled item sleeps cooperatively:
+    /// Fire the fault scripted for `item`, if any. Call at the top of an
+    /// attempt; panics, sleeps, or returns `Err` according to the plan and
+    /// the per-item attempt count. A stalled item sleeps cooperatively:
     /// when the watchdog fires `token`, the stall is abandoned with
     /// [`SfcError::Cancelled`] instead of wedging a worker thread for the
     /// full scripted duration.
     pub fn fire_cancellable(&self, item: usize, token: &CancelToken) -> SfcResult<()> {
-        self.fire_inner(item, Some(token))
-    }
-
-    fn fire_inner(&self, item: usize, token: Option<&CancelToken>) -> SfcResult<()> {
         let Some((kind, attempts)) = self.faults.get(&item) else {
             return Ok(());
         };
         let attempt = attempts.fetch_add(1, Ordering::Relaxed);
         match kind {
             FaultKind::Panic => panic!("injected fault: panic on item {item}"),
-            FaultKind::Stall(d) => {
-                match token {
-                    Some(t) => t.sleep_cancellable(item, *d)?,
-                    None => std::thread::sleep(*d),
-                }
-                Ok(())
-            }
+            FaultKind::Stall(d) => token.sleep_cancellable(item, *d),
             FaultKind::FailFirst(n) => {
                 if attempt < *n {
                     Err(SfcError::WorkerPanic {
@@ -268,32 +253,6 @@ impl FaultPlan {
             | FaultKind::ShortWrite
             | FaultKind::BitFlip
             | FaultKind::SlowIo(_) => Ok(()),
-        }
-    }
-
-    /// Wrap a worker closure so scripted faults fire before the real work.
-    pub fn wrap<'a, F>(&'a self, inner: F) -> impl Fn(usize, usize) -> SfcResult<()> + 'a
-    where
-        F: Fn(usize, usize) -> SfcResult<()> + 'a,
-    {
-        move |tid, item| {
-            self.fire(item)?;
-            inner(tid, item)
-        }
-    }
-
-    /// [`FaultPlan::wrap`] for cancellation-aware workers: scripted stalls
-    /// observe the supervisor's cancel token.
-    pub fn wrap_cancellable<'a, F>(
-        &'a self,
-        inner: F,
-    ) -> impl Fn(usize, usize, &CancelToken) -> SfcResult<()> + 'a
-    where
-        F: Fn(usize, usize, &CancelToken) -> SfcResult<()> + 'a,
-    {
-        move |tid, item, token| {
-            self.fire_cancellable(item, token)?;
-            inner(tid, item, token)
         }
     }
 }
@@ -686,22 +645,24 @@ mod tests {
     fn empty_plan_fires_nothing() {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
-        assert!(plan.fire(3).is_ok());
+        assert!(plan.fire_cancellable(3, &CancelToken::new()).is_ok());
     }
 
     #[test]
     fn fail_first_recovers_after_n_attempts() {
         let plan = FaultPlan::none().with(5, FaultKind::FailFirst(2));
-        assert!(plan.fire(5).is_err());
-        assert!(plan.fire(5).is_err());
-        assert!(plan.fire(5).is_ok());
-        assert!(plan.fire(4).is_ok());
+        let token = CancelToken::new();
+        assert!(plan.fire_cancellable(5, &token).is_err());
+        assert!(plan.fire_cancellable(5, &token).is_err());
+        assert!(plan.fire_cancellable(5, &token).is_ok());
+        assert!(plan.fire_cancellable(4, &token).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "injected fault")]
     fn panic_fault_panics() {
-        FaultPlan::none().with(0, FaultKind::Panic).fire(0).ok();
+        let plan = FaultPlan::none().with(0, FaultKind::Panic);
+        plan.fire_cancellable(0, &CancelToken::new()).ok();
     }
 
     #[test]
@@ -731,7 +692,7 @@ mod tests {
         // Corrupt items fire as no-ops and are not doomed.
         let c = a.corrupt_items()[0];
         assert!(a.corrupts(c));
-        assert!(a.fire(c).is_ok());
+        assert!(a.fire_cancellable(c, &CancelToken::new()).is_ok());
         assert!(!a.doomed_items().contains(&c));
     }
 
@@ -888,7 +849,7 @@ mod tests {
             .with(3, FaultKind::SlowIo(Duration::from_secs(60)));
         let start = std::time::Instant::now();
         for item in 0..4 {
-            assert!(plan.fire(item).is_ok());
+            assert!(plan.fire_cancellable(item, &CancelToken::new()).is_ok());
         }
         assert!(start.elapsed() < Duration::from_secs(5));
         assert!(plan.doomed_items().is_empty());

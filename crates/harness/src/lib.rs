@@ -6,13 +6,13 @@
 //!   the paper's two work-assignment [`Schedule`]s (static round-robin
 //!   pencils, dynamic tile queue), the single [`Executor`]-owned thread
 //!   scope, and the [`ExecPolicy`] a [`UnitKernel`] runs under: `Plain`,
-//!   the paper's engine, or one supervised pipeline whose stages
-//!   (supervised execution, validate/repair, deadline control) the
-//!   supervised, degraded and brownout policies switch on; plus the
-//!   [`DisjointSlots`] output writer;
+//!   the paper's engine, or one supervised pipeline on the same dealing
+//!   whose stages (supervised execution, validate/repair, deadline
+//!   control) the supervised, degraded and brownout policies switch on;
+//!   plus the [`DisjointSlots`] output writer;
 //! * [`supervise`] — the vocabulary of supervised execution: cancel
 //!   tokens, the supervisor configuration (watchdog timeouts, bounded
-//!   retry with backoff), and structured failure reports;
+//!   in-place retry with backoff), and structured failure reports;
 //! * [`faults`] — deterministic fault injection (panics, stalls, flaky
 //!   items, output/NaN/file corruption) for exercising the supervisor;
 //! * [`degrade`] — the [`DegradedOutcome`] every engine run returns, with
@@ -20,7 +20,8 @@
 //!   or not) and the ladder level of its committed bytes;
 //! * [`deadline`] — deadline-aware admission control for
 //!   [`ExecPolicy::Brownout`]: wall-clock [`DeadlineBudget`]s and an
-//!   EWMA/AIMD controller with a per-unit circuit breaker;
+//!   EWMA controller with hard-deadline shedding and a per-unit circuit
+//!   breaker;
 //! * [`durable`] — crash-consistent persistence: atomic whole-file
 //!   replacement and an append-only checksummed journal with torn-tail
 //!   recovery;

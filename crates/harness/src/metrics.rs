@@ -72,7 +72,7 @@ impl Counter {
 }
 
 /// A point-in-time signed value (one relaxed atomic), for polled state:
-/// resident bytes, AIMD window, EWMA latency.
+/// resident bytes, EWMA latency.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicI64);
 

@@ -7,32 +7,28 @@
 //! opposite: a worker failure should cost *one unit*, be retried if
 //! transient, and be reported in a structured way at the end.
 //! [`Executor::run_supervised`](crate::Executor::run_supervised) provides
-//! that, configured by the types in this module:
+//! that on `run`'s own dealing, configured by the types in this module:
 //!
-//! * each unit runs under [`std::panic::catch_unwind`], so a panicking
+//! * each attempt runs under [`std::panic::catch_unwind`], so a panicking
 //!   worker closure is converted into a typed
 //!   [`SfcError::WorkerPanic`] carrying the panic payload;
-//! * a watchdog thread (armed by [`SupervisorConfig::timeout`]) detects
-//!   units that exceed their per-unit wall-clock budget, accounts them as
-//!   [`SfcError::Timeout`], and spawns a replacement worker so throughput
-//!   recovers while the wedged thread is written off;
-//! * failed units are retried up to [`SupervisorConfig::max_retries`]
-//!   times with exponential backoff, then recorded in
-//!   [`RunReport::failed`].
+//! * a failed unit is retried in place, on the thread it was dealt to, up
+//!   to [`SupervisorConfig::max_retries`] times with exponential backoff,
+//!   then recorded in [`RunReport::failed`];
+//! * a watchdog thread (armed by [`SupervisorConfig::timeout`]) marks an
+//!   attempt that exceeds its per-unit wall-clock budget and fires the
+//!   attempt's [`CancelToken`]; the worker records a marked attempt as
+//!   [`SfcError::Timeout`].
 //!
 //! ## Timeout semantics
 //!
-//! Threads cannot be killed, so a timed-out worker closure keeps running
-//! until it returns on its own; its late result is discarded (an attempt's
-//! outcome is claimed exactly once through a per-unit epoch CAS). The run
-//! itself completes as soon as every unit is accounted — but process exit
-//! still waits on the scoped thread, so worker closures must terminate
-//! *eventually*. The supervisor turns "slow" into a reported failure; it
-//! cannot turn "infinite loop" into one — unless the worker cooperates:
-//! each attempt gets a [`CancelToken`] that the watchdog fires together
-//! with the timeout, so a cooperative worker notices
-//! (`token.is_cancelled()` / `token.bail(item)?`) and abandons the wedged
-//! unit instead of wedging its thread.
+//! Threads cannot be killed, so a timed-out attempt keeps its thread until
+//! the worker closure returns on its own; only then does the thread record
+//! the timeout and go on. The supervisor turns "slow" into a reported
+//! failure; it cannot turn "infinite loop" into one — unless the worker
+//! cooperates: the watchdog fires the attempt's token together with the
+//! mark, so a cooperative worker notices (`token.is_cancelled()` /
+//! `token.bail(item)?`) and abandons the wedged unit within one poll.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,9 +64,9 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that fires when either it or `self` is cancelled. Used by
-    /// the supervised worker loop so a run-scoped cancellation reaches
-    /// every in-flight attempt.
+    /// A token that fires when either it or `self` is cancelled. Used for
+    /// each attempt of a watched run, so the watchdog can fire one attempt
+    /// while a run-scoped cancellation still reaches them all.
     pub fn child(&self) -> Self {
         Self(Arc::new(CancelInner {
             fired: AtomicBool::new(false),
@@ -126,14 +122,12 @@ impl CancelToken {
 /// Configuration of a supervised run.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Worker threads to start with (replacements for wedged workers come
-    /// on top).
+    /// Worker threads.
     pub nthreads: usize,
-    /// Initial claim order. Supervision requires a shared queue (a static
-    /// split cannot rebalance around a lost worker), so this selects the
-    /// order in which items are offered: `Dynamic` is `0..nitems`,
-    /// `StaticRoundRobin` is the concatenated per-thread round-robin
-    /// batches of the unsupervised pool.
+    /// How units are dealt to the worker threads, as for `Plain`:
+    /// `StaticRoundRobin` gives thread `t` units `t, t + n, …`, `Dynamic`
+    /// has the threads claim units from one shared cursor. A unit's
+    /// retries run on the thread it was dealt to.
     pub schedule: Schedule,
     /// Per-item wall-clock budget. `None` disables the watchdog.
     pub timeout: Option<Duration>,
@@ -142,13 +136,15 @@ pub struct SupervisorConfig {
     pub max_retries: u32,
     /// Backoff before retry attempt `n` is `backoff_base * 2^(n-1)`.
     pub backoff_base: Duration,
-    /// Watchdog scan interval; only meaningful with a timeout.
+    /// How often the watchdog looks for overdue attempts; only meaningful
+    /// with a timeout.
     pub watchdog_poll: Duration,
     /// Run-scoped cancellation: firing this token abandons the *whole*
-    /// run — queued units are accounted as [`SfcError::Cancelled`] without
-    /// running, and every in-flight attempt's per-attempt token (a
-    /// [`CancelToken::child`] of this one) observes the cancellation and
-    /// bails. This is how a service cancels an abandoned request (client
+    /// run — units not yet attempted are accounted as
+    /// [`SfcError::Cancelled`] without running, a backoff wait ends, and
+    /// every in-flight attempt's token (this one, or a
+    /// [`CancelToken::child`] of it under a watchdog) observes the
+    /// cancellation and bails. This is how a service cancels an abandoned request (client
     /// disconnect, shutdown drain) without tearing down the executor.
     pub cancel: CancelToken,
 }
@@ -185,10 +181,8 @@ pub struct RunReport {
     pub completed: usize,
     /// Items that exhausted their retry budget, sorted by item index.
     pub failed: Vec<ItemFailure>,
-    /// Retry attempts that were scheduled (across all items).
+    /// Retry attempts that were made (across all items).
     pub retried: usize,
-    /// Replacement workers spawned for wedged (timed-out) workers.
-    pub replacements: usize,
     /// Wall-clock time of the whole run.
     pub wall_time: Duration,
 }
@@ -341,16 +335,10 @@ mod tests {
         assert_eq!(report.completed, 39);
         assert_eq!(report.failed.len(), 1);
         assert!(matches!(report.failed[0].error, SfcError::Timeout { item: 7, .. }));
-        assert!(report.replacements >= 1);
     }
 
     #[test]
     fn static_order_covers_all_items() {
-        let order = WorkPlan::new(10, Schedule::StaticRoundRobin).initial_order(3);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..10).collect::<Vec<_>>());
-        assert_eq!(order[..4], [0, 3, 6, 9]);
         let cfg = SupervisorConfig {
             schedule: Schedule::StaticRoundRobin,
             ..quick(3)
@@ -452,8 +440,8 @@ mod tests {
     #[test]
     fn cancel_token_releases_a_cooperative_worker() {
         // The watchdog fires the token at the deadline; the worker notices
-        // and returns, so the run needs no replacement threads beyond the
-        // watchdog's own accounting and finishes fast.
+        // and returns, so its thread goes on to its other units and the
+        // run finishes fast.
         let observed = AtomicBool::new(false);
         let cfg = SupervisorConfig {
             nthreads: 2,
@@ -482,9 +470,9 @@ mod tests {
 
     #[test]
     fn late_cancelled_return_is_not_double_accounted() {
-        // The watchdog claims the attempt as Timeout; the worker's
-        // Cancelled return must lose the epoch CAS and be discarded, so
-        // the item contributes exactly one unit to completed + failed.
+        // The watchdog marks the attempt; the worker's Cancelled return
+        // is recorded as the Timeout, so the item contributes exactly one
+        // unit to completed + failed.
         let cfg = SupervisorConfig {
             nthreads: 2,
             timeout: Some(Duration::from_millis(10)),
@@ -501,5 +489,9 @@ mod tests {
         });
         assert_eq!(report.completed + report.failed.len(), 4);
         assert_eq!(report.failed.len(), 1);
+        assert!(matches!(
+            report.failed[0].error,
+            SfcError::Timeout { item: 1, .. }
+        ));
     }
 }

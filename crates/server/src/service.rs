@@ -235,7 +235,6 @@ impl Service {
             "deadline.shed",
             "deadline.downgrades",
             "deadline.breaker_trips",
-            "deadline.overruns",
             "store.hits",
             "store.misses",
             "store.evictions",
@@ -611,8 +610,9 @@ impl Service {
                 }
             }
         }
-        // Cancelled runs finish fast (queued units are accounted as
-        // Cancelled without running); wait for the lanes to deliver.
+        // Cancelled runs finish fast (units not yet attempted are
+        // accounted as Cancelled without running); wait for the lanes to
+        // deliver.
         while self.active_count() > 0 {
             std::thread::sleep(Duration::from_millis(2));
         }

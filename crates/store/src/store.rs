@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use sfc_core::{fnv1a64, Axis, Dims3, LayoutKind, SfcError, SfcResult, Volume3};
 use sfc_datagen::bricks::{extract_brick, BrickGeom};
-use sfc_harness::durable::{write_atomic_with, Journal};
+use sfc_harness::durable::{write_atomic_with, Journal, RECORD_HEADER};
 use sfc_harness::faults::{FaultyFile, IoFaultPlan};
 use sfc_harness::LazyCounter;
 
@@ -51,8 +51,6 @@ const TAG_META: &[u8; 4] = b"META";
 const TAG_BRICK: &[u8; 4] = b"BRCK";
 /// `TAG_BRICK` record header: tag + brick id + payload checksum.
 const BRICK_RECORD_HEADER: usize = 4 + 8 + 8;
-/// Journal framing header (mirrors `harness::durable`): len u32 + FNV u64.
-const JOURNAL_FRAME: u64 = 12;
 
 /// Tuning and fault wiring for a store handle.
 #[derive(Debug, Clone)]
@@ -756,9 +754,10 @@ fn index_journal(path: &Path, expect_payload: usize) -> HashMap<u64, (u64, u32, 
         return index;
     };
     let file_len = meta.len();
+    let frame = RECORD_HEADER as u64;
     let mut pos = 0u64;
-    let mut header = [0u8; 12 + BRICK_RECORD_HEADER];
-    while pos + JOURNAL_FRAME <= file_len {
+    let mut header = [0u8; RECORD_HEADER + BRICK_RECORD_HEADER];
+    while pos + frame <= file_len {
         if f.seek(SeekFrom::Start(pos)).is_err() {
             break;
         }
@@ -768,20 +767,21 @@ fn index_journal(path: &Path, expect_payload: usize) -> HashMap<u64, (u64, u32, 
             break;
         }
         let rec_len = u32::from_le_bytes(header[0..4].try_into().expect("sized")) as u64;
-        let next = pos + JOURNAL_FRAME + rec_len;
+        let next = pos + frame + rec_len;
         if next > file_len {
             break; // torn tail
         }
+        let rec = &header[RECORD_HEADER..];
         if avail == header.len()
             && rec_len as usize == BRICK_RECORD_HEADER + expect_payload
-            && &header[12..16] == TAG_BRICK
+            && &rec[0..4] == TAG_BRICK
         {
-            let id = u64::from_le_bytes(header[16..24].try_into().expect("sized"));
-            let sum = u64::from_le_bytes(header[24..32].try_into().expect("sized"));
+            let id = u64::from_le_bytes(rec[4..12].try_into().expect("sized"));
+            let sum = u64::from_le_bytes(rec[12..20].try_into().expect("sized"));
             index.insert(
                 id,
                 (
-                    pos + JOURNAL_FRAME + BRICK_RECORD_HEADER as u64,
+                    pos + frame + BRICK_RECORD_HEADER as u64,
                     expect_payload as u32,
                     sum,
                 ),

@@ -173,8 +173,8 @@ fn randomized_fault_plans_preserve_exactly_once_completion() {
         let completions: Vec<AtomicU32> = (0..nitems).map(|_| AtomicU32::new(0)).collect();
 
         let work = WorkPlan::dynamic(nitems);
-        let report = Executor::new(4).run_supervised(&work, &cfg(None), |_tid, item, _token| {
-            plan.fire(item)?;
+        let report = Executor::new(4).run_supervised(&work, &cfg(None), |_tid, item, token| {
+            plan.fire_cancellable(item, token)?;
             completions[item].fetch_add(1, Ordering::SeqCst);
             Ok(())
         });
