@@ -435,7 +435,8 @@ impl Executor {
     ///    repair pass; the other policies admit every attempt at full
     ///    quality.
     /// 2. **Validate and repair** ([`ExecPolicy::Degraded`] and
-    ///    [`ExecPolicy::Brownout`]; see [`validate_and_repair`]).
+    ///    [`ExecPolicy::Brownout`]; see [`validate_and_repair`]), skipped
+    ///    once the run's cancel token has fired.
     ///
     /// A cancelled attempt (watchdog fired its token) never commits — the
     /// token is checked after compute — so at most one attempt's bytes
@@ -508,7 +509,10 @@ impl Executor {
 
         let mut quality = unwrap_lock(quality);
         quality.record_failures(&report);
-        if let Some(output_range) = policy.validation() {
+        // Nobody waits for a cancelled run, so it is not repaired (units
+        // the deadline controller shed leave the run token unfired).
+        let validation = policy.validation().filter(|_| !cfg.cancel.is_cancelled());
+        if let Some(output_range) = validation {
             validate_and_repair(kernel, &mut quality, output_range, || {
                 ctl.map_or(0, DeadlineController::repair_level)
             });
@@ -1319,6 +1323,40 @@ mod tests {
         ToyKernel {
             depth,
             ..ToyKernel::new(nunits, unit_len)
+        }
+    }
+
+    #[test]
+    fn a_cancelled_run_computes_no_unit_under_any_repairing_policy() {
+        // The run token fires before `execute`: every unit fails as
+        // `Cancelled` without running, and the repair pass must not
+        // recompute them for a run nobody waits for.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let cfg = SupervisorConfig {
+            cancel,
+            ..quick_cfg(2)
+        };
+        for policy in [
+            ExecPolicy::degraded(cfg.clone(), None),
+            ExecPolicy::brownout(cfg.clone(), DeadlineBudget::none(), None),
+        ] {
+            let kernel = ToyKernel::new(8, 3);
+            let outcome = Executor::new(2).execute(
+                &WorkPlan::dynamic(8),
+                &policy,
+                &kernel,
+                &FaultPlan::none(),
+            );
+            let label = policy.label();
+            assert_eq!(outcome.report.completed, 0, "{label}");
+            let unrepaired: Vec<usize> = (0..8).collect();
+            assert_eq!(outcome.quality.unrepaired_units(), unrepaired, "{label}");
+            let committed = kernel.committed_on.lock().unwrap();
+            assert!(
+                committed.iter().all(Option::is_none),
+                "{label}: a unit was computed"
+            );
         }
     }
 

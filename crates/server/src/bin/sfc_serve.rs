@@ -84,7 +84,6 @@ fn main() {
         data_dir: args.get("data-dir").map(Into::into),
         journal: args.get("journal").map(Into::into),
         unit_timeout: Duration::from_millis(args.get_u64("unit-timeout-ms", 250)),
-        reaper_poll: Duration::from_millis(args.get_u64("reaper-poll-ms", 5)),
         dedup_ttl: Duration::from_millis(args.get_u64("dedup-ttl-ms", 60_000)),
         dedup_cap: args.get_usize("dedup-cap", 1024),
     };

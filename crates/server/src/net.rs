@@ -5,10 +5,12 @@
 //! just the next line). While a submitted request waits for its reply,
 //! the handler alternates between polling the ticket and peeking the
 //! socket: a zero-byte peek means the client hung up, and the handler
-//! fires the request's cancel token — the service's reaper then cancels
-//! the run once every waiter is gone. This is the "client disconnect
-//! cancels in-flight work" leg of the lifecycle, and it costs nothing on
-//! the happy path (the peek is non-blocking).
+//! reports it through [`Ticket::cancel`] — a queued request is dropped,
+//! and a running one's run token fires as soon as its job's last waiter
+//! has left. This is the "client disconnect cancels in-flight work" leg
+//! of the lifecycle, and it costs nothing on the happy path (the peek is
+//! non-blocking). A dedup replay or refusal comes back through the same
+//! ticket, its reply already in place.
 //!
 //! The accept loop is non-blocking and polls a shutdown flag, so a
 //! `shutdown` verb (or SIGTERM in the binary) stops admission within one
@@ -21,8 +23,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::{error_kind, RespHeader, Request, MAX_LINE};
-use crate::scheduler::{Response, Ticket};
-use crate::service::{Admission, Service};
+use crate::request_core::Response;
+use crate::service::{Service, Ticket};
 
 /// Front-end tuning knobs.
 #[derive(Debug, Clone)]
@@ -181,19 +183,8 @@ pub fn handle_conn(
                 continue;
             }
         };
-        let ticket = match svc.admit(req) {
-            Ok(Admission::Ticket(t)) => t,
-            Ok(Admission::Cached(resp)) => {
-                // Idempotent replay: the dedup cache already holds this
-                // (tenant, req_id)'s completed result.
-                stream.write_all(resp.header.format().as_bytes())?;
-                stream.write_all(b"\n")?;
-                if !resp.body.is_empty() {
-                    stream.write_all(&resp.body)?;
-                }
-                stream.flush()?;
-                continue;
-            }
+        let ticket = match svc.submit(req) {
+            Ok(t) => t,
             Err(over) => {
                 stream.write_all(over.header().format().as_bytes())?;
                 stream.write_all(b"\n")?;
@@ -231,8 +222,8 @@ fn read_bounded_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> st
 }
 
 /// Poll the ticket for the reply while watching the socket for a client
-/// disconnect. Returns `None` (after firing the waiter's cancel token)
-/// if the client hung up first.
+/// disconnect. Returns `None` (after cancelling the ticket) if the client
+/// hung up first.
 fn await_reply(stream: &TcpStream, ticket: &Ticket, cfg: &ServerConfig) -> Option<Response> {
     let mut watch_peer = true;
     loop {
@@ -242,7 +233,7 @@ fn await_reply(stream: &TcpStream, ticket: &Ticket, cfg: &ServerConfig) -> Optio
         if watch_peer {
             match peek_disconnect(stream) {
                 Peer::Gone => {
-                    ticket.token.cancel();
+                    ticket.cancel();
                     return None;
                 }
                 Peer::DataWaiting => {

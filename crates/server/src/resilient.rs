@@ -16,7 +16,8 @@
 //!   healthy endpoint; and *hedged reads* launch a second attempt on
 //!   another replica once the first exceeds the observed p95 latency —
 //!   first response wins, the loser is cancelled by disconnect (the
-//!   server's reaper then abandons its work).
+//!   server cancels its ticket, and its run stops once no waiter is
+//!   left).
 //! * **Retry storms** — attempts are bounded ([`RetryPolicy`]), paced by
 //!   decorrelated-jitter backoff, and gated by a token-bucket
 //!   [`RetryBudget`]: when the whole group is dying, successes stop

@@ -1,32 +1,38 @@
-//! The service core: execution lanes over one shared engine, a reaper
-//! for abandoned requests, a durability journal, and graceful drain.
+//! The service driver: execution lanes over one shared engine, the
+//! request core behind one lock, a durability journal, and graceful drain.
 //!
-//! Request lifecycle (see DESIGN.md §9): a parsed [`Request`] is admitted
-//! by the [`FairScheduler`], popped by an execution lane, and run through
-//! the engine's full brownout stack — `ExecPolicy::Brownout` with the
-//! request's [`DeadlineBudget`] and fault plan — so one code path serves
-//! both the happy case (no budget, no faults: bitwise-identical to
-//! `ExecPolicy::Plain` by the engine contract) and the degraded one.
+//! Request lifecycle (see DESIGN.md §9): every request state — queues,
+//! dedup entries, running jobs, drain — lives in the crate's request core,
+//! a plain state machine that [`Service`] holds behind one `Mutex` and one
+//! `Condvar`. [`Service::submit`] hands it an arrival; a lane pops a job,
+//! runs it outside the lock through the engine's full brownout stack —
+//! `ExecPolicy::Brownout` with the request's [`DeadlineBudget`] and fault
+//! plan — and hands the reply back. So one code path serves both the happy
+//! case (no budget, no faults: bitwise-identical to `ExecPolicy::Plain` by
+//! the engine contract) and the degraded one. Replies reach their
+//! [`Ticket`] through its one-shot slot, filled after the lock is released.
 //! Every lane iteration is wrapped in `catch_unwind`: a panic anywhere in
 //! request handling becomes a typed `err worker-panic` reply for that
 //! request, never a dead lane.
 //!
-//! A reaper thread watches in-flight jobs: once every waiter's cancel
-//! token has fired (all clients disconnected), it fires the job's
-//! run-scoped token and the engine abandons the remaining units as
-//! `Cancelled` — compute stops within one reaper poll plus one unit.
+//! A client that hangs up calls [`Ticket::cancel`]; when the last waiter
+//! of a running job leaves, that call fires the job's run token, the
+//! engine abandons the units not yet attempted, and the lane answers any
+//! waiter left with a typed `err cancelled` — nothing is saved or
+//! remembered for dedup.
 //!
-//! Drain ([`Service::drain`]) stops admission, lets queued and in-flight
-//! work finish inside the budget, then sheds what remains with typed
-//! `shed` replies and cancels in-flight runs. Durability is append-only:
-//! the journal fsyncs per record and saved volumes go through
-//! `write_atomic`, so a `kill -9` at any instant leaves no partial file —
-//! at worst a torn journal tail, which `Journal::open` truncates away.
+//! Drain ([`Service::drain`]) stops admission, waits on the condvar while
+//! queued and in-flight work finishes inside the budget, then sheds what
+//! remains with typed `shed` replies and cancels in-flight runs.
+//! Durability is append-only: the journal fsyncs per record and saved
+//! volumes go through `write_atomic`, so a `kill -9` at any instant leaves
+//! no partial file — at worst a torn journal tail, which `Journal::open`
+//! truncates away.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,17 +41,18 @@ use sfc_datagen::save_volume;
 use sfc_filters::{try_bilateral3d_with_policy, BilateralParams, FilterRun};
 use sfc_harness::metrics::{self, Snapshot};
 use sfc_harness::{
-    CancelToken, DeadlineBudget, DegradedOutcome, DowngradeReason, ExecPolicy, Executor,
-    FaultPlan, Journal, JournalRecovery, LazyCounter, Schedule, SupervisorConfig,
+    DeadlineBudget, DegradedOutcome, DowngradeReason, ExecPolicy, Executor, FaultPlan, Journal,
+    JournalRecovery, LazyCounter, Schedule, SupervisorConfig,
 };
 use sfc_volrend::{
     render_with_policy, vec3, Camera, Image, Projection, RenderOpts, TransferFunction,
 };
 
 use crate::cache::{VolumeCache, VolumeKey};
-use crate::dedup::{DedupCache, Fingerprint};
 use crate::protocol::{error_kind, f32_bytes, OkHeader, OpKind, Request, RespHeader};
-use crate::scheduler::{FairScheduler, Job, Overloaded, Response, SchedConfig, Ticket};
+use crate::request_core::{
+    DedupStats, DrainReport, Job, Overloaded, Reply, RequestCore, Response, SchedConfig,
+};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -71,9 +78,6 @@ pub struct ServiceConfig {
     /// bitwise-identical to `ExecPolicy::Plain`, and the watchdog is
     /// pure overhead there).
     pub unit_timeout: Duration,
-    /// Reaper scan interval — the bound on how long an abandoned
-    /// request keeps computing after its last client disconnects.
-    pub reaper_poll: Duration,
     /// How long a completed result is remembered for idempotent retry
     /// (`req_id=` dedup). Must exceed a client's worst-case retry span
     /// (attempts × backoff cap) for exactly-once `save=1` semantics.
@@ -93,39 +97,10 @@ impl Default for ServiceConfig {
             data_dir: None,
             journal: None,
             unit_timeout: Duration::from_millis(250),
-            reaper_poll: Duration::from_millis(5),
             dedup_ttl: Duration::from_secs(60),
             dedup_cap: 1024,
         }
     }
-}
-
-/// What admission decided for a request (see [`Service::admit`]).
-pub enum Admission {
-    /// The request was queued; the reply arrives through the ticket.
-    Ticket(Ticket),
-    /// A completed result for this `(tenant, req_id)` was already
-    /// cached — the response is ready now and nothing was queued. It is
-    /// the cached reply with `dedup=1`, or a typed `invalid-parameter`
-    /// refusal when the `req_id` was used for a different request.
-    Cached(Response),
-}
-
-/// What [`Service::drain`] observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Whether every queued and in-flight request finished inside the
-    /// budget (nothing was shed or cancelled).
-    pub clean: bool,
-    /// Queued requests answered with `shed` at budget expiry.
-    pub shed: usize,
-    /// In-flight runs cancelled at budget expiry.
-    pub cancelled: usize,
-}
-
-struct ActiveJob {
-    run: CancelToken,
-    waiters: Vec<CancelToken>,
 }
 
 /// Process-wide mirror of lane panics (per-instance accounting stays in
@@ -133,38 +108,93 @@ struct ActiveJob {
 /// services in the process).
 static PANICS_TOTAL: LazyCounter = LazyCounter::new("server.lane_panics");
 
-/// Requests whose deadline had already expired when a lane picked them
-/// up — refused with a typed `expired` header, no compute spent.
-static EXPIRED_TOTAL: LazyCounter = LazyCounter::new("server.expired");
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
-/// Arrivals carrying `attempt>1` — retried deliveries observed by this
-/// process (whether or not they hit the dedup cache).
-static RETRY_ARRIVALS: LazyCounter = LazyCounter::new("server.retry_arrivals");
+/// A waiter's one-shot reply slot: the driver fills it once, its
+/// [`Ticket`] takes the reply.
+#[derive(Debug, Default)]
+pub(crate) struct Slot {
+    resp: Mutex<Option<Response>>,
+    cv: Condvar,
+}
 
-/// The multi-tenant volume service: scheduler + lanes + cache + journal.
+impl Slot {
+    fn fill(&self, resp: Response) {
+        *lock(&self.resp) = Some(resp);
+        self.cv.notify_all();
+    }
+}
+
+/// Fill each reply's slot (outside the core's lock).
+fn deliver(replies: &mut Vec<Reply>) {
+    for r in replies.drain(..) {
+        r.slot.fill(r.resp);
+    }
+}
+
+/// The request core behind the service's one lock, and the condvar the
+/// lanes and the drain wait on.
+struct Shared {
+    core: Mutex<RequestCore>,
+    cv: Condvar,
+}
+
+/// The submitter's handle to a request: the slot its reply arrives in,
+/// and [`Ticket::cancel`] for a client that leaves.
+pub struct Ticket {
+    waiter: u64,
+    slot: Arc<Slot>,
+    shared: Arc<Shared>,
+}
+
+impl Ticket {
+    /// Wait up to `timeout` for the response.
+    pub fn wait(&self, timeout: Duration) -> Option<Response> {
+        let deadline = Instant::now() + timeout;
+        let mut resp = lock(&self.slot.resp);
+        loop {
+            if let Some(resp) = resp.take() {
+                return Some(resp);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            resp = self
+                .slot
+                .cv
+                .wait_timeout(resp, deadline - now)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// The client left: a queued request is dropped, and a running one's
+    /// run token fires once every waiter of its job has left.
+    pub fn cancel(&self) {
+        lock(&self.shared.core).cancel(self.waiter);
+        self.shared.cv.notify_all();
+    }
+}
+
+/// The multi-tenant volume service: request core + lanes + cache + journal.
 pub struct Service {
     cfg: ServiceConfig,
     exec: Executor,
-    sched: FairScheduler,
+    shared: Arc<Shared>,
     cache: VolumeCache,
-    dedup: DedupCache,
     journal: Option<Mutex<Journal>>,
     recovery: Option<JournalRecovery>,
-    active: Mutex<Vec<(u64, ActiveJob)>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    running: AtomicBool,
-    next_id: AtomicU64,
     save_seq: AtomicU64,
     panics: AtomicU64,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl Service {
-    /// Start the service: open the journal (recovering any torn tail),
-    /// spawn the execution lanes and the reaper.
+    /// Start the service: open the journal (recovering any torn tail) and
+    /// spawn the execution lanes.
     pub fn start(cfg: ServiceConfig) -> SfcResult<Arc<Service>> {
         if let Some(dir) = &cfg.data_dir {
             std::fs::create_dir_all(dir)
@@ -184,18 +214,17 @@ impl Service {
         };
         let svc = Arc::new(Service {
             exec: Executor::new(cfg.exec_threads),
-            sched: FairScheduler::new(cfg.sched),
+            shared: Arc::new(Shared {
+                core: Mutex::new(RequestCore::new(cfg.sched, cfg.dedup_ttl, cfg.dedup_cap)),
+                cv: Condvar::new(),
+            }),
             cache: match cfg.spill_dir.clone() {
                 Some(dir) => VolumeCache::with_spill(cfg.cache_bytes, dir),
                 None => VolumeCache::new(cfg.cache_bytes),
             },
-            dedup: DedupCache::new(cfg.dedup_ttl, cfg.dedup_cap),
             journal,
             recovery,
-            active: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
-            running: AtomicBool::new(true),
-            next_id: AtomicU64::new(0),
             save_seq: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             cfg,
@@ -208,15 +237,6 @@ impl Service {
                     .name(format!("sfc-lane-{lane}"))
                     .spawn(move || s.lane_loop())
                     .map_err(|e| sfc_core::SfcError::io("spawn lane", e))?,
-            );
-        }
-        {
-            let s = svc.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("sfc-reaper".into())
-                    .spawn(move || s.reaper_loop())
-                    .map_err(|e| sfc_core::SfcError::io("spawn reaper", e))?,
             );
         }
         *lock(&svc.threads) = threads;
@@ -265,7 +285,10 @@ impl Service {
     /// This instance's polled state as `server.*` name → value pairs, which
     /// [`Service::metrics_snapshot`] overlays on the global registry.
     fn server_gauges(&self) -> [(&'static str, i64); 17] {
-        let s = self.sched.stats();
+        let (s, active, dedup_resident) = {
+            let core = lock(&self.shared.core);
+            (core.stats(), core.running(), core.dedup_resident())
+        };
         let c = self.cache.stats();
         [
             ("server.sched.submitted", s.submitted as i64),
@@ -282,9 +305,9 @@ impl Service {
             ("server.cache.spill_corrupt", c.spill_corrupt as i64),
             ("server.cache.resident_bytes", c.resident_bytes as i64),
             ("server.cache.resident", c.resident as i64),
-            ("server.active", self.active_count() as i64),
+            ("server.active", active as i64),
             ("server.panics", self.panics.load(Ordering::Relaxed) as i64),
-            ("server.dedup.resident", self.dedup.resident() as i64),
+            ("server.dedup.resident", dedup_resident as i64),
         ]
     }
 
@@ -307,28 +330,25 @@ impl Service {
         sfc_harness::encode_prometheus(&self.metrics_snapshot())
     }
 
-    /// Admit a request (the net layer's entry point): consult the
-    /// idempotency dedup cache first — a retried `req_id` whose
-    /// execution already completed is answered from the cache with
-    /// `dedup=1`, and a `req_id` reused for a different request is
-    /// refused, both queueing nothing — then fall through to the
-    /// scheduler.
-    pub fn admit(&self, req: Request) -> Result<Admission, Overloaded> {
-        if let Some(id) = &req.req_id {
-            if let Some(resp) = self.dedup.get(&req.tenant, id, &Fingerprint::of(&req)) {
-                return Ok(Admission::Cached(resp));
-            }
-        }
-        if req.attempt > 1 {
-            RETRY_ARRIVALS.add(1);
-        }
-        self.sched.submit(req).map(Admission::Ticket)
-    }
-
-    /// Queue a request directly, bypassing the dedup cache (tests and
-    /// embedders that manage their own idempotency).
+    /// Submit a request. A `req_id` whose result is remembered answers at
+    /// once — the returned ticket already holds the cached reply with
+    /// `dedup=1`, or a typed `invalid-parameter` refusal when the `req_id`
+    /// was used for a different request; otherwise the request is queued,
+    /// or refused with a typed [`Overloaded`].
     pub fn submit(&self, req: Request) -> Result<Ticket, Overloaded> {
-        self.sched.submit(req)
+        let slot = Arc::new(Slot::default());
+        let mut replies = Vec::new();
+        let waiter =
+            lock(&self.shared.core).arrive(req, slot.clone(), Instant::now(), &mut replies)?;
+        if replies.is_empty() {
+            self.shared.cv.notify_all();
+        }
+        deliver(&mut replies);
+        Ok(Ticket {
+            waiter,
+            slot,
+            shared: self.shared.clone(),
+        })
     }
 
     /// What journal recovery found at startup, if journaling is on.
@@ -337,14 +357,14 @@ impl Service {
     }
 
     /// Idempotency dedup cache counters (process-wide) and residency.
-    pub fn dedup_stats(&self) -> crate::dedup::DedupStats {
-        self.dedup.stats()
+    pub fn dedup_stats(&self) -> DedupStats {
+        DedupStats::with_resident(lock(&self.shared.core).dedup_resident())
     }
 
     /// Requests currently executing on a lane (tests and the `stats`
     /// verb watch this to observe cancellation and drain).
     pub fn active_requests(&self) -> usize {
-        self.active_count()
+        lock(&self.shared.core).running()
     }
 
     /// One `key=value` stats line for the `stats` verb: a thin formatter
@@ -375,97 +395,67 @@ impl Service {
         )
     }
 
-    fn lane_loop(self: &Arc<Self>) {
-        while let Some(job) = self.sched.next() {
-            let id = self.register(&job);
-            let resp = match catch_unwind(AssertUnwindSafe(|| self.execute(&job))) {
-                Ok(Ok(resp)) => resp,
-                Ok(Err(err)) => Response::header_only(RespHeader::Err {
-                    kind: error_kind(&err).to_string(),
-                    message: err.to_string(),
-                }),
-                Err(panic) => {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                    PANICS_TOTAL.add(1);
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic payload".into());
-                    Response::header_only(RespHeader::Err {
-                        kind: "worker-panic".to_string(),
-                        message: msg,
-                    })
+    fn lane_loop(&self) {
+        let shared = &*self.shared;
+        let mut replies = Vec::new();
+        loop {
+            let job = {
+                let mut core = lock(&shared.core);
+                loop {
+                    let job = core.pop(Instant::now(), &mut replies);
+                    if job.is_some() || !replies.is_empty() {
+                        break job;
+                    }
+                    if core.finished() {
+                        return;
+                    }
+                    core = shared
+                        .cv
+                        .wait(core)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
-            // Remember completed results for retried `req_id`s *before*
-            // delivery: once a client holds the reply it may retry after
-            // a lost connection at any moment, and the cache must already
-            // be able to answer.
-            if let (Some(rid), RespHeader::Ok(h)) = (&job.req.req_id, &resp.header) {
-                let fingerprint = Fingerprint::of(&job.req);
-                self.dedup.insert(&job.req.tenant, rid, fingerprint, *h, resp.body.clone());
-            }
-            job.deliver_all(&resp);
-            self.deregister(id);
-            self.sched.finish(&job);
+            deliver(&mut replies);
+            let Some(job) = job else { continue };
+            let resp = self.respond(&job);
+            lock(&shared.core).complete(&job, resp, Instant::now(), &mut replies);
+            shared.cv.notify_all();
+            deliver(&mut replies);
         }
     }
 
-    fn reaper_loop(&self) {
-        while self.running.load(Ordering::Relaxed) {
-            {
-                let active = lock(&self.active);
-                for (_, job) in active.iter() {
-                    if !job.run.is_cancelled()
-                        && !job.waiters.is_empty()
-                        && job.waiters.iter().all(|t| t.is_cancelled())
-                    {
-                        job.run.cancel();
-                    }
-                }
+    /// Run `job` and build its reply, a panic included.
+    fn respond(&self, job: &Job) -> Response {
+        match catch_unwind(AssertUnwindSafe(|| self.execute(job))) {
+            Ok(Ok(resp)) => resp,
+            Ok(Err(err)) => Response::header_only(RespHeader::Err {
+                kind: error_kind(&err).to_string(),
+                message: err.to_string(),
+            }),
+            Err(panic) => {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                PANICS_TOTAL.add(1);
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "opaque panic payload".into());
+                Response::header_only(RespHeader::Err {
+                    kind: "worker-panic".to_string(),
+                    message: msg,
+                })
             }
-            std::thread::sleep(self.cfg.reaper_poll);
         }
-    }
-
-    fn register(&self, job: &Job) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        lock(&self.active).push((
-            id,
-            ActiveJob {
-                run: job.token.clone(),
-                waiters: job.waiters.iter().map(|w| w.token.clone()).collect(),
-            },
-        ));
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        lock(&self.active).retain(|(i, _)| *i != id);
-    }
-
-    fn active_count(&self) -> usize {
-        lock(&self.active).len()
     }
 
     /// Run one job through the engine and build its reply.
     fn execute(&self, job: &Job) -> SfcResult<Response> {
         let req = &job.req;
         // Deadline propagation, server half: the budget clock started at
-        // admission, so time spent queued is already gone. A request
-        // whose budget expired while waiting is refused outright — no
-        // compute — and what survives runs on the *remaining* budget.
+        // admission, so time spent queued is already gone (the pop refused
+        // a request whose budget expired while waiting), and the job runs
+        // on the *remaining* budget.
         let waited = job.submitted.elapsed();
-        if let Some(d) = req.deadline() {
-            if waited >= d {
-                EXPIRED_TOTAL.add(1);
-                return Ok(Response::header_only(RespHeader::Expired {
-                    deadline_ms: d.as_millis() as u64,
-                    waited_ms: waited.as_millis() as u64,
-                }));
-            }
-        }
         let key = VolumeKey {
             size: req.size,
             layout: req.layout,
@@ -514,10 +504,19 @@ impl Service {
             }
         };
 
+        if job.token.is_cancelled() {
+            // Every client left, or the drain budget ran out: the units
+            // not yet attempted never ran, so the output is not saved,
+            // journaled or remembered, and anyone still waiting is told.
+            return Ok(Response::header_only(RespHeader::Err {
+                kind: "cancelled".to_string(),
+                message: "the run was cancelled before it finished".to_string(),
+            }));
+        }
         if req.save {
             self.save_result(req, dims, &body)?;
         }
-        self.journal_record(req, &outcome, job.waiters.len() - 1);
+        self.journal_record(req, &outcome, job.coalesced);
 
         let shed_units = outcome
             .quality
@@ -535,7 +534,7 @@ impl Service {
             shed_units,
             whole: outcome.output_is_whole(),
             cache_hit,
-            coalesced: job.waiters.len() - 1,
+            coalesced: job.coalesced,
             dedup: false,
         };
         Ok(Response {
@@ -591,42 +590,36 @@ impl Service {
     /// Returns once every lane has exited; the service is unusable
     /// afterwards.
     pub fn drain(&self, budget: Duration) -> DrainReport {
-        self.sched.begin_drain();
+        let shared = &*self.shared;
         let deadline = Instant::now() + budget;
-        while Instant::now() < deadline {
-            if self.sched.queued_total() == 0 && self.active_count() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let shed = self.sched.shed_all("drain budget exhausted");
-        let mut cancelled = 0;
-        {
-            let active = lock(&self.active);
-            for (_, job) in active.iter() {
-                if !job.run.is_cancelled() {
-                    job.run.cancel();
-                    cancelled += 1;
+        let mut replies = Vec::new();
+        let report = {
+            let mut core = lock(&shared.core);
+            core.begin_drain();
+            shared.cv.notify_all();
+            loop {
+                let now = Instant::now();
+                if core.idle() || now >= deadline {
+                    break;
                 }
+                core = shared
+                    .cv
+                    .wait_timeout(core, deadline - now)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .0;
             }
-        }
+            core.shed_all(&mut replies)
+        };
+        shared.cv.notify_all();
+        deliver(&mut replies);
         // Cancelled runs finish fast (units not yet attempted are
-        // accounted as Cancelled without running); wait for the lanes to
-        // deliver.
-        while self.active_count() > 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        self.sched.stop();
-        self.running.store(false, Ordering::Relaxed);
+        // accounted as Cancelled without running), and a lane exits once
+        // it finds the drained queue empty.
         let threads = std::mem::take(&mut *lock(&self.threads));
         for t in threads {
             let _ = t.join();
         }
-        DrainReport {
-            clean: shed == 0 && cancelled == 0,
-            shed,
-            cancelled,
-        }
+        report
     }
 }
 
@@ -722,7 +715,6 @@ fn dispatch_render(
 mod tests {
     use super::*;
     use crate::protocol::{bytes_f32, Request};
-    use crate::scheduler::Response;
 
     fn svc(cfg: ServiceConfig) -> Arc<Service> {
         Service::start(cfg).expect("service starts")
@@ -821,7 +813,7 @@ mod tests {
         // this execution.
         assert_eq!((ha.coalesced, hb.coalesced), (1, 1));
         s.drain(Duration::from_secs(5));
-        assert_eq!(s.sched.stats().coalesced, 1);
+        assert_eq!(lock(&s.shared.core).stats().coalesced, 1);
     }
 
     #[test]
@@ -830,23 +822,54 @@ mod tests {
             lanes: 1,
             ..ServiceConfig::default()
         });
-        // A large-ish request with stalls so there is time to cancel it.
+        // Half the units stall 50 ms, so the uncancelled run takes
+        // seconds on the two engine threads.
         let req = Request::parse(
             "filter tenant=t size=16 seed=1 radius=2 fault_seed=3 timeout_rate=0.5 stall_ms=50",
         )
         .expect("valid");
         let t = s.submit(req).expect("admitted");
-        std::thread::sleep(Duration::from_millis(20));
-        t.token.cancel();
-        // The reaper fires the run token; the lane still delivers a
-        // reply (to nobody) and frees itself well before the uncancelled
-        // run would have finished.
-        let start = Instant::now();
-        while s.active_count() > 0 && start.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(5));
+        while s.active_requests() == 0 {
+            std::thread::yield_now();
         }
-        assert_eq!(s.active_count(), 0, "cancelled run drained");
-        s.drain(Duration::from_secs(5));
+        t.cancel();
+        // The last waiter left, so the run token fired at once, and the
+        // drain finds the lane free long before the run would have ended.
+        let start = Instant::now();
+        let report = s.drain(Duration::from_secs(10));
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "{took:?}");
+        assert!(report.clean, "no run left to cancel: {report:?}");
+    }
+
+    #[test]
+    fn a_run_the_drain_cancels_answers_err_cancelled_and_saves_nothing() {
+        let dir = std::env::temp_dir().join(format!("sfc-svc-cancel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = svc(ServiceConfig {
+            lanes: 1,
+            data_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        });
+        let req = Request::parse(
+            "filter tenant=t size=16 seed=1 radius=2 fault_seed=3 timeout_rate=0.5 stall_ms=50 \
+             save=1 req_id=doomed",
+        )
+        .expect("valid");
+        let t = s.submit(req).expect("admitted");
+        while s.active_requests() == 0 {
+            std::thread::yield_now();
+        }
+        let report = s.drain(Duration::ZERO);
+        assert_eq!((report.shed, report.cancelled), (0, 1));
+        match t.wait(Duration::from_secs(10)).expect("reply").header {
+            RespHeader::Err { kind, .. } => assert_eq!(kind, "cancelled"),
+            other => panic!("expected err cancelled, got {other:?}"),
+        }
+        let saved = std::fs::read_dir(&dir).expect("data dir").count();
+        assert_eq!(saved, 0, "a cancelled run saves nothing");
+        assert_eq!(s.dedup_stats().resident, 0, "nor is it remembered");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -66,7 +66,9 @@ pub struct Manifest {
     pub slots: Vec<SlotEntry>,
 }
 
-fn kind_code(kind: LayoutKind) -> u32 {
+/// The on-disk code of a brick order, shared by the manifest and the
+/// journal's META record.
+pub(crate) fn kind_code(kind: LayoutKind) -> u32 {
     match kind {
         LayoutKind::ArrayOrder => 0,
         LayoutKind::ZOrder => 1,
@@ -75,7 +77,8 @@ fn kind_code(kind: LayoutKind) -> u32 {
     }
 }
 
-fn kind_from_code(code: u32) -> Option<LayoutKind> {
+/// The brick order an on-disk code names, or `None` for an unknown code.
+pub(crate) fn kind_from_code(code: u32) -> Option<LayoutKind> {
     match code {
         0 => Some(LayoutKind::ArrayOrder),
         1 => Some(LayoutKind::ZOrder),

@@ -37,7 +37,7 @@ use sfc_harness::durable::{write_atomic_with, Journal, RECORD_HEADER};
 use sfc_harness::faults::{FaultyFile, IoFaultPlan};
 use sfc_harness::LazyCounter;
 
-use crate::manifest::{Manifest, SlotEntry};
+use crate::manifest::{kind_code, kind_from_code, Manifest, SlotEntry};
 
 /// Manifest file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.v1";
@@ -292,15 +292,7 @@ fn meta_record(dims: Dims3, edge: u32, order: LayoutKind) -> Vec<u8> {
     rec.extend_from_slice(&(dims.ny as u64).to_le_bytes());
     rec.extend_from_slice(&(dims.nz as u64).to_le_bytes());
     rec.extend_from_slice(&edge.to_le_bytes());
-    rec.extend_from_slice(
-        &match order {
-            LayoutKind::ArrayOrder => 0u32,
-            LayoutKind::ZOrder => 1,
-            LayoutKind::Tiled => 2,
-            LayoutKind::Hilbert => 3,
-        }
-        .to_le_bytes(),
-    );
+    rec.extend_from_slice(&kind_code(order).to_le_bytes());
     rec
 }
 
@@ -315,13 +307,7 @@ fn parse_meta_record(rec: &[u8]) -> Option<(Dims3, u32, LayoutKind)> {
     )
     .ok()?;
     let edge = u32::from_le_bytes(rec[28..32].try_into().ok()?);
-    let order = match u32::from_le_bytes(rec[32..36].try_into().ok()?) {
-        0 => LayoutKind::ArrayOrder,
-        1 => LayoutKind::ZOrder,
-        2 => LayoutKind::Tiled,
-        3 => LayoutKind::Hilbert,
-        _ => return None,
-    };
+    let order = kind_from_code(u32::from_le_bytes(rec[32..36].try_into().ok()?))?;
     Some((dims, edge, order))
 }
 
