@@ -216,37 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn resumable_figure_round_trips_through_its_checkpoint() {
-        let inputs = build_inputs(16, 7);
-        let plat = scaled(&platform::ivy_bridge(), 15);
-        let rows = [(StencilSize::R1, Axis::Z, StencilOrder::Zyx)];
-        let path = std::env::temp_dir()
-            .join(format!("sfc_fig_ckpt_{}.json", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(format!("{}.journal", path.display())).ok();
-
-        let mut ckpt = Some(Checkpoint::open(&path).unwrap());
-        let first = run_bilateral_figure_resumable(
-            &inputs, &rows, &[2, 4], &plat, false, "test n16", &mut ckpt,
-        )
-        .unwrap();
-
-        // A fresh process resuming from the file has both cells on record
-        // and reproduces the tables from the checkpoint alone.
-        let mut resumed = Some(Checkpoint::open(&path).unwrap());
-        assert_eq!(resumed.as_ref().unwrap().len(), 2);
-        let second = run_bilateral_figure_resumable(
-            &inputs, &rows, &[2, 4], &plat, false, "test n16", &mut resumed,
-        )
-        .unwrap();
-        for c in 0..2 {
-            assert_eq!(first.runtime_ds.get(0, c), second.runtime_ds.get(0, c));
-            assert_eq!(first.counter_ds.get(0, c), second.counter_ds.get(0, c));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn tiny_figure_has_expected_shape_and_signs() {
         let inputs = build_inputs(16, 7);
         let plat = scaled(&platform::ivy_bridge(), 15);

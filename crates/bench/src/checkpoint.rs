@@ -2,70 +2,52 @@
 //!
 //! A sweep writes one record per completed grid cell so a killed or
 //! crashed run can be restarted and will skip every cell it already
-//! finished. Persistence is two-tier, built on [`sfc_harness::durable`]:
+//! finished. A checkpoint named `FILE` is one append-only journal,
+//! `FILE.journal` ([`sfc_harness::Journal`]): every record is checksummed
+//! and fsynced as it is appended. A `kill -9` mid-append loses at most the
+//! record being written; the next [`Checkpoint::open`] truncates the torn
+//! tail and replays every intact record, a later record of a key replacing
+//! an earlier one. A full sweep records at most 64 cells (Fig. 5: eight
+//! viewpoints by eight thread counts), so the journal stays small and its
+//! replay fast without ever being rewritten.
 //!
-//! * a JSON **snapshot** — a single object of `key -> [numbers]`, written
-//!   via temp-file + fsync + atomic rename ([`sfc_harness::write_atomic`]),
-//!   so readers never observe a torn file;
-//! * an append-only **journal** (`<path>.journal`) of checksummed
-//!   per-cell records, fsynced per append ([`sfc_harness::Journal`]). A
-//!   `kill -9` mid-append loses at most the record being written; on the
-//!   next [`Checkpoint::open`] the torn tail is truncated, every intact
-//!   record is replayed on top of the snapshot, and the result is
-//!   compacted back into a fresh snapshot.
-//!
-//! The journal is folded into the snapshot every
-//! [`COMPACT_EVERY`] appends and on every recovering open, bounding both
-//! replay time and journal growth. The JSON is read and written by hand
-//! (the workspace carries no JSON dependency):
-//!
-//! ```text
-//! {"version":1,"entries":{"ivb|r3 pz zyx|t4":[0.52,1.13,0.98], ...}}
-//! ```
-//!
-//! Non-finite values round-trip as `null`.
+//! A record holds the key's byte length (`u32` LE), the key's UTF-8 bytes,
+//! then each value as a little-endian `f64`, so non-finite values
+//! round-trip exactly.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use sfc_core::{SfcError, SfcResult};
-use sfc_harness::{write_atomic, Journal};
-
-/// On-disk format version understood by this module.
-pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// Journal appends between snapshot compactions.
-pub const COMPACT_EVERY: usize = 64;
+use sfc_harness::Journal;
 
 /// What [`Checkpoint::open`] found and repaired on disk.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckpointRecovery {
-    /// Completed cells replayed from the journal — appends that had not
-    /// yet been compacted into the snapshot (e.g. because the previous run
-    /// crashed). None were lost.
+    /// Records replayed from the journal: the cells earlier runs completed.
+    /// None were lost.
     pub journal_cells: usize,
     /// Bytes of torn journal tail truncated away (an interrupted append).
     pub torn_bytes: u64,
 }
 
 impl CheckpointRecovery {
-    /// True when open had anything to repair or fold in.
+    /// True when open replayed a cell or truncated a torn tail.
     pub fn recovered_anything(&self) -> bool {
         self.journal_cells > 0 || self.torn_bytes > 0
     }
 }
 
-/// A resumable record of completed sweep cells, backed by a JSON snapshot
-/// plus an append-only journal (see the module docs).
+/// A resumable record of completed sweep cells, backed by an append-only
+/// journal (see the module docs).
 #[derive(Debug)]
 pub struct Checkpoint {
-    path: PathBuf,
     entries: BTreeMap<String, Vec<f64>>,
     journal: Journal,
     recovery: CheckpointRecovery,
 }
 
-/// `<path>.journal`, the sibling journal of a checkpoint snapshot.
+/// `<path>.journal`, the journal of the checkpoint named `path`.
 fn journal_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(".journal");
@@ -73,45 +55,40 @@ fn journal_path(path: &Path) -> PathBuf {
 }
 
 impl Checkpoint {
-    /// Open (or create) a checkpoint at `path`, replaying and folding in
-    /// any journal left by a crashed run. A missing file yields an empty
-    /// checkpoint; an unreadable or malformed one is a typed
-    /// [`SfcError::Corrupt`] / [`SfcError::Io`] — delete the file (and its
-    /// `.journal` sibling) to start over.
+    /// Open (or create) the checkpoint named `path`, replaying its journal
+    /// `<path>.journal`. A missing journal yields an empty checkpoint. An
+    /// intact record that does not decode, or a file at `path` itself (the
+    /// JSON snapshot of an older checkpoint format), is a typed
+    /// [`SfcError::Corrupt`]; an unreadable journal is [`SfcError::Io`].
+    /// Delete the files to start over.
     pub fn open(path: impl Into<PathBuf>) -> SfcResult<Self> {
         let path = path.into();
-        let mut entries = match std::fs::read_to_string(&path) {
-            Ok(text) => parse_checkpoint(&text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
-            Err(e) => return Err(SfcError::io("read checkpoint", e)),
-        };
+        if path.exists() {
+            return Err(corrupt(
+                "an older format's JSON snapshot sits at the checkpoint's path \
+                 (this format writes only its .journal)",
+            ));
+        }
         let (journal, replay) = Journal::open(journal_path(&path))
             .map_err(|e| SfcError::io("open checkpoint journal", e))?;
-        let recovery = CheckpointRecovery {
-            journal_cells: replay.records.len(),
-            torn_bytes: replay.truncated_bytes,
-        };
+        let mut entries = BTreeMap::new();
         for record in &replay.records {
-            let (key, values) = parse_journal_record(record)?;
+            let (key, values) = decode_record(record)?;
             entries.insert(key, values);
         }
-        let mut ckpt = Checkpoint {
-            path,
+        Ok(Checkpoint {
             entries,
             journal,
-            recovery,
-        };
-        // Fold a non-empty (or repaired) journal into a fresh snapshot so
-        // a crashed run's cells are durable in one place again.
-        if recovery.recovered_anything() {
-            ckpt.compact()?;
-        }
-        Ok(ckpt)
+            recovery: CheckpointRecovery {
+                journal_cells: replay.records.len(),
+                torn_bytes: replay.truncated_bytes,
+            },
+        })
     }
 
-    /// File backing this checkpoint's snapshot.
+    /// The journal backing this checkpoint.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// What [`Checkpoint::open`] recovered from a previous crash.
@@ -140,28 +117,13 @@ impl Checkpoint {
     }
 
     /// Record a completed cell and persist it durably: one fsynced journal
-    /// append (O(cell), not O(sweep)); every [`COMPACT_EVERY`] appends the
-    /// journal is folded into an atomically-rewritten snapshot. After
-    /// `record` returns, the cell survives `kill -9`.
+    /// append. After `record` returns, the cell survives `kill -9`.
     pub fn record(&mut self, key: &str, values: &[f64]) -> SfcResult<()> {
-        self.entries.insert(key.to_string(), values.to_vec());
         self.journal
-            .append(render_entry(key, values).as_bytes())
+            .append(&encode_record(key, values)?)
             .map_err(|e| SfcError::io("append checkpoint journal", e))?;
-        if self.journal.len() >= COMPACT_EVERY {
-            self.compact()?;
-        }
+        self.entries.insert(key.to_string(), values.to_vec());
         Ok(())
-    }
-
-    /// Write the full entry set as an atomic snapshot and empty the
-    /// journal.
-    fn compact(&mut self) -> SfcResult<()> {
-        write_atomic(&self.path, render_checkpoint(&self.entries).as_bytes())
-            .map_err(|e| SfcError::io("write checkpoint snapshot", e))?;
-        self.journal
-            .reset()
-            .map_err(|e| SfcError::io("reset checkpoint journal", e))
     }
 
     /// Return the cached values for `key`, or run `compute`, persist its
@@ -197,9 +159,9 @@ where
     }
 }
 
-/// CLI helper for the figure binaries: open the file named by
+/// CLI helper for the figure binaries: open the checkpoint named by
 /// `--checkpoint FILE` when the flag is present (announcing how many cells
-/// a resumed run will skip), exiting with a diagnostic when the file is
+/// a resumed run will skip), exiting with a diagnostic when its journal is
 /// unreadable or corrupt.
 pub fn checkpoint_from_args(args: &sfc_harness::Args) -> Option<Checkpoint> {
     let path = PathBuf::from(args.get("checkpoint")?);
@@ -211,13 +173,6 @@ pub fn checkpoint_from_args(args: &sfc_harness::Args) -> Option<Checkpoint> {
                     "checkpoint {}: truncated a torn journal tail ({} bytes from an interrupted write)",
                     path.display(),
                     rec.torn_bytes
-                );
-            }
-            if rec.journal_cells > 0 {
-                eprintln!(
-                    "checkpoint {}: folded {} journaled cells into the snapshot",
-                    path.display(),
-                    rec.journal_cells
                 );
             }
             if !c.is_empty() {
@@ -249,255 +204,47 @@ pub fn ok_or_exit<T>(result: SfcResult<T>) -> T {
     }
 }
 
-fn render_checkpoint(entries: &BTreeMap<String, Vec<f64>>) -> String {
-    let mut s = format!("{{\"version\":{CHECKPOINT_VERSION},\"entries\":{{");
-    for (i, (key, values)) in entries.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&render_entry(key, values));
+/// One journal record: the key's byte length (`u32` LE), its UTF-8 bytes,
+/// then every value as a little-endian `f64`.
+fn encode_record(key: &str, values: &[f64]) -> SfcResult<Vec<u8>> {
+    let key_len = u32::try_from(key.len()).map_err(|_| SfcError::InvalidParameter {
+        name: "key",
+        reason: "a checkpoint key must be shorter than 4 GiB".to_string(),
+    })?;
+    let mut record = Vec::with_capacity(4 + key.len() + 8 * values.len());
+    record.extend_from_slice(&key_len.to_le_bytes());
+    record.extend_from_slice(key.as_bytes());
+    for v in values {
+        record.extend_from_slice(&v.to_le_bytes());
     }
-    s.push_str("}}\n");
-    s
-}
-
-/// One `"key":[values]` fragment — both an element of the snapshot object
-/// and the payload of a journal record.
-fn render_entry(key: &str, values: &[f64]) -> String {
-    let mut s = String::with_capacity(key.len() + 16 * values.len() + 8);
-    s.push('"');
-    s.push_str(&escape_json(key));
-    s.push_str("\":[");
-    for (j, v) in values.iter().enumerate() {
-        if j > 0 {
-            s.push(',');
-        }
-        if v.is_finite() {
-            s.push_str(&format!("{v:?}"));
-        } else {
-            s.push_str("null");
-        }
-    }
-    s.push(']');
-    s
+    Ok(record)
 }
 
 /// Decode a journal record back into its cell. Records are checksummed by
-/// the journal layer, so a parse failure here means real corruption (or a
-/// foreign file), not a torn write.
-fn parse_journal_record(payload: &[u8]) -> SfcResult<(String, Vec<f64>)> {
-    let fragment = std::str::from_utf8(payload)
-        .map_err(|_| corrupt("journal record is not UTF-8"))?;
-    let wrapped = format!("{{\"version\":{CHECKPOINT_VERSION},\"entries\":{{{fragment}}}}}");
-    let mut entries = parse_checkpoint(&wrapped)?;
-    if entries.len() != 1 {
-        return Err(corrupt("journal record must hold exactly one cell"));
+/// the journal layer, so a record that does not decode is real corruption
+/// (or a foreign file), not a torn write.
+fn decode_record(record: &[u8]) -> SfcResult<(String, Vec<f64>)> {
+    let (len, rest) = record
+        .split_first_chunk::<4>()
+        .ok_or_else(|| corrupt("record shorter than its key length"))?;
+    let (key, values) = rest
+        .split_at_checked(u32::from_le_bytes(*len) as usize)
+        .ok_or_else(|| corrupt("key runs past the end of its record"))?;
+    let key = std::str::from_utf8(key).map_err(|_| corrupt("key is not UTF-8"))?;
+    let (values, partial) = values.as_chunks::<8>();
+    if !partial.is_empty() {
+        return Err(corrupt("values are not a whole number of f64s"));
     }
-    Ok(entries.pop_first().expect("len checked"))
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Minimal parser for exactly the shape `render_checkpoint` emits (plus
-/// arbitrary whitespace). Anything else is `Corrupt`.
-fn parse_checkpoint(text: &str) -> SfcResult<BTreeMap<String, Vec<f64>>> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'{')?;
-    let vkey = p.string()?;
-    if vkey != "version" {
-        return Err(corrupt("expected \"version\" field first"));
-    }
-    p.expect(b':')?;
-    let version = p.number()?.ok_or_else(|| corrupt("version must be a number"))?;
-    if version != f64::from(CHECKPOINT_VERSION) {
-        return Err(SfcError::Corrupt {
-            what: "checkpoint file".to_string(),
-            reason: format!("unsupported version {version}"),
-        });
-    }
-    p.expect(b',')?;
-    let ekey = p.string()?;
-    if ekey != "entries" {
-        return Err(corrupt("expected \"entries\" field"));
-    }
-    p.expect(b':')?;
-    p.expect(b'{')?;
-    let mut entries = BTreeMap::new();
-    if p.peek()? == b'}' {
-        p.expect(b'}')?;
-    } else {
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            p.expect(b'[')?;
-            let mut values = Vec::new();
-            if p.peek()? == b']' {
-                p.expect(b']')?;
-            } else {
-                loop {
-                    match p.number()? {
-                        Some(v) => values.push(v),
-                        None => values.push(f64::NAN),
-                    }
-                    match p.next_byte()? {
-                        b',' => continue,
-                        b']' => break,
-                        _ => return Err(corrupt("expected ',' or ']' in value list")),
-                    }
-                }
-            }
-            entries.insert(key, values);
-            match p.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                _ => return Err(corrupt("expected ',' or '}' after entry")),
-            }
-        }
-    }
-    p.expect(b'}')?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(corrupt("trailing data after closing brace"));
-    }
-    Ok(entries)
+    Ok((
+        key.to_string(),
+        values.iter().map(|v| f64::from_le_bytes(*v)).collect(),
+    ))
 }
 
 fn corrupt(reason: &str) -> SfcError {
     SfcError::Corrupt {
         what: "checkpoint file".to_string(),
         reason: reason.to_string(),
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> SfcResult<u8> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| corrupt("unexpected end of file"))
-    }
-
-    fn next_byte(&mut self) -> SfcResult<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> SfcResult<()> {
-        let got = self.next_byte()?;
-        if got != want {
-            return Err(corrupt(&format!(
-                "expected '{}', found '{}'",
-                want as char, got as char
-            )));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> SfcResult<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| corrupt("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| corrupt("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| corrupt("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| corrupt("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| corrupt("non-scalar \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(corrupt("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-scan from the byte we consumed so multi-byte UTF-8
-                    // sequences stay intact.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| corrupt("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| corrupt("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// A JSON number, or `None` for the literal `null`.
-    fn number(&mut self) -> SfcResult<Option<f64>> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(None);
-        }
-        let start = self.pos;
-        while self
-            .pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| corrupt("invalid number"))?;
-        s.parse::<f64>()
-            .map(Some)
-            .map_err(|_| corrupt(&format!("invalid number '{s}'")))
     }
 }
 
@@ -509,7 +256,7 @@ mod tests {
         std::env::temp_dir().join(format!("sfc_ckpt_{}_{tag}.json", std::process::id()))
     }
 
-    /// Remove a checkpoint and its journal sibling.
+    /// Remove a checkpoint's journal (and any file at its own path).
     fn clean(path: &Path) {
         std::fs::remove_file(path).ok();
         std::fs::remove_file(journal_path(path)).ok();
@@ -521,15 +268,21 @@ mod tests {
         clean(&path);
         let mut c = Checkpoint::open(&path).unwrap();
         assert!(c.is_empty());
+        c.record("fig2|r1 px xyz|t2", &[9.0]).unwrap();
         c.record("fig2|r1 px xyz|t2", &[0.5, -1.25, 3.0]).unwrap();
         c.record("fig2|r1 pz zyx|t2", &[f64::NAN, 2.0]).unwrap();
 
         let reopened = Checkpoint::open(&path).unwrap();
         assert_eq!(reopened.len(), 2);
-        assert_eq!(reopened.get("fig2|r1 px xyz|t2"), Some(&[0.5, -1.25, 3.0][..]));
+        assert_eq!(
+            reopened.get("fig2|r1 px xyz|t2"),
+            Some(&[0.5, -1.25, 3.0][..]),
+            "a later record of a key replaces an earlier one"
+        );
         let v = reopened.get("fig2|r1 pz zyx|t2").unwrap();
-        assert!(v[0].is_nan(), "NaN survives as null");
+        assert_eq!(v[0].to_bits(), f64::NAN.to_bits());
         assert_eq!(v[1], 2.0);
+        assert!(!path.exists(), "nothing but the journal is written");
         clean(&path);
     }
 
@@ -567,23 +320,49 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_file_is_a_typed_error() {
-        let path = tmp_path("corrupt");
-        std::fs::write(&path, "{\"version\":1,\"entries\":{\"k\":[1.0}").unwrap();
-        match Checkpoint::open(&path) {
-            Err(SfcError::Corrupt { .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
+    fn intact_record_that_does_not_decode_is_a_typed_error() {
+        let path = tmp_path("undecodable");
+        let mut partial_value = encode_record("k", &[1.0]).unwrap();
+        partial_value.pop();
+        let mut bad_utf8 = encode_record("kk", &[]).unwrap();
+        bad_utf8[4] = 0xFF;
+        for (what, record) in [
+            ("an older format's JSON record", b"\"k\":[1.0]".to_vec()),
+            ("values that are not whole f64s", partial_value),
+            ("a key that is not UTF-8", bad_utf8),
+            ("a record shorter than a key length", vec![1, 0]),
+        ] {
+            clean(&path);
+            {
+                let (mut journal, _) = Journal::open(journal_path(&path)).unwrap();
+                journal
+                    .append(&encode_record("good", &[2.0]).unwrap())
+                    .unwrap();
+                // Checksummed by the journal: intact, but not a cell.
+                journal.append(&record).unwrap();
+            }
+            match Checkpoint::open(&path) {
+                Err(SfcError::Corrupt { .. }) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
         }
-        std::fs::write(&path, "{\"version\":99,\"entries\":{}}").unwrap();
-        assert!(matches!(
-            Checkpoint::open(&path),
-            Err(SfcError::Corrupt { .. })
-        ));
         clean(&path);
     }
 
     #[test]
-    fn uncompacted_journal_cells_survive_an_abrupt_exit() {
+    fn an_older_formats_json_snapshot_is_refused() {
+        let path = tmp_path("snapshot");
+        clean(&path);
+        std::fs::write(&path, "{\"version\":1,\"entries\":{\"k\":[1.0]}}\n").unwrap();
+        match Checkpoint::open(&path) {
+            Err(SfcError::Corrupt { .. }) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        clean(&path);
+    }
+
+    #[test]
+    fn journal_cells_survive_an_abrupt_exit() {
         let path = tmp_path("kill9");
         clean(&path);
         {
@@ -591,18 +370,13 @@ mod tests {
             c.record("a", &[1.0]).unwrap();
             c.record("b", &[2.0, 3.0]).unwrap();
             c.record("c", &[4.0]).unwrap();
-            // < COMPACT_EVERY records: everything is journal-only. Drop
-            // without any shutdown hook — exactly what kill -9 leaves.
+            // Drop without any shutdown hook — exactly what kill -9 leaves.
         }
-        assert!(!path.exists(), "no snapshot expected before first compaction");
         let c = Checkpoint::open(&path).unwrap();
         assert_eq!(c.recovery().journal_cells, 3);
         assert_eq!(c.get("a"), Some(&[1.0][..]));
         assert_eq!(c.get("b"), Some(&[2.0, 3.0][..]));
         assert_eq!(c.get("c"), Some(&[4.0][..]));
-        // Open folded the journal into a fresh snapshot.
-        assert!(path.exists());
-        assert!(c.journal.is_empty());
         clean(&path);
     }
 
@@ -638,36 +412,28 @@ mod tests {
     }
 
     #[test]
-    fn compaction_bounds_journal_growth() {
-        let path = tmp_path("compact");
-        clean(&path);
-        let mut c = Checkpoint::open(&path).unwrap();
-        for i in 0..COMPACT_EVERY {
-            c.record(&format!("cell{i:03}"), &[i as f64]).unwrap();
-        }
-        assert!(
-            c.journal.is_empty(),
-            "journal must be folded into the snapshot every {COMPACT_EVERY} appends"
-        );
-        let snapshot = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(parse_checkpoint(&snapshot).unwrap().len(), COMPACT_EVERY);
-        c.record("one-more", &[9.0]).unwrap();
-        assert_eq!(c.journal.len(), 1);
-        let r = Checkpoint::open(&path).unwrap();
-        assert_eq!(r.len(), COMPACT_EVERY + 1);
-        clean(&path);
-    }
-
-    #[test]
     fn journal_record_roundtrips_weird_keys_and_null() {
         let key = "weird \"key\"\\ with\ttabs µ";
-        let values = [1.5, f64::NAN, -2.0];
-        let (k, v) = parse_journal_record(render_entry(key, &values).as_bytes()).unwrap();
+        let payload_nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let values = [
+            1.5,
+            f64::NAN,
+            payload_nan,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+        ];
+        let (k, v) = decode_record(&encode_record(key, &values).unwrap()).unwrap();
         assert_eq!(k, key);
-        assert_eq!(v[0], 1.5);
-        assert!(v[1].is_nan());
-        assert_eq!(v[2], -2.0);
-        assert!(parse_journal_record(b"not a record").is_err());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&v),
+            bits(&values),
+            "every value, NaN payloads included"
+        );
+        let empty = encode_record("", &[]).unwrap();
+        assert_eq!(decode_record(&empty).unwrap(), (String::new(), vec![]));
+        assert!(decode_record(b"not a record").is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # sfc-bench — paper figure reproduction and microbenchmarks
+//! # sfc-bench — paper figure reproduction
 //!
 //! One binary per evaluation figure (run with `--release`):
 //!
@@ -20,9 +20,9 @@
 //! --corrupt-rate P` (run the real kernel once under the
 //! graceful-degradation driver with injected faults — see [`faultrun`]).
 //!
-//! Criterion microbenches (`cargo bench`) cover the ablations listed in
-//! DESIGN.md §5: codec cost, indexer parity, traversal patterns, curve and
-//! layout comparisons, kernel throughput, and tile-size sensitivity.
+//! Speed is measured elsewhere: the benchmark ledger (`bench_ledger/`)
+//! times every layer through one driver, and its per-layer rows
+//! (`--trace 1`) are the ablations DESIGN.md §5 lists.
 
 #![warn(missing_docs)]
 

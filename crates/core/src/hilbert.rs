@@ -3,8 +3,9 @@
 //! The paper's background section (citing Reissmann et al. 2014) observes
 //! that the Hilbert curve has slightly better locality than Z-order but a
 //! substantially more expensive index computation, which in practice erases
-//! the locality gain. We implement it so the `curve_ablation` bench can
-//! reproduce that trade-off.
+//! the locality gain. We implement it, and the table-driven layout built
+//! from it, so the benchmark ledger's Hilbert rows can measure that
+//! trade-off.
 //!
 //! Implementation: John Skilling, "Programming the Hilbert curve", AIP
 //! Conference Proceedings 707 (2004) — the "transpose" form, generalized

@@ -8,8 +8,9 @@
 //! curve's automaton over it two bit planes per lookup
 //! (`hilbert::MortonToHilbert3`), ⌈bits/2⌉ dependent lookups in all. The
 //! paper's background (Reissmann et al. 2014) found Hilbert's index cost to
-//! outweigh its slightly better locality; `sfc-bench`'s `curve_ablation`
-//! measures the trade-off with this implementation. Axis runs read through
+//! outweigh its slightly better locality; the benchmark ledger's
+//! `core.step_ns.hilbert` and `filters.pass_ms.hilbert.*` rows measure the
+//! trade-off with this implementation. Axis runs read through
 //! `index()` too, one voxel at a time, like every other layout. On x86_64,
 //! `cell_slots_lanes` walks the same two tables for the eight corners of
 //! eight cells at once, with AVX2 gathers (DESIGN.md §5.7).

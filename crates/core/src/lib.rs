@@ -30,8 +30,8 @@
 //!
 //! ## Module map
 //!
-//! * [`morton`] / [`hilbert`] — raw curve codecs (magic-bits and byte-LUT
-//!   Morton; Skilling-transpose Hilbert, and the automaton tables its
+//! * [`morton`] / [`hilbert`] — raw curve codecs (magic-bits Morton;
+//!   Skilling-transpose Hilbert, and the automaton tables its
 //!   table-driven index is built from).
 //! * [`pattern`] — bit-interleave patterns generalizing Morton order to
 //!   rectangular (per-axis power-of-two padded) domains.

@@ -1,17 +1,12 @@
 //! Morton (Z-order) curve encoding and decoding.
 //!
-//! Two interchangeable implementations are provided for both 2D and 3D:
-//!
-//! * **magic-bits** — branch-free parallel bit dilation/contraction using
-//!   multiply-free shift/mask sequences;
-//! * **byte-LUT** — 256-entry lookup tables processing one byte of input per
-//!   step (the style popularized by `libmorton`).
-//!
-//! Both agree bit-for-bit; the LUT form exists so the `sfc-bench` crate can
-//! quantify the cost trade-off (see DESIGN.md §5). The layout machinery in
+//! 2D and 3D codecs by branch-free parallel bit dilation and contraction
+//! (multiply-free shift/mask sequences). The layout machinery in
 //! [`crate::layouts::zorder`] uses *per-axis full tables* instead (the
 //! paper's scheme, after Pascucci & Frank 2001), which amortize the dilation
-//! entirely into grid-sized tables built once at initialization.
+//! entirely into grid-sized tables built once at initialization. Its tests
+//! check those tables against [`morton2_encode`] and [`morton3_encode`],
+//! and [`part1by2`] builds the Hilbert layout's dilation table.
 //!
 //! Coordinate capacity: 2D supports 32 bits per axis, 3D supports 21 bits
 //! per axis (63 bits total), far beyond any in-memory grid.
@@ -92,141 +87,6 @@ pub fn morton3_decode(m: u64) -> (u32, u32, u32) {
     (compact1by2(m), compact1by2(m >> 1), compact1by2(m >> 2))
 }
 
-/// 256-entry table mapping a byte to its 1-by-1 dilation (16 bits used).
-const LUT_DILATE_2: [u16; 256] = {
-    let mut t = [0u16; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut v = 0u16;
-        let mut b = 0;
-        while b < 8 {
-            v |= (((i >> b) & 1) as u16) << (2 * b);
-            b += 1;
-        }
-        t[i] = v;
-        i += 1;
-    }
-    t
-};
-
-/// 256-entry table mapping a byte to its 1-by-2 dilation (22 bits used).
-const LUT_DILATE_3: [u32; 256] = {
-    let mut t = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut v = 0u32;
-        let mut b = 0;
-        while b < 8 {
-            v |= (((i >> b) & 1) as u32) << (3 * b);
-            b += 1;
-        }
-        t[i] = v;
-        i += 1;
-    }
-    t
-};
-
-/// Byte-LUT variant of [`morton2_encode`]; identical results.
-#[inline]
-pub fn morton2_encode_lut(x: u32, y: u32) -> u64 {
-    let mut m = 0u64;
-    let mut shift = 0;
-    for byte in 0..4 {
-        let xb = LUT_DILATE_2[((x >> (8 * byte)) & 0xFF) as usize] as u64;
-        let yb = LUT_DILATE_2[((y >> (8 * byte)) & 0xFF) as usize] as u64;
-        m |= (xb | (yb << 1)) << shift;
-        shift += 16;
-    }
-    m
-}
-
-/// Byte-LUT variant of [`morton3_encode`]; identical results.
-#[inline]
-pub fn morton3_encode_lut(x: u32, y: u32, z: u32) -> u64 {
-    debug_assert!(x < (1 << 21) && y < (1 << 21) && z < (1 << 21));
-    let mut m = 0u64;
-    let mut shift = 0;
-    for byte in 0..3 {
-        let xb = LUT_DILATE_3[((x >> (8 * byte)) & 0xFF) as usize] as u64;
-        let yb = LUT_DILATE_3[((y >> (8 * byte)) & 0xFF) as usize] as u64;
-        let zb = LUT_DILATE_3[((z >> (8 * byte)) & 0xFF) as usize] as u64;
-        m |= (xb | (yb << 1) | (zb << 2)) << shift;
-        shift += 24;
-    }
-    m
-}
-
-/// Iterator over all 3D Morton indices of a `2^bits` cube in curve order,
-/// yielding `(morton_index, (x, y, z))`.
-pub fn morton3_curve(bits: u32) -> impl Iterator<Item = (u64, (u32, u32, u32))> {
-    let n: u64 = 1u64 << (3 * bits);
-    (0..n).map(|m| (m, morton3_decode(m)))
-}
-
-/// Bit mask of the x coordinate's dilated bits in a 3D Morton index.
-pub const MORTON3_X_MASK: u64 = 0x1249_2492_4924_9249;
-/// Bit mask of the y coordinate's dilated bits in a 3D Morton index.
-pub const MORTON3_Y_MASK: u64 = MORTON3_X_MASK << 1;
-/// Bit mask of the z coordinate's dilated bits in a 3D Morton index.
-pub const MORTON3_Z_MASK: u64 = MORTON3_X_MASK << 2;
-
-/// Add `1` to one dilated coordinate of a Morton index *without*
-/// decode/encode — the classic dilated-integer increment: force the other
-/// axes' bit positions to 1 so the carry ripples only through this axis's
-/// bits, then restore them.
-///
-/// This lets curve-order traversals and ray steppers move to an axis
-/// neighbor in a few ALU ops. Overflow past the top coordinate bit wraps
-/// (callers bound coordinates, as with the plain encoders).
-#[inline]
-fn dilated_inc(m: u64, mask: u64) -> u64 {
-    let incremented = (m | !mask).wrapping_add(1) & mask;
-    incremented | (m & !mask)
-}
-
-/// Subtract `1` from one dilated coordinate (inverse of [`dilated_inc`]).
-#[inline]
-fn dilated_dec(m: u64, mask: u64) -> u64 {
-    let decremented = (m & mask).wrapping_sub(1) & mask;
-    decremented | (m & !mask)
-}
-
-/// Morton index of the `+x` neighbor.
-#[inline]
-pub fn morton3_inc_x(m: u64) -> u64 {
-    dilated_inc(m, MORTON3_X_MASK)
-}
-
-/// Morton index of the `+y` neighbor.
-#[inline]
-pub fn morton3_inc_y(m: u64) -> u64 {
-    dilated_inc(m, MORTON3_Y_MASK)
-}
-
-/// Morton index of the `+z` neighbor.
-#[inline]
-pub fn morton3_inc_z(m: u64) -> u64 {
-    dilated_inc(m, MORTON3_Z_MASK)
-}
-
-/// Morton index of the `-x` neighbor.
-#[inline]
-pub fn morton3_dec_x(m: u64) -> u64 {
-    dilated_dec(m, MORTON3_X_MASK)
-}
-
-/// Morton index of the `-y` neighbor.
-#[inline]
-pub fn morton3_dec_y(m: u64) -> u64 {
-    dilated_dec(m, MORTON3_Y_MASK)
-}
-
-/// Morton index of the `-z` neighbor.
-#[inline]
-pub fn morton3_dec_z(m: u64) -> u64 {
-    dilated_dec(m, MORTON3_Z_MASK)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,84 +162,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn lut_matches_magic_bits_2d() {
-        for &(x, y) in &[
-            (0u32, 0u32),
-            (1, 2),
-            (123, 456),
-            (0xFFFF, 0xFFFF),
-            (0xFFFF_FFFF, 0x1234_5678),
-        ] {
-            assert_eq!(morton2_encode_lut(x, y), morton2_encode(x, y));
-        }
-    }
-
-    #[test]
-    fn lut_matches_magic_bits_3d() {
-        for &(x, y, z) in &[
-            (0u32, 0u32, 0u32),
-            (1, 2, 3),
-            (123, 456, 789),
-            (0x1F_FFFF, 0x1F_FFFF, 0x1F_FFFF),
-            (511, 512, 513),
-        ] {
-            assert_eq!(morton3_encode_lut(x, y, z), morton3_encode(x, y, z));
-        }
-    }
-
-    #[test]
-    fn morton3_curve_order_is_monotone_and_complete() {
-        let pts: Vec<_> = morton3_curve(2).collect();
-        assert_eq!(pts.len(), 64);
-        for (idx, (m, (x, y, z))) in pts.iter().enumerate() {
-            assert_eq!(*m, idx as u64);
-            assert_eq!(morton3_encode(*x, *y, *z), *m);
-        }
-    }
-
-    #[test]
-    fn incremental_neighbors_match_reencoding() {
-        for z in 0..15u32 {
-            for y in 0..15u32 {
-                for x in 0..15u32 {
-                    let m = morton3_encode(x, y, z);
-                    assert_eq!(morton3_inc_x(m), morton3_encode(x + 1, y, z));
-                    assert_eq!(morton3_inc_y(m), morton3_encode(x, y + 1, z));
-                    assert_eq!(morton3_inc_z(m), morton3_encode(x, y, z + 1));
-                    if x > 0 {
-                        assert_eq!(morton3_dec_x(m), morton3_encode(x - 1, y, z));
-                    }
-                    if y > 0 {
-                        assert_eq!(morton3_dec_y(m), morton3_encode(x, y - 1, z));
-                    }
-                    if z > 0 {
-                        assert_eq!(morton3_dec_z(m), morton3_encode(x, y, z - 1));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn inc_then_dec_is_identity() {
-        let m = morton3_encode(123, 456, 789);
-        assert_eq!(morton3_dec_x(morton3_inc_x(m)), m);
-        assert_eq!(morton3_dec_y(morton3_inc_y(m)), m);
-        assert_eq!(morton3_dec_z(morton3_inc_z(m)), m);
-    }
-
-    #[test]
-    fn masks_partition_the_index_bits() {
-        assert_eq!(
-            MORTON3_X_MASK | MORTON3_Y_MASK | MORTON3_Z_MASK,
-            u64::MAX >> 1,
-            "three interleaved masks cover 63 bits"
-        );
-        assert_eq!(MORTON3_X_MASK & MORTON3_Y_MASK, 0);
-        assert_eq!(MORTON3_Y_MASK & MORTON3_Z_MASK, 0);
     }
 
     #[test]

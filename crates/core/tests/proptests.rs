@@ -10,7 +10,7 @@ use sfc_core::{
     hilbert::{hilbert2_decode, hilbert2_encode, hilbert3_decode, hilbert3_encode},
     morton::{
         compact1by1, compact1by2, morton2_decode, morton2_encode, morton3_decode, morton3_encode,
-        morton3_encode_lut, part1by1, part1by2,
+        part1by1, part1by2,
     },
     ArrayOrder2, ArrayOrder3, Dims2, Dims3, Grid3, HilbertOrder3, Layout2, Layout3, SplitMix64,
     Tiled2, Tiled3, ZOrder2, ZOrder3,
@@ -33,17 +33,6 @@ fn morton3_roundtrip() {
         let y = rng.next_u32() & ((1 << 21) - 1);
         let z = rng.next_u32() & ((1 << 21) - 1);
         assert_eq!(morton3_decode(morton3_encode(x, y, z)), (x, y, z));
-    }
-}
-
-#[test]
-fn morton3_lut_agrees_with_magic() {
-    let mut rng = SplitMix64::new(0x1003);
-    for _ in 0..512 {
-        let x = rng.next_u32() & ((1 << 21) - 1);
-        let y = rng.next_u32() & ((1 << 21) - 1);
-        let z = rng.next_u32() & ((1 << 21) - 1);
-        assert_eq!(morton3_encode_lut(x, y, z), morton3_encode(x, y, z));
     }
 }
 

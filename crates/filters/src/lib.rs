@@ -16,7 +16,7 @@
 //!   for the scheduling ablation; supervised, degraded and brownout runs
 //!   through the engine's one supervised pipeline, with partial-result
 //!   recovery, a per-pencil quality map, and a repair pass),
-//!   and the per-voxel driver of the convolution and gradient kernels;
+//!   and the per-voxel driver of the gradient and separable kernels;
 //! * [`fastmath`] — the photometric weight through the bit-exact `expf`
 //!   port, and the SIMD lanes of the runtime-dispatched tap loop, which
 //!   gives the same bits on every tier ([`TapConfig`] picks the tier);
@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod bilateral;
-pub mod bilateral2d;
 pub mod counters;
 pub mod fastmath;
 pub mod gaussian;
@@ -36,7 +35,6 @@ pub(crate) mod pencil_gather;
 pub mod separable;
 
 pub use bilateral::{bilateral_reference, bilateral_voxel, BilateralParams};
-pub use bilateral2d::{bilateral2d, bilateral2d_pixel, Bilateral2dParams};
 pub use counters::simulate_bilateral_counters;
 pub use fastmath::{detect_tier, SimdTier, TapConfig, WeightMode};
 pub use sfc_harness::DegradedOutcome;
@@ -44,7 +42,7 @@ pub use gaussian::{convolve_voxel, gaussian_weight, SpatialKernel};
 pub use gradient::{gradient3d, gradient_voxel};
 pub use counters::{nan_events, reset_nan_events};
 pub use parallel::{
-    bilateral3d, bilateral3d_dynamic, bilateral3d_into, config_label, convolve3d, try_bilateral3d,
+    bilateral3d, bilateral3d_dynamic, bilateral3d_into, config_label, try_bilateral3d,
     try_bilateral3d_into, try_bilateral3d_with_policy, FilterRun,
 };
 pub use separable::{gaussian_separable3d, Kernel1D};

@@ -35,9 +35,8 @@
 //! so a repaired pencil is bitwise identical to what a fault-free run
 //! would have produced: a run whose map ends
 //! [`is_whole`](sfc_harness::QualityMap::is_whole) at full quality has
-//! *exactly* the fault-free output. The per-voxel kernels (plain
-//! convolution, gradient magnitude, separable passes) share the simpler
-//! `drive` loop.
+//! *exactly* the fault-free output. The per-voxel kernels (gradient
+//! magnitude, separable passes) share the simpler `drive` loop.
 
 use sfc_core::{pencil, pencil_count, Axis, Dims3, Grid3, Layout3, SfcError, SfcResult, Volume3};
 use sfc_harness::{
@@ -46,7 +45,7 @@ use sfc_harness::{
 
 use crate::bilateral::BilateralParams;
 use crate::fastmath::{SimdTier, TapConfig};
-use crate::gaussian::{convolve_voxel, SpatialKernel};
+use crate::gaussian::SpatialKernel;
 use crate::pencil_gather::{bilateral_pencil, GatherPlan};
 
 /// Configuration of one parallel filter execution.
@@ -338,25 +337,9 @@ where
     }
 }
 
-/// Plain Gaussian convolution with the same pencil-parallel driver
-/// (baseline kernel; ignores `params.sigma_range`).
-pub fn convolve3d<V, LOut>(vol: &V, run: &FilterRun) -> Grid3<f32, LOut>
-where
-    V: Volume3 + Sync,
-    LOut: Layout3,
-{
-    let kernel = run.params.spatial_kernel();
-    let mut out = Grid3::<f32, LOut>::new(vol.dims());
-    drive(&mut out, run.pencil_axis, run.nthreads, |i, j, k| {
-        convolve_voxel(vol, &kernel, i, j, k)
-    });
-    out
-}
-
 /// The bilateral filter over the same pencil decomposition, scheduled
-/// dynamically (shared atomic cursor) instead of static round-robin — an
-/// alternative used by the scheduling ablation bench. Results are
-/// identical; only work assignment differs.
+/// dynamically (shared atomic cursor) instead of static round-robin.
+/// Results are identical; only work assignment differs.
 ///
 /// # Panics
 /// Panics on invalid configuration (a zero thread count, non-positive
@@ -491,14 +474,6 @@ mod tests {
         let stat: Grid3<f32, ZOrder3> = bilateral3d(&grid, &r);
         let dyn_: Grid3<f32, ZOrder3> = bilateral3d_dynamic(&grid, &r.params, Axis::X, 4);
         assert_eq!(stat.to_row_major(), dyn_.to_row_major());
-    }
-
-    #[test]
-    fn convolution_of_constant_is_constant() {
-        let dims = Dims3::cube(6);
-        let grid = Grid3::<f32, ArrayOrder3>::from_fn(dims, |_, _, _| 0.7);
-        let out: Grid3<f32, ArrayOrder3> = convolve3d(&grid, &run(2, 2, Axis::Y));
-        assert!(out.to_row_major().iter().all(|v| (v - 0.7).abs() < 1e-5));
     }
 
     #[test]

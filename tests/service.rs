@@ -9,7 +9,8 @@
 //! invisible on the happy path.
 //!
 //! The lifecycle legs: a client disconnect cancels in-flight units
-//! within the reaper/watchdog interval; a `shutdown` drains gracefully —
+//! within the handler's ticket poll, and units already running stop
+//! within their watchdog interval; a `shutdown` drains gracefully —
 //! in-flight requests finish and the drain reports clean within budget.
 
 use std::io::Write as _;
@@ -228,8 +229,8 @@ fn client_disconnect_cancels_inflight_work_within_the_watchdog_interval() {
     // 144 units, two threads, and one retry the uncancelled run needs
     // tens of seconds. A prompt cancel finishes orders of magnitude
     // sooner: only the in-flight units run out their watchdog, the rest
-    // are accounted Cancelled without running, and the faults-off repair
-    // pass recomputes them in milliseconds.
+    // are accounted Cancelled without running, and a cancelled run skips
+    // the repair pass, since nobody waits for its output.
     let mut stream = TcpStream::connect(&addr).expect("connect");
     stream
         .write_all(b"filter tenant=ghost size=12 seed=5 radius=1 fault_seed=9 timeout_rate=1.0 stall_ms=100\n")
